@@ -19,6 +19,7 @@ from .gaussian import (
     apply_decoherence,
     apply_pulse,
     init_css,
+    pulse_map,
     run_schedule,
 )
 from .operators import (
@@ -43,5 +44,6 @@ __all__ = [
     "build_stokes_operators",
     "commutator",
     "init_css",
+    "pulse_map",
     "run_schedule",
 ]

@@ -2,10 +2,13 @@
 
 Six subcommands (algebra-check, oracle-compare, sweep, suppression, impact,
 montecarlo) share a --config JSON file whose keys are validated fail-closed;
-explicit flags override file values.  Every run writes a CSV with a header
-row and a '#'-prefixed metadata footer, plus a key-value run manifest
-alongside.  Exit codes: 0 success, 1 numerical failure (NaN/Inf or PSD
-violation), 2 validation failure.
+explicit flags override file values.  The Gaussian subcommands (sweep,
+suppression, impact, montecarlo) build every run with
+``experiment.paper_scale_params`` and model f = 1 only, so they reject any
+other --f.  Every run writes a CSV with a header row and a '#'-prefixed
+metadata footer, plus a key-value run manifest alongside.  Exit codes:
+0 success, 1 numerical failure (NaN/Inf or PSD violation), 2 invalid
+configuration (including input a subcommand rejects) or unwritable output.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import datetime
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +29,8 @@ from .experiment import (
     NL_REFERENCE,
     dropped_terms_impact,
     fit_linear_quadratic,
-    g2_from_impact,
     monte_carlo_sample,
+    paper_scale_params,
     projection_noise_line,
     sweep_atom_number,
     quadratic_suppression_curve,
@@ -39,6 +42,7 @@ from .oracle import oracle_vs_gaussian
 DEFAULT_SEED = 20100401
 
 MODES = ("algebra-check", "oracle-compare", "sweep", "suppression", "impact", "montecarlo")
+GAUSSIAN_MODES = ("sweep", "suppression", "impact", "montecarlo")
 
 
 @dataclass
@@ -80,6 +84,8 @@ class RunConfig:
             raise ValueError("trials must be >= 2")
         if int(self.seed) != self.seed:
             raise ValueError("seed must be an integer")
+        if self.mode in GAUSSIAN_MODES and self.f != 1.0:
+            raise ValueError(f"{self.mode} models f = 1 only, got f = {self.f}")
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"mode"}
@@ -151,22 +157,10 @@ def parse_config(argv=None) -> RunConfig:
     return config
 
 
-def _schedule_from_config(config: RunConfig) -> PulseSchedule:
-    if config.schedule == "decoupled":
-        return PulseSchedule.decoupled(config.p)
-    n = config.num_pulses if config.num_pulses is not None else 2 * config.p
-    return PulseSchedule.naive(n)
-
-
-def _params_from_config(config: RunConfig, schedule: PulseSchedule, na: float) -> CouplingParams:
-    g2 = g2_from_impact(g1=config.g1) if config.g2 is None else config.g2
-    return CouplingParams(
-        g1=config.g1,
-        g2=g2,
-        photons_per_pulse=config.nl_total / len(schedule),
-        num_pulses=len(schedule),
-        atom_number=na,
-        f=config.f,
+def _params_and_schedule(config: RunConfig, na: float) -> tuple[CouplingParams, PulseSchedule]:
+    return paper_scale_params(
+        mode=config.schedule, p=config.p, num_pulses=config.num_pulses, na=na,
+        g1=config.g1, g2=config.g2, nl_total=config.nl_total,
         scattering_eps=config.scattering_eps,
         include_dropped_terms=config.include_dropped_terms,
     )
@@ -223,7 +217,7 @@ def _run_algebra_check(config: RunConfig) -> tuple[list, list, list]:
 
 
 def _run_oracle_compare(config: RunConfig) -> tuple[list, list, list]:
-    schedule = _schedule_from_config(config)
+    _, schedule = _params_and_schedule(config, config.na)
     report = oracle_vs_gaussian(
         na=config.oracle_na, f=config.f, n_ph=config.n_ph,
         g1=config.g1, g2=0.0 if config.g2 is None else config.g2,
@@ -239,14 +233,13 @@ def _run_oracle_compare(config: RunConfig) -> tuple[list, list, list]:
 
 
 def _run_sweep(config: RunConfig) -> tuple[list, list, list]:
-    schedule = _schedule_from_config(config)
     na_values = list(np.geomspace(config.na_min, config.na_max, config.na_points))
-    params = _params_from_config(config, schedule, na_values[0])
+    params, schedule = _params_and_schedule(config, na_values[0])
     rows_data = sweep_atom_number(params, na_values, schedule)
     header = ["na", "mode", "p", "normalized_meter_var", "projection_line"]
     rows = [
         [r.na, r.mode, r.p if r.p is not None else 0, r.normalized_meter_var,
-         projection_noise_line(params.g1, config.nl_total, r.na, config.f)]
+         projection_noise_line(params.g1, config.nl_total, r.na)]
         for r in rows_data
     ]
     fit = fit_linear_quadratic(rows_data)
@@ -260,8 +253,8 @@ def _run_sweep(config: RunConfig) -> tuple[list, list, list]:
 
 
 def _run_suppression(config: RunConfig) -> tuple[list, list, list]:
-    schedule = PulseSchedule.decoupled(config.p_values[0])
-    params = _params_from_config(config, schedule, config.na)
+    first = replace(config, schedule="decoupled", p=config.p_values[0])
+    params, _ = _params_and_schedule(first, config.na)
     na_values = list(np.geomspace(config.na_min, config.na_max, config.na_points))
     points = quadratic_suppression_curve(params, list(config.p_values), na_values)
     header = ["p", "c2"]
@@ -271,8 +264,7 @@ def _run_suppression(config: RunConfig) -> tuple[list, list, list]:
 
 
 def _run_impact(config: RunConfig) -> tuple[list, list, list]:
-    schedule = _schedule_from_config(config)
-    params = _params_from_config(config, schedule, config.na)
+    params, schedule = _params_and_schedule(config, config.na)
     rel = dropped_terms_impact(params, schedule)
     header = ["na", "mode", "p", "relative_var_jz_increase"]
     rows = [[config.na, schedule.mode, schedule.p if schedule.p else 0, rel]]
@@ -281,8 +273,7 @@ def _run_impact(config: RunConfig) -> tuple[list, list, list]:
 
 
 def _run_montecarlo(config: RunConfig) -> tuple[list, list, list]:
-    schedule = _schedule_from_config(config)
-    params = _params_from_config(config, schedule, config.na)
+    params, schedule = _params_and_schedule(config, config.na)
     mc = monte_carlo_sample(params, schedule, trials=config.trials, seed=config.seed)
     analytic = run_schedule(params, schedule).meter_var
     header = ["trials", "sampled_meter_var", "stderr", "analytic_meter_var"]
@@ -309,6 +300,9 @@ def run(config: RunConfig) -> int:
     except (ArithmeticError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2

@@ -15,10 +15,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gaussian import (
+    JY,
     JZ,
+    M,
     CouplingParams,
     PulseSchedule,
     init_css,
+    pulse_map,
     run_schedule,
     single_atom_mixed_variances,
 )
@@ -86,7 +89,7 @@ def g2_from_impact(
     return g2_impact * g1 * g1 * (na_ref / 2.0)
 
 
-def projection_noise_line(g1: float, nl_total: float, na: float, f: float = 1.0) -> float:
+def projection_noise_line(g1: float, nl_total: float, na: float) -> float:
     """Ideal-QND normalized meter variance 1 + g1^2 NL var(Jz).
 
     var(Jz) = Jx/2 = na/4 for the x-polarized CSS; this is the black
@@ -97,7 +100,7 @@ def projection_noise_line(g1: float, nl_total: float, na: float, f: float = 1.0)
     return 1.0 + g1 * g1 * nl_total * (na / 4.0)
 
 
-def db_below_projection(g1: float, nl_total: float, na: float, f: float = 1.0) -> float:
+def db_below_projection(g1: float, nl_total: float, na: float) -> float:
     """Projection-noise-to-shot-noise ratio in decibels, 10 log10(g1^2 NL var(Jz))."""
     excess = g1 * g1 * nl_total * (na / 4.0)
     if excess <= 0:
@@ -144,7 +147,6 @@ class SweepRow:
     normalized_meter_var: float
     mode: str
     p: int | None
-    jx_final: float
 
     def __post_init__(self):
         # below the shot-noise floor means the propagation broke down numerically
@@ -173,7 +175,6 @@ def sweep_atom_number(
                 normalized_meter_var=4.0 * result.meter_var / params.total_photons,
                 mode=schedule.mode,
                 p=schedule.p,
-                jx_final=result.final_state.jx_mean,
             )
         )
     return rows
@@ -275,11 +276,15 @@ def monte_carlo_sample(
 ) -> MonteCarloResult:
     """Sampled meter variance from simulated pulse trains.
 
-    Draws the initial atomic fluctuations and per-pulse shot noise, pushes
-    each realization through the same per-pulse map as the covariance engine
-    and returns the sample variance of the accumulated meter with the
-    Gaussian standard error var * sqrt(2/(trials-1)).  Fixed seeds give
-    bit-identical results; the estimate converges to the analytic var(M).
+    Draws the initial atomic fluctuations and, per pulse, the shot noise
+    (Sy_in, then Sz_in) and, with scattering_eps > 0, the depolarization
+    noise (Jy, Jz, Jxy).  Each pulse applies the covariance engine's
+    ``pulse_map`` to all trials at once as one product on the stacked
+    (Jy, Jz, Jxy, M, Sy_in, Sz_in) samples; the dropped-term meter product
+    -meter_sign g2 Sz_in Jy is added as sampled.  Returns the sample
+    variance of the accumulated meter with the Gaussian standard error
+    var * sqrt(2/(trials-1)).  Fixed seeds give bit-identical results; the
+    estimate converges to the analytic var(M).
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
@@ -292,38 +297,34 @@ def monte_carlo_sample(
     atom_cov = state0.cov[:3, :3]
     w, v = np.linalg.eigh((atom_cov + atom_cov.T) / 2)
     root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-    xi = rng.standard_normal((3, trials))
-    jy, jz, jxy = root @ xi
-    jx = np.full(trials, state0.jx_mean)
-    meter = np.zeros(trials)
+    x = np.empty((6, trials))  # rows: Jy, Jz, Jxy, M, Sy_in, Sz_in
+    x[:3] = root @ rng.standard_normal((3, trials))
+    x[M] = 0.0
+    noise = x[4:]
+    jx = state0.jx_mean
 
-    nl = params.photons_per_pulse
-    shot_sd = math.sqrt(nl / 4.0)
-    g1, g2, eps = params.g1, params.g2, params.scattering_eps
-    kappas = single_atom_mixed_variances(params.f)
+    shot_sd = math.sqrt(params.photons_per_pulse / 4.0)
+    eps = params.scattering_eps
+    depol_sd = np.sqrt(eps * params.atom_number * np.array(single_atom_mixed_variances(params.f)))
+    depol = np.empty((3, trials)) if eps > 0.0 else None
 
     for entry in schedule.entries:
-        sx = entry.sx_sign * nl / 2.0
-        wsign = entry.meter_sign
-        sy_in = rng.standard_normal(trials) * shot_sd
-        sz_in = rng.standard_normal(trials) * shot_sd
-
-        d_meter = wsign * (sy_in + g1 * sx * jz)
-        jz_new = jz + g2 * sx * jy
-        jy_new = jy - g1 * sz_in * jx - g2 * sx * jxy
+        rng.standard_normal(out=noise)
+        noise *= shot_sd
+        a, b = pulse_map(entry, params, jx)
         if params.include_dropped_terms:
-            jz_new = jz_new - g2 * sy_in * jx
-            d_meter = d_meter - wsign * g2 * sz_in * jy
-        meter += d_meter
-        jy, jz = jy_new, jz_new
+            product = (-entry.meter_sign * params.g2) * noise[1] * x[JY]
+        x[:4] = np.hstack([a, b]) @ x
+        if params.include_dropped_terms:
+            x[M] += product
 
-        if eps > 0.0:
-            r = 1.0 - eps
-            jy = r * jy + rng.standard_normal(trials) * math.sqrt(eps * params.atom_number * kappas[0])
-            jz = r * jz + rng.standard_normal(trials) * math.sqrt(eps * params.atom_number * kappas[1])
-            jxy = r * jxy + rng.standard_normal(trials) * math.sqrt(eps * params.atom_number * kappas[2])
-            jx = r * jx
+        if depol is not None:
+            rng.standard_normal(out=depol)
+            depol *= depol_sd[:, None]
+            x[:3] *= 1.0 - eps
+            x[:3] += depol
+            jx *= 1.0 - eps
 
-    sample_var = float(np.var(meter, ddof=1))
+    sample_var = float(np.var(x[M], ddof=1))
     stderr = sample_var * math.sqrt(2.0 / (trials - 1))
     return MonteCarloResult(meter_variance=sample_var, stderr=stderr, trials=trials)

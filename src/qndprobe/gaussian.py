@@ -141,9 +141,6 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    def var(self, idx: int) -> float:
-        return float(self.cov[idx, idx])
-
     def min_cov_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh((self.cov + self.cov.T) / 2).min())
 
@@ -243,29 +240,24 @@ def apply_decoherence(state: GaussianState, eps: float, params: CouplingParams) 
     return GaussianState(mean=mean, cov=cov, jx_mean=r * state.jx_mean)
 
 
-def apply_pulse(state: GaussianState, entry: ScheduleEntry, params: CouplingParams) -> GaussianState:
-    """Propagate one probe pulse through the linearized input-output map.
+def pulse_map(entry: ScheduleEntry, params: CouplingParams, jx: float) -> tuple[np.ndarray, np.ndarray]:
+    """Linear part of one probe pulse: x <- A x + B (Sy_in, Sz_in).
 
-    With classical Sx = sx_sign * n_L/2 and fresh shot noise Sy_in, Sz_in
-    (variance n_L/4 each, uncorrelated with everything prior):
+    With classical Sx = sx_sign * n_L/2, classical Jx = jx and fresh shot
+    noise Sy_in, Sz_in (variance n_L/4 each, uncorrelated with everything
+    prior), the first-order map on x = (Jy, Jz, Jxy, M) is
 
         Jz  <- Jz + g2 Sx Jy                  [- g2 Sy_in Jx   if dropped terms on]
         Jy  <- Jy - g1 Sz_in Jx - g2 Sx Jxy
         Jxy <- Jxy                            (frozen)
         M   <- M + meter_sign (Sy_in + g1 Sx Jz)
-                                              [- meter_sign g2 Sz_in Jy  if on]
 
-    All right-hand sides use pre-pulse values.  Means and covariances follow
-    the affine-Gaussian transport exactly; the quadratic Sz_in*Jy fluctuation
-    product in the optional meter term contributes its Gaussian-factorized
-    variance g2^2 var(Sz_in) var(Jy) as an independent noise on M.
-    Depolarization (scattering_eps) is applied after the map.
+    with pre-pulse values on all right-hand sides.  A is 4x4 and B the 4x2
+    loadings of (Sy_in, Sz_in).  The one non-linear contribution, the
+    dropped-term meter product -meter_sign g2 Sz_in Jy, is left to the caller.
     """
-    nl = params.photons_per_pulse
-    sx = entry.sx_sign * nl / 2.0
-    shot = nl / 4.0
+    sx = entry.sx_sign * params.photons_per_pulse / 2.0
     g1, g2 = params.g1, params.g2
-    jx = state.jx_mean
     w = entry.meter_sign
 
     a = np.eye(4)
@@ -273,13 +265,29 @@ def apply_pulse(state: GaussianState, entry: ScheduleEntry, params: CouplingPara
     a[JY, JXY] = -g2 * sx
     a[M, JZ] = w * g1 * sx
 
-    # noise loadings for the (Sy_in, Sz_in) pair
     b = np.zeros((4, 2))
     b[JY, 1] = -g1 * jx
     b[M, 0] = w
     if params.include_dropped_terms:
         b[JZ, 0] = -g2 * jx
-        b[M, 1] = -w * g2 * state.mean[JY]
+    return a, b
+
+
+def apply_pulse(state: GaussianState, entry: ScheduleEntry, params: CouplingParams) -> GaussianState:
+    """Propagate one probe pulse through ``pulse_map``, then depolarize.
+
+    Means and covariances follow the affine-Gaussian transport exactly.  With
+    the dropped terms on, the meter product -meter_sign g2 Sz_in Jy enters
+    through its mean, as the Sz_in loading -meter_sign g2 <Jy> of M, and its
+    fluctuation contributes the Gaussian-factorized variance
+    g2^2 var(Sz_in) var(Jy) as an independent noise on M.  Depolarization
+    (scattering_eps) is applied after the map.
+    """
+    shot = params.photons_per_pulse / 4.0
+    g2 = params.g2
+    a, b = pulse_map(entry, params, state.jx_mean)
+    if params.include_dropped_terms:
+        b[M, 1] = -entry.meter_sign * g2 * state.mean[JY]
 
     mean = a @ state.mean
     cov = a @ state.cov @ a.T + shot * (b @ b.T)
@@ -287,15 +295,23 @@ def apply_pulse(state: GaussianState, entry: ScheduleEntry, params: CouplingPara
         cov[M, M] += g2 * g2 * shot * state.cov[JY, JY]
     cov = (cov + cov.T) / 2
 
-    out = GaussianState(mean=mean, cov=cov, jx_mean=jx)
+    out = GaussianState(mean=mean, cov=cov, jx_mean=state.jx_mean)
     return apply_decoherence(out, params.scattering_eps, params)
 
 
 @dataclass(frozen=True)
 class ScheduleResult:
+    """Final meter statistics plus the per-pulse trace of the run.
+
+    ``pulse_means[i]`` holds the means of (Jy, Jz, Jxy, M) and
+    ``pulse_meter_var[i]`` var(M) after pulse i.
+    """
+
     meter_mean: float
     meter_var: float
     final_state: GaussianState
+    pulse_means: np.ndarray
+    pulse_meter_var: np.ndarray
 
 
 def run_schedule(
@@ -304,18 +320,24 @@ def run_schedule(
     initial: GaussianState | None = None,
     check_psd: bool = False,
 ) -> ScheduleResult:
-    """Fold apply_pulse over a schedule and return accumulated meter statistics."""
+    """Fold apply_pulse over a schedule, recording the moments after every pulse."""
     if len(schedule) != params.num_pulses:
         raise ValueError(
             f"schedule has {len(schedule)} pulses but params.num_pulses = {params.num_pulses}"
         )
     state = init_css(params) if initial is None else initial
-    for entry in schedule.entries:
+    pulse_means = np.empty((len(schedule), 4))
+    pulse_meter_var = np.empty(len(schedule))
+    for i, entry in enumerate(schedule.entries):
         state = apply_pulse(state, entry, params)
         if check_psd:
             state.check_psd()
+        pulse_means[i] = state.mean
+        pulse_meter_var[i] = state.cov[M, M]
     return ScheduleResult(
         meter_mean=float(state.mean[M]),
         meter_var=float(state.cov[M, M]),
         final_state=state,
+        pulse_means=pulse_means,
+        pulse_meter_var=pulse_meter_var,
     )

@@ -19,18 +19,19 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .gaussian import (
-    JY,
-    JZ,
-    M,
-    CouplingParams,
-    PulseSchedule,
-    apply_pulse,
-    state_from_atomic_moments,
-)
+from .gaussian import CouplingParams, PulseSchedule, run_schedule, state_from_atomic_moments
 from .operators import build_spin_operators, build_stokes_operators
 
-DEFAULT_DIM_CAP = 20_000
+# A dense complex D x D matrix takes 16 D^2 bytes and a pulse holds several:
+# D = 4096 (268 MB each) admits na = 6 spin-1 atoms at n_ph = 4 (D = 3645),
+# while na = 7 (D = 10935, 1.9 GB each) would exhaust an 8 GB host.
+DEFAULT_DIM_CAP = 4096
+
+
+def _check_joint_dim(dim_a: int, n_ph: int) -> None:
+    """Refuse an atomic dimension dim_a whose joint space with n_ph photons exceeds the cap."""
+    if dim_a * (n_ph + 1) > DEFAULT_DIM_CAP:
+        raise ValueError(f"joint dimension {dim_a * (n_ph + 1)} exceeds cap {DEFAULT_DIM_CAP}")
 
 
 def _kron_all(mats) -> np.ndarray:
@@ -72,17 +73,14 @@ class CollectiveOperators:
     sz: np.ndarray
 
 
-def build_joint_operators(
-    na: int, f: float, n_ph: int, dim_cap: int = DEFAULT_DIM_CAP
-) -> CollectiveOperators:
+def build_joint_operators(na: int, f: float, n_ph: int) -> CollectiveOperators:
     """Tensor the collective atomic operators and Stokes operators together."""
     if na < 1:
         raise ValueError("need at least one atom")
     spin = build_spin_operators(f)
     stokes = build_stokes_operators(n_ph)
+    _check_joint_dim(spin.dim ** na, n_ph)
     dim = spin.dim ** na * stokes.dim
-    if dim > dim_cap:
-        raise ValueError(f"joint dimension {dim} exceeds cap {dim_cap}")
     atomic = _atomic_collective(na, int(round(2 * f)))
     eye_a = np.eye(spin.dim ** na, dtype=complex)
     eye_ph = np.eye(stokes.dim, dtype=complex)
@@ -140,8 +138,7 @@ class ExactState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (dim_a, dim_a):
             raise ValueError(f"density matrix must be {dim_a}x{dim_a}")
-        if dim_a * (self.n_ph + 1) > DEFAULT_DIM_CAP:
-            raise ValueError("joint dimension exceeds cap")
+        _check_joint_dim(dim_a, self.n_ph)
         self.rho = rho
 
     @classmethod
@@ -150,6 +147,7 @@ class ExactState:
         norm = np.linalg.norm(single)
         if abs(norm - 1.0) > 1e-10:
             raise ValueError("single-atom state must be normalized")
+        _check_joint_dim(single.size ** na, n_ph)  # before the dim_a^2 density matrix exists
         psi = _kron_all([single] * na)
         return cls(na=na, f=float(f), n_ph=n_ph, rho=np.outer(psi, psi.conj()))
 
@@ -214,29 +212,6 @@ def _pulse_workspace(na: int, two_f: int, n_ph: int, g1: float, g2: float):
 
 def _pulse_reshape(mat: np.ndarray, dim_a: int, dim_ph: int) -> np.ndarray:
     return mat.reshape(dim_a, dim_ph, dim_a, dim_ph)
-
-
-def evolve_pulse(
-    state: ExactState, sign: int, g1: float, g2: float
-) -> tuple[ExactState, float, float]:
-    """Send one +-45-polarized pulse through the ensemble.
-
-    Re-tensors the atomic density matrix with the fresh photon state, applies
-    exp(-i(g1 Sz Jz + g2 (Sx Jx + Sy Jy))), reads out <Sy> and var(Sy) on the
-    outgoing light and traces the photons out again.
-    """
-    state.check_normalization()
-    ws = _pulse_workspace(state.na, int(round(2 * state.f)), state.n_ph, float(g1), float(g2))
-    phi = polarized_photon_state(state.n_ph, sign)
-    joint = np.kron(state.rho, np.outer(phi, phi.conj()))
-    evolved = ws["u"] @ joint @ ws["u"].conj().T
-    sigma = _pulse_reshape(evolved, ws["dim_a"], ws["dim_ph"])
-    sy_mean = float(np.einsum("alam,ml->", sigma, ws["sy"]).real)
-    sy_sq = float(np.einsum("alam,ml->", sigma, ws["sy2"]).real)
-    rho_out = np.einsum("alcl->ac", sigma)
-    new_state = ExactState(na=state.na, f=state.f, n_ph=state.n_ph, rho=rho_out)
-    new_state.check_normalization()
-    return new_state, sy_mean, sy_sq - sy_mean ** 2
 
 
 @dataclass(frozen=True)
@@ -336,11 +311,6 @@ class ComparisonReport:
     d_jy: list
     d_meter_mean: list
     d_meter_var: list
-    oracle: ExactRunRecord
-    engine_jz: list
-    engine_jy: list
-    engine_meter_mean: list
-    engine_meter_var: list
 
     @property
     def max_first_moment_deviation(self) -> float:
@@ -391,23 +361,15 @@ def oracle_vs_gaussian(
         g1=g1, g2=g2, photons_per_pulse=n_ph, num_pulses=len(schedule),
         atom_number=na, f=f,
     )
-    e_jz, e_jy, e_mm, e_mv = [], [], [], []
-    state = engine_state
-    for entry in schedule.entries:
-        state = apply_pulse(state, entry, params)
-        e_jy.append(float(state.mean[JY]))
-        e_jz.append(float(state.mean[JZ]))
-        e_mm.append(float(state.mean[M]))
-        e_mv.append(float(state.cov[M, M]))
+    engine = run_schedule(params, schedule, initial=engine_state)
+    e_jy, e_jz, _, e_mm = engine.pulse_means.T
+
+    def diff(exact, approx):
+        return (np.asarray(exact) - approx).tolist()
 
     return ComparisonReport(
-        d_jz=[a - b for a, b in zip(oracle_rec.jz_mean, e_jz)],
-        d_jy=[a - b for a, b in zip(oracle_rec.jy_mean, e_jy)],
-        d_meter_mean=[a - b for a, b in zip(oracle_rec.meter_mean, e_mm)],
-        d_meter_var=[a - b for a, b in zip(oracle_rec.meter_var, e_mv)],
-        oracle=oracle_rec,
-        engine_jz=e_jz,
-        engine_jy=e_jy,
-        engine_meter_mean=e_mm,
-        engine_meter_var=e_mv,
+        d_jz=diff(oracle_rec.jz_mean, e_jz),
+        d_jy=diff(oracle_rec.jy_mean, e_jy),
+        d_meter_mean=diff(oracle_rec.meter_mean, e_mm),
+        d_meter_var=diff(oracle_rec.meter_var, engine.pulse_meter_var),
     )

@@ -48,6 +48,21 @@ def test_validation_failures_exit_2(tmp_path):
     assert main(["sweep", "--config", str(conf)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--na-points", "3"],                   # too few points for the quadratic fit
+    ["suppression", "--p-values", "5,2"],            # orders not ascending
+    ["impact", "--eps", "2"],                        # depolarization probability above 1
+    ["montecarlo", "--mode", "naive", "--pulses", "0"],
+    ["sweep", "--f", "0.5"],                         # Gaussian subcommands model f = 1 only
+    ["oracle-compare", "--oracle-na", "7"],          # joint dimension 10935 above the cap
+])
+def test_rejected_subcommand_input_exits_2_without_output(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ run modes
 
 def test_algebra_check_reports_tiny_residuals(tmp_path):

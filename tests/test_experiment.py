@@ -213,8 +213,12 @@ def test_monte_carlo_matches_analytic_within_three_stderr():
     assert abs(mc.meter_variance - analytic) <= 3 * mc.stderr
 
 
-def test_monte_carlo_with_tensor_terms_and_dropped_terms():
-    params, sched = paper_scale_params(mode="naive", p=5, na=3e5, include_dropped_terms=True)
+# at eps = 1e-3 depolarization moves var(M) by less than the 3-stderr resolution;
+# eps = 0.2 moves it by about 50 stderr, so a sampling error there shows
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 0.2])
+def test_monte_carlo_with_tensor_terms_and_dropped_terms(eps):
+    params, sched = paper_scale_params(mode="naive", p=5, na=3e5, include_dropped_terms=True,
+                                       scattering_eps=eps)
     analytic = run_schedule(params, sched).meter_var
     mc = monte_carlo_sample(params, sched, trials=100_000, seed=99)
     assert abs(mc.meter_variance - analytic) <= 3 * mc.stderr

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -10,7 +11,6 @@ from qndprobe.oracle import (
     build_heff,
     build_joint_operators,
     check_bangbang_equivalence,
-    evolve_pulse,
     oracle_vs_gaussian,
     polarized_photon_state,
     run_schedule_exact,
@@ -42,7 +42,21 @@ def test_three_atom_jx_extreme_eigenvalue():
 
 def test_dimension_cap_enforced():
     with pytest.raises(ValueError):
-        build_joint_operators(6, 2.0, 10)  # 5^6 * 11 >> 20000
+        build_joint_operators(6, 2.0, 10)  # 5^6 * 11 >> 4096
+    with pytest.raises(ValueError):
+        build_joint_operators(7, 1.0, 4)  # 3^7 * 5 = 10935 > 4096
+
+
+def test_product_state_refused_before_density_matrix_is_built():
+    # the 2187 x 2187 complex density matrix of 7 spin-1 atoms would take 76 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds cap"):
+            ExactState.from_product_state(single_atom_css(1.0), 7, 1.0, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # ----------------------------------------------------------------- Hamiltonian
@@ -82,14 +96,16 @@ def test_polarized_photon_state(n_ph, sign):
         assert var == pytest.approx(n_ph / 4, abs=1e-12)
 
 
-# ---------------------------------------------------------------- evolve_pulse
+# ------------------------------------------------- short trains, exact evolution
+# A one-pulse record's meter_mean[0] and meter_var[0] are that pulse's <Sy>
+# and var(Sy) on the outgoing light.
 
 def test_evolve_pulse_free_case():
     state = ExactState.from_product_state(single_atom_css(1.0), 2, 1.0, 4)
-    out, sy_mean, sy_var = evolve_pulse(state, 1, 0.0, 0.0)
-    assert sy_mean == pytest.approx(0.0, abs=1e-12)
-    assert sy_var == pytest.approx(1.0, abs=1e-12)  # n_ph/4
-    assert np.allclose(out.rho, state.rho, atol=1e-12)
+    rec = run_schedule_exact(state, PulseSchedule.naive(1), 0.0, 0.0)
+    assert rec.meter_mean[0] == pytest.approx(0.0, abs=1e-12)
+    assert rec.meter_var[0] == pytest.approx(1.0, abs=1e-12)  # n_ph/4
+    assert np.allclose(rec.final_state.rho, state.rho, atol=1e-12)
 
 
 def test_evolve_pulse_faraday_rotation_formula():
@@ -98,9 +114,9 @@ def test_evolve_pulse_faraday_rotation_formula():
     g1, n_ph = 0.3, 4
     stretched = np.array([1.0, 0.0, 0.0], dtype=complex)  # m = +1 per atom, Jz = +1 total
     state = ExactState.from_product_state(stretched, 2, 1.0, n_ph)
-    _, sy_mean, sy_var = evolve_pulse(state, 1, g1, 0.0)
-    assert sy_mean == pytest.approx((n_ph / 2) * np.sin(g1 * 1.0), rel=1e-12)
-    assert sy_var == pytest.approx((n_ph / 4) * np.cos(g1 * 1.0) ** 2, rel=1e-12)
+    rec = run_schedule_exact(state, PulseSchedule.naive(1), g1, 0.0)
+    assert rec.meter_mean[0] == pytest.approx((n_ph / 2) * np.sin(g1 * 1.0), rel=1e-12)
+    assert rec.meter_var[0] == pytest.approx((n_ph / 4) * np.cos(g1 * 1.0) ** 2, rel=1e-12)
 
 
 def test_evolve_pulse_jz_drift_matches_linear_prediction():
@@ -111,19 +127,20 @@ def test_evolve_pulse_jz_drift_matches_linear_prediction():
     state = ExactState.from_product_state(single, na, 1.0, n_ph)
     atomic = _atomic_collective(na, 2)
     jz_before = state.expect(atomic["jz"])
-    out, _, _ = evolve_pulse(state, 1, 0.0, g2)
-    drift = out.expect(atomic["jz"]) - jz_before
+    rec = run_schedule_exact(state, PulseSchedule.naive(1), 0.0, g2)
+    drift = rec.final_state.expect(atomic["jz"]) - jz_before
     predicted = g2 * (n_ph / 2) * na * mom["mean_jy"]
     assert abs(drift - predicted) < (g2 * n_ph) ** 2
 
 
 def test_evolve_pulse_norm_preserved_and_checked():
+    # decoupled(1) ends with a -45-degree pulse
     state = ExactState.from_product_state(single_atom_css(1.0), 2, 1.0, 3)
-    out, _, _ = evolve_pulse(state, -1, 0.05, 0.05)
-    assert abs(np.trace(out.rho).real - 1.0) < 1e-10
+    rec = run_schedule_exact(state, PulseSchedule.decoupled(1), 0.05, 0.05)
+    assert abs(np.trace(rec.final_state.rho).real - 1.0) < 1e-10
     bad = ExactState(na=2, f=1.0, n_ph=3, rho=0.5 * state.rho)
     with pytest.raises(ArithmeticError):
-        evolve_pulse(bad, 1, 0.1, 0.0)
+        run_schedule_exact(bad, PulseSchedule.naive(1), 0.1, 0.0)
 
 
 def test_spin_half_jz_exactly_conserved_despite_g2():
@@ -131,9 +148,8 @@ def test_spin_half_jz_exactly_conserved_despite_g2():
     state = ExactState.from_product_state(single, 2, 0.5, 4)
     atomic = _atomic_collective(2, 1)
     jz0 = state.expect(atomic["jz"])
-    for sign in (1, -1, 1, -1):
-        state, _, _ = evolve_pulse(state, sign, 0.05, 0.5)
-    assert abs(state.expect(atomic["jz"]) - jz0) < 1e-12
+    rec = run_schedule_exact(state, PulseSchedule.decoupled(2), 0.05, 0.5)  # signs +, -, +, -
+    assert abs(rec.final_state.expect(atomic["jz"]) - jz0) < 1e-12
 
 
 # ------------------------------------------------------------------- bang-bang
