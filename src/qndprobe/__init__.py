@@ -16,7 +16,6 @@ from .gaussian import (
     GaussianState,
     PulseSchedule,
     ScheduleEntry,
-    apply_decoherence,
     apply_pulse,
     init_css,
     pulse_map,
@@ -38,7 +37,6 @@ __all__ = [
     "ScheduleEntry",
     "SpinOperatorSet",
     "StokesOperatorSet",
-    "apply_decoherence",
     "apply_pulse",
     "build_spin_operators",
     "build_stokes_operators",

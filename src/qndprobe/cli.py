@@ -6,7 +6,9 @@ explicit flags override file values.  The Gaussian subcommands (sweep,
 suppression, impact, montecarlo) build every run with
 ``experiment.paper_scale_params`` and model f = 1 only, so they reject any
 other --f.  Every run writes a CSV with a header row and a '#'-prefixed
-metadata footer, plus a key-value run manifest alongside.  Exit codes:
+metadata footer, plus a key-value run manifest alongside.  ``READS`` lists
+the RunConfig fields each subcommand reads; an explicit flag for any other
+field is rejected, so no flag is silently ignored.  Exit codes:
 0 success, 1 numerical failure (NaN/Inf or PSD violation), 2 invalid
 configuration (including input a subcommand rejects) or unwritable output.
 """
@@ -102,6 +104,47 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+# (flag, RunConfig field, argparse options); every flag defaults to None, "not given"
+_FLAGS = (
+    ("--out", "out", {"type": str, "help": "output CSV path"}),
+    ("--seed", "seed", {"type": int}),
+    ("--p", "p", {"type": int, "help": "decoupling order"}),
+    ("--mode", "schedule", {"choices": ["naive", "decoupled"]}),
+    ("--g1", "g1", {"type": float}),
+    ("--g2", "g2", {"type": float}),
+    ("--nl", "nl_total", {"type": float, "help": "total photon budget"}),
+    ("--na", "na", {"type": float, "help": "atom number"}),
+    ("--f", "f", {"type": float, "help": "atomic spin"}),
+    ("--pulses", "num_pulses", {"type": int, "help": "pulse count for naive trains"}),
+    ("--na-min", "na_min", {"type": float}),
+    ("--na-max", "na_max", {"type": float}),
+    ("--na-points", "na_points", {"type": int}),
+    ("--p-values", "p_values", {"type": str, "help": "comma-separated decoupling orders"}),
+    ("--n-ph", "n_ph", {"type": int, "help": "photons per oracle pulse"}),
+    ("--oracle-na", "oracle_na", {"type": int}),
+    ("--trials", "trials", {"type": int}),
+    ("--eps", "scattering_eps", {"type": float}),
+    ("--dropped", "include_dropped_terms",
+     {"action": "store_const", "const": True, "help": "enable the dropped tensor terms"}),
+)
+_FLAG_OF = {dest: flag for flag, dest, _ in _FLAGS}
+
+# RunConfig fields each subcommand reads, besides out.  An explicit flag for
+# any other field is rejected; config-file keys are not checked, because one
+# --config file may serve every subcommand.
+_COUPLINGS = {"g1", "g2", "nl_total", "f", "scattering_eps"}
+_SCHEDULE = {"schedule", "p", "num_pulses"}
+_NA_GRID = {"na_min", "na_max", "na_points"}
+READS = {
+    "algebra-check": {"f_values"},
+    "oracle-compare": _SCHEDULE | {"g1", "g2", "f", "n_ph", "oracle_na", "tilt", "tilt_phase"},
+    "sweep": _COUPLINGS | _SCHEDULE | _NA_GRID | {"include_dropped_terms"},
+    "suppression": _COUPLINGS | _NA_GRID | {"p_values", "include_dropped_terms"},
+    "impact": _COUPLINGS | _SCHEDULE | {"na"},
+    "montecarlo": _COUPLINGS | _SCHEDULE | {"na", "include_dropped_terms", "trials", "seed"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qndprobe",
@@ -111,41 +154,22 @@ def _build_parser() -> argparse.ArgumentParser:
     for mode in MODES:
         s = sub.add_parser(mode)
         s.add_argument("--config", type=str, default=None, help="JSON config file")
-        s.add_argument("--out", type=str, default=None, help="output CSV path")
-        s.add_argument("--seed", type=int, default=None)
-        s.add_argument("--p", type=int, default=None, help="decoupling order")
-        s.add_argument("--mode", dest="schedule", choices=["naive", "decoupled"], default=None)
-        s.add_argument("--g1", type=float, default=None)
-        s.add_argument("--g2", type=float, default=None)
-        s.add_argument("--nl", dest="nl_total", type=float, default=None, help="total photon budget")
-        s.add_argument("--na", type=float, default=None, help="atom number")
-        s.add_argument("--f", type=float, default=None, help="atomic spin")
-        s.add_argument("--pulses", dest="num_pulses", type=int, default=None,
-                       help="pulse count for naive trains")
-        s.add_argument("--na-min", dest="na_min", type=float, default=None)
-        s.add_argument("--na-max", dest="na_max", type=float, default=None)
-        s.add_argument("--na-points", dest="na_points", type=int, default=None)
-        s.add_argument("--p-values", dest="p_values", type=str, default=None,
-                       help="comma-separated decoupling orders")
-        s.add_argument("--n-ph", dest="n_ph", type=int, default=None, help="photons per oracle pulse")
-        s.add_argument("--oracle-na", dest="oracle_na", type=int, default=None)
-        s.add_argument("--trials", type=int, default=None)
-        s.add_argument("--eps", dest="scattering_eps", type=float, default=None)
-        s.add_argument("--dropped", dest="include_dropped_terms", action="store_const",
-                       const=True, default=None, help="enable the dropped tensor terms")
+        for flag, dest, options in _FLAGS:
+            s.add_argument(flag, dest=dest, default=None, **options)
     return parser
 
 
 def parse_config(argv=None) -> RunConfig:
     """Merge defaults, config-file values and flags (flags win) into a RunConfig."""
     args = _build_parser().parse_args(argv)
+    flags = {dest: getattr(args, dest) for dest in _FLAG_OF if getattr(args, dest) is not None}
+    unread = sorted(_FLAG_OF[dest] for dest in flags.keys() - READS[args.mode] - {"out"})
+    if unread:
+        raise ValueError(f"{args.mode} does not read {', '.join(unread)}")
     values: dict = {}
     if args.config:
         values.update(_load_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            values[key] = flag_value
+    values.update(flags)
     if isinstance(values.get("p_values"), str):
         values["p_values"] = tuple(int(x) for x in values["p_values"].split(","))
     if "p_values" in values:
@@ -217,7 +241,7 @@ def _run_algebra_check(config: RunConfig) -> tuple[list, list, list]:
 
 
 def _run_oracle_compare(config: RunConfig) -> tuple[list, list, list]:
-    _, schedule = _params_and_schedule(config, config.na)
+    _, schedule = paper_scale_params(mode=config.schedule, p=config.p, num_pulses=config.num_pulses)
     report = oracle_vs_gaussian(
         na=config.oracle_na, f=config.f, n_ph=config.n_ph,
         g1=config.g1, g2=0.0 if config.g2 is None else config.g2,

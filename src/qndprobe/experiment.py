@@ -20,6 +20,7 @@ from .gaussian import (
     M,
     CouplingParams,
     PulseSchedule,
+    css_meter_variance,
     init_css,
     pulse_map,
     run_schedule,
@@ -36,6 +37,13 @@ G2_IMPACT_REFERENCE = 4.8
 NA_REFERENCE = 1.0e6
 
 DEFAULT_NA_GRID = tuple(np.geomspace(1.0e4, 2.0e6, 20))
+
+# Peak bytes one Monte Carlo trial holds, counted from monte_carlo_sample's
+# float64 arrays in its pulse loop: the stacked samples (6 rows), the
+# depolarization draw (3), the pulse product's result (4) and the dropped-term
+# product (1).  Trial counts needing more than the cap are refused up front.
+MC_BYTES_PER_TRIAL = 8 * (6 + 3 + 4 + 1)
+MC_MEMORY_CAP_BYTES = 2 * 1024 ** 3
 
 
 @dataclass(frozen=True)
@@ -159,25 +167,26 @@ def sweep_atom_number(
     na_values,
     schedule: PulseSchedule,
 ) -> list[SweepRow]:
-    """Run the engine once per atom number and normalize var(M) to the shot noise."""
-    na_values = list(na_values)
+    """Normalized var(M) of the CSS at every atom number, from one pass of the train.
+
+    ``gaussian.css_meter_variance`` propagates the covariance once as its
+    exact quadratic in NA and PSD-checks every pulse at every atom number.
+    """
+    na_values = [float(na) for na in na_values]
     if not na_values:
         raise ValueError("na_values must be non-empty")
     if any(b <= a for a, b in zip(na_values, na_values[1:])):
         raise ValueError("na_values must be strictly ascending")
-    rows = []
-    for na in na_values:
-        params = replace(params_template, atom_number=float(na))
-        result = run_schedule(params, schedule, check_psd=True)
-        rows.append(
-            SweepRow(
-                na=float(na),
-                normalized_meter_var=4.0 * result.meter_var / params.total_photons,
-                mode=schedule.mode,
-                p=schedule.p,
-            )
+    meter_var = css_meter_variance(params_template, schedule, na_values)
+    return [
+        SweepRow(
+            na=na,
+            normalized_meter_var=4.0 * float(var) / params_template.total_photons,
+            mode=schedule.mode,
+            p=schedule.p,
         )
-    return rows
+        for na, var in zip(na_values, meter_var)
+    ]
 
 
 @dataclass(frozen=True)
@@ -284,10 +293,17 @@ def monte_carlo_sample(
     -meter_sign g2 Sz_in Jy is added as sampled.  Returns the sample
     variance of the accumulated meter with the Gaussian standard error
     var * sqrt(2/(trials-1)).  Fixed seeds give bit-identical results; the
-    estimate converges to the analytic var(M).
+    estimate converges to the analytic var(M).  Trial counts whose arrays
+    would exceed ``MC_MEMORY_CAP_BYTES`` raise ValueError before anything is
+    allocated (about 19 million trials).
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
+    if trials * MC_BYTES_PER_TRIAL > MC_MEMORY_CAP_BYTES:
+        raise ValueError(
+            f"{trials} trials need about {trials * MC_BYTES_PER_TRIAL / 1e9:.3g} GB, "
+            f"above the {MC_MEMORY_CAP_BYTES / 1e9:.3g} GB Monte Carlo cap"
+        )
     rng = np.random.default_rng(seed)
     if len(schedule) != params.num_pulses:
         raise ValueError("schedule length does not match params.num_pulses")

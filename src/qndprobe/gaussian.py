@@ -8,12 +8,21 @@ pulse injects fresh shot noise var(Sy_in) = var(Sz_in) = n_L/4, and every
 update is the first-order (commutator-linear) map applied with pre-pulse
 values on all right-hand sides.  Jxy carries no input-output relation of
 its own and stays frozen at its initial statistics.
+
+One kernel propagates every train.  Because A does not depend on the atom
+number and B is affine in jx, the covariance after each pulse is exactly
+C0 + NA C1 + NA^2 C2 for a CSS start, so the kernel carries the three
+coefficient matrices through the train in one pass (a given initial state
+is the same polynomial taken at 1).  ``run_schedule`` and ``apply_pulse``
+evaluate it at their atom number; ``css_meter_variance`` evaluates one train
+at every atom number of a sweep.  Every pulse's covariance is PSD-checked,
+in a sweep at every atom number.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -141,17 +150,9 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    def min_cov_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh((self.cov + self.cov.T) / 2).min())
-
     def check_psd(self, tol: float = 1e-9):
         """Raise if the covariance has an eigenvalue below -tol (scale-relative)."""
-        scale = max(1.0, float(np.trace(self.cov)))
-        if self.min_cov_eigenvalue() < -tol * scale:
-            raise ArithmeticError(
-                f"covariance lost positive semidefiniteness "
-                f"(min eigenvalue {self.min_cov_eigenvalue():.3e})"
-            )
+        _psd_margins(self.cov[None], tol)
 
 
 @lru_cache(maxsize=None)
@@ -213,33 +214,6 @@ def state_from_atomic_moments(
     return GaussianState(mean=mean, cov=cov, jx_mean=float(jx_mean))
 
 
-def apply_decoherence(state: GaussianState, eps: float, params: CouplingParams) -> GaussianState:
-    """Single-parameter isotropic depolarization of the atomic sector.
-
-    Atomic means and jx_mean shrink by (1 - eps); the atomic covariance
-    block contracts by (1 - eps)^2 while gaining eps * NA times the
-    fully-mixed single-atom variances on its diagonal; atomic-meter cross
-    covariances scale by (1 - eps).  eps = 1 therefore lands exactly on the
-    fully depolarized ensemble.
-    """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("depolarization probability must lie in [0, 1]")
-    if eps == 0.0:
-        return state
-    r = 1.0 - eps
-    kappa_y, kappa_z, kappa_xy = single_atom_mixed_variances(params.f)
-    mean = state.mean.copy()
-    mean[:3] *= r
-    cov = state.cov.copy()
-    cov[:3, :3] *= r * r
-    cov[:3, M] *= r
-    cov[M, :3] *= r
-    cov[JY, JY] += eps * params.atom_number * kappa_y
-    cov[JZ, JZ] += eps * params.atom_number * kappa_z
-    cov[JXY, JXY] += eps * params.atom_number * kappa_xy
-    return GaussianState(mean=mean, cov=cov, jx_mean=r * state.jx_mean)
-
-
 def pulse_map(entry: ScheduleEntry, params: CouplingParams, jx: float) -> tuple[np.ndarray, np.ndarray]:
     """Linear part of one probe pulse: x <- A x + B (Sy_in, Sz_in).
 
@@ -273,6 +247,167 @@ def pulse_map(entry: ScheduleEntry, params: CouplingParams, jx: float) -> tuple[
     return a, b
 
 
+# vec(cov)[4 i + j] = cov[i, j]; the kernel acts on covariances in this flattened form
+_TRANSPOSE = np.eye(16)[[4 * j + i for i in range(4) for j in range(4)]]
+_SYMMETRIZE = (np.eye(16) + _TRANSPOSE) / 2
+_VEC_JY_JY, _VEC_M_M = 5 * JY, 5 * M
+_VEC_ATOMIC_DIAG = [5 * JY, 5 * JZ, 5 * JXY]
+# covariance matrices evaluated per block of the kernel (2 MB of 4x4 floats)
+_EVAL_BATCH = 1 << 14
+
+
+def _psd_margins(covs: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Smallest eigenvalue of every symmetrized covariance in a (..., 4, 4) stack.
+
+    Raises ArithmeticError if a covariance is not finite (eigvalsh would
+    return arbitrary values or fail to converge) or if any eigenvalue falls
+    below -tol * max(1, trace).
+    """
+    bad = ~np.isfinite(covs).all(axis=(-2, -1))
+    if bad.any():
+        raise ArithmeticError(f"non-finite covariance at index {tuple(map(int, np.argwhere(bad)[0]))}")
+    low = np.linalg.eigvalsh((covs + covs.swapaxes(-1, -2)) / 2)[..., 0]
+    bad = low < -tol * np.maximum(1.0, np.trace(covs, axis1=-2, axis2=-1))
+    if bad.any():
+        where = tuple(map(int, np.argwhere(bad)[0]))
+        raise ArithmeticError(
+            f"covariance lost positive semidefiniteness at index {where} (min eigenvalue {low[where]:.3e})"
+        )
+    return low
+
+
+def _covariances(coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """(n, 3, 16) coefficients of lambda^0..2 -> (n, len(lam), 4, 4) covariances."""
+    powers = np.asarray(lam, dtype=float)[:, None] ** np.arange(3)
+    return (powers @ coeffs).reshape(len(coeffs), len(powers), 4, 4)
+
+
+def _train(params: CouplingParams, entries, unit: GaussianState, nu: float, block: int):
+    """Moments of the state lambda * ``unit`` after every pulse, as polynomials in lambda.
+
+    The state has jx = lambda * unit.jx_mean, means lambda * unit.mean and
+    covariance lambda * unit.cov, and carries nu * lambda atoms (nu = 1 for a
+    CSS of lambda = NA atoms).  Since A does not depend on lambda and
+    B(jx) = B0 + jx B1 is affine in it, the covariance after every pulse is
+    exactly C0 + lambda C1 + lambda^2 C2.  Each distinct schedule entry
+    becomes one 16x16 operator on vec(cov): A (x) A, the dropped-term
+    g2^2 shot var(Jy) -> var(M) entry, symmetrization and the depolarization
+    contraction.  The per-pulse noise (shot noise through B, the dropped-term
+    mean loading -meter_sign g2 <Jy> of Sz_in into M, and the depolarization
+    noise eps nu lambda kappa) is built in array operations, so the loop body
+    is one (3, 16) @ (16, 16) product and one add.
+
+    Yields, per block of at most ``block`` pulses, the means per unit lambda
+    (pulses, 4), the coefficients (pulses, 3, 16) and the
+    jx per unit lambda after each of them.
+    """
+    n = len(entries)
+    shot = params.photons_per_pulse / 4.0
+    eps = params.scattering_eps
+    r = 1.0 - eps
+    d = np.array([r, r, r, 1.0])
+    dd = np.outer(d, d).ravel()
+
+    kinds: dict = {}
+    kind = np.array([kinds.setdefault(e, len(kinds)) for e in entries])
+    maps, ops, b0, b1, load = [], [], [], [], []
+    for entry in kinds:
+        a, b = pulse_map(entry, params, 0.0)
+        k = np.kron(a, a)
+        mean_load = np.zeros((4, 2))
+        if params.include_dropped_terms:
+            k[_VEC_M_M, _VEC_JY_JY] += params.g2 * params.g2 * shot
+            mean_load[M, 1] = -entry.meter_sign * params.g2
+        maps.append(a)
+        # transposed, to act on the rows of the coefficient stack
+        ops.append((dd[:, None] * (_SYMMETRIZE @ k)).T)
+        b0.append(b)
+        b1.append(pulse_map(entry, params, 1.0)[1] - b)
+        load.append(mean_load)
+    b0, b1, load = np.array(b0), np.array(b1), np.array(load)
+    b0_noise = shot * np.einsum("kia,kja->kij", b0, b0).reshape(-1, 16) * dd
+    depol_noise = eps * nu * np.array(single_atom_mixed_variances(params.f))
+    jx = unit.jx_mean * r ** np.arange(n + 1)
+
+    mean = unit.mean
+    c = np.zeros((3, 16))
+    c[1] = unit.cov.ravel()
+    for start in range(0, n, block):
+        ks = kind[start:start + block]
+        means = np.zeros((len(ks), 4))
+        pre_jy = np.full(len(ks), mean[JY])
+        if mean.any():
+            for i, k in enumerate(ks):
+                pre_jy[i] = mean[JY]
+                mean = (maps[k] @ mean) * d
+                means[i] = mean
+
+        # B = B0 + lambda (u B1 + <Jy> L) per unit lambda
+        lin = jx[start:start + len(ks), None, None] * b1[ks] + pre_jy[:, None, None] * load[ks]
+        cross = np.einsum("nia,nja->nij", b0[ks], lin)
+        noise = np.empty((len(ks), 3, 16))
+        noise[:, 0] = b0_noise[ks]
+        noise[:, 1] = shot * (cross + cross.swapaxes(1, 2)).reshape(-1, 16) * dd
+        noise[:, 2] = shot * np.einsum("nia,nja->nij", lin, lin).reshape(-1, 16) * dd
+        noise[:, 1, _VEC_ATOMIC_DIAG] += depol_noise
+
+        coeffs = np.empty((len(ks), 3, 16))
+        for i, k in enumerate(ks):
+            c = c @ ops[k] + noise[i]
+            coeffs[i] = c
+        yield means, coeffs, jx[start + 1:start + 1 + len(ks)]
+
+
+def _start(params: CouplingParams, initial: GaussianState | None) -> tuple[GaussianState, float, float]:
+    """(unit, nu, lambda): a CSS start scales with lambda = NA, a given state is taken at lambda = 1."""
+    if initial is None:
+        return init_css(replace(params, atom_number=1.0)), 1.0, params.atom_number
+    return initial, params.atom_number, 1.0
+
+
+def _check_length(params: CouplingParams, schedule: PulseSchedule):
+    if len(schedule) != params.num_pulses:
+        raise ValueError(
+            f"schedule has {len(schedule)} pulses but params.num_pulses = {params.num_pulses}"
+        )
+
+
+@dataclass(frozen=True)
+class ScheduleResult:
+    """Final meter statistics plus the per-pulse trace of the run.
+
+    ``pulse_means[i]`` holds the means of (Jy, Jz, Jxy, M), ``pulse_meter_var[i]``
+    var(M) and ``pulse_min_cov_eig[i]`` the smallest covariance eigenvalue
+    (the PSD margin) after pulse i.
+    """
+
+    meter_mean: float
+    meter_var: float
+    final_state: GaussianState
+    pulse_means: np.ndarray
+    pulse_meter_var: np.ndarray
+    pulse_min_cov_eig: np.ndarray
+
+
+def _run(params: CouplingParams, entries, initial: GaussianState | None) -> ScheduleResult:
+    unit, nu, lam = _start(params, initial)
+    means, meter_var, margins = [], [], []
+    for block_means, coeffs, jx in _train(params, entries, unit, nu, _EVAL_BATCH):
+        covs = _covariances(coeffs, [lam])[:, 0]
+        margins.append(_psd_margins(covs))
+        means.append(lam * block_means)
+        meter_var.append(covs[:, M, M])
+    final = GaussianState(mean=means[-1][-1].copy(), cov=covs[-1].copy(), jx_mean=lam * jx[-1])
+    return ScheduleResult(
+        meter_mean=float(final.mean[M]),
+        meter_var=float(final.cov[M, M]),
+        final_state=final,
+        pulse_means=np.concatenate(means),
+        pulse_meter_var=np.concatenate(meter_var),
+        pulse_min_cov_eig=np.concatenate(margins),
+    )
+
+
 def apply_pulse(state: GaussianState, entry: ScheduleEntry, params: CouplingParams) -> GaussianState:
     """Propagate one probe pulse through ``pulse_map``, then depolarize.
 
@@ -281,63 +416,40 @@ def apply_pulse(state: GaussianState, entry: ScheduleEntry, params: CouplingPara
     through its mean, as the Sz_in loading -meter_sign g2 <Jy> of M, and its
     fluctuation contributes the Gaussian-factorized variance
     g2^2 var(Sz_in) var(Jy) as an independent noise on M.  Depolarization
-    (scattering_eps) is applied after the map.
+    (scattering_eps) then shrinks the atomic means and jx by (1 - eps),
+    contracts the atomic covariance block by (1 - eps)^2 and the
+    atomic-meter covariances by (1 - eps), and adds eps * NA times the fully
+    mixed single-atom variances, so eps = 1 lands on the fully depolarized
+    ensemble.  The result is PSD-checked.
     """
-    shot = params.photons_per_pulse / 4.0
-    g2 = params.g2
-    a, b = pulse_map(entry, params, state.jx_mean)
-    if params.include_dropped_terms:
-        b[M, 1] = -entry.meter_sign * g2 * state.mean[JY]
-
-    mean = a @ state.mean
-    cov = a @ state.cov @ a.T + shot * (b @ b.T)
-    if params.include_dropped_terms:
-        cov[M, M] += g2 * g2 * shot * state.cov[JY, JY]
-    cov = (cov + cov.T) / 2
-
-    out = GaussianState(mean=mean, cov=cov, jx_mean=state.jx_mean)
-    return apply_decoherence(out, params.scattering_eps, params)
-
-
-@dataclass(frozen=True)
-class ScheduleResult:
-    """Final meter statistics plus the per-pulse trace of the run.
-
-    ``pulse_means[i]`` holds the means of (Jy, Jz, Jxy, M) and
-    ``pulse_meter_var[i]`` var(M) after pulse i.
-    """
-
-    meter_mean: float
-    meter_var: float
-    final_state: GaussianState
-    pulse_means: np.ndarray
-    pulse_meter_var: np.ndarray
+    return _run(params, (entry,), state).final_state
 
 
 def run_schedule(
     params: CouplingParams,
     schedule: PulseSchedule,
     initial: GaussianState | None = None,
-    check_psd: bool = False,
 ) -> ScheduleResult:
-    """Fold apply_pulse over a schedule, recording the moments after every pulse."""
-    if len(schedule) != params.num_pulses:
-        raise ValueError(
-            f"schedule has {len(schedule)} pulses but params.num_pulses = {params.num_pulses}"
-        )
-    state = init_css(params) if initial is None else initial
-    pulse_means = np.empty((len(schedule), 4))
-    pulse_meter_var = np.empty(len(schedule))
-    for i, entry in enumerate(schedule.entries):
-        state = apply_pulse(state, entry, params)
-        if check_psd:
-            state.check_psd()
-        pulse_means[i] = state.mean
-        pulse_meter_var[i] = state.cov[M, M]
-    return ScheduleResult(
-        meter_mean=float(state.mean[M]),
-        meter_var=float(state.cov[M, M]),
-        final_state=state,
-        pulse_means=pulse_means,
-        pulse_meter_var=pulse_meter_var,
-    )
+    """Run a train from ``initial`` (default: the CSS), recording the moments after every pulse.
+
+    One pass of the covariance kernel; every pulse's covariance is
+    PSD-checked (ArithmeticError on a violation).
+    """
+    _check_length(params, schedule)
+    return _run(params, schedule.entries, initial)
+
+
+def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_numbers) -> np.ndarray:
+    """Final var(M) of the x-polarized CSS at each atom number, from one pass of the train.
+
+    The covariance is exactly quadratic in NA, so the train is propagated once
+    and evaluated at every atom number; ``params.atom_number`` is not used.
+    Every pulse is PSD-checked at every atom number.
+    """
+    _check_length(params, schedule)
+    lam = np.asarray(atom_numbers, dtype=float)
+    unit, nu, _ = _start(params, None)
+    for _, coeffs, _ in _train(params, schedule.entries, unit, nu, max(1, _EVAL_BATCH // len(lam))):
+        covs = _covariances(coeffs, lam)
+        _psd_margins(covs)
+    return covs[-1, :, M, M]

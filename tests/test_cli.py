@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -55,12 +57,39 @@ def test_validation_failures_exit_2(tmp_path):
     ["montecarlo", "--mode", "naive", "--pulses", "0"],
     ["sweep", "--f", "0.5"],                         # Gaussian subcommands model f = 1 only
     ["oracle-compare", "--oracle-na", "7"],          # joint dimension 10935 above the cap
+    ["montecarlo", "--trials", "1000000000"],        # about 112 GB of samples, above the cap
+    ["oracle-compare", "--dropped"],                 # flags the subcommand does not read
+    ["sweep", "--trials", "5"],
+    ["suppression", "--pulses", "3"],
 ])
 def test_rejected_subcommand_input_exits_2_without_output(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 2
     assert "invalid configuration" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unread_flag_named_in_the_error(capsys):
+    argv = ["oracle-compare", "--dropped", "--eps", "0.5", "--nl", "3", "--na", "7"]
+    with pytest.raises(ValueError, match="oracle-compare does not read --dropped, --eps, --na, --nl"):
+        parse_config(argv)
+    assert main(argv) == 2
+    assert "invalid configuration: oracle-compare does not read --dropped" in capsys.readouterr().err
+
+
+def test_config_file_keys_are_not_checked_against_the_subcommand(tmp_path):
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"trials": 5, "na": 3e5, "oracle_na": 3}))
+    assert parse_config(["sweep", "--config", str(conf)]).trials == 5
+
+
+def test_readme_examples_parse():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    commands = [shlex.split(line)[1:] for line in readme.read_text().splitlines()
+                if line.startswith("qndprobe ")]
+    assert len(commands) >= 7
+    for argv in commands:
+        parse_config(argv)
 
 
 # ------------------------------------------------------------------ run modes
@@ -130,6 +159,14 @@ def test_non_finite_output_aborts_with_exit_1(tmp_path, monkeypatch):
     config = RunConfig(mode="impact", out=str(tmp_path / "bad.csv"))
     assert run(config) == 1
     assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("mode", ["sweep", "impact"])
+def test_overflowing_covariance_exits_1(tmp_path, mode):
+    out = tmp_path / "x.csv"
+    assert main([mode, "--g1", "1e200", "--g2", "1e-3", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_unwritable_output_path(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 from qndprobe.experiment import (
     DEFAULT_NA_GRID,
+    MC_BYTES_PER_TRIAL,
+    MC_MEMORY_CAP_BYTES,
     G1_REFERENCE,
     NL_REFERENCE,
     PhysicalParams,
@@ -239,6 +242,19 @@ def test_monte_carlo_minimal_trials():
     assert math.isfinite(mc.meter_variance) and math.isfinite(mc.stderr)
     with pytest.raises(ValueError):
         monte_carlo_sample(params, sched, trials=1, seed=1)
+
+
+def test_monte_carlo_memory_cap_refuses_before_allocating():
+    params, sched = paper_scale_params(mode="decoupled", p=1, na=1e4, scattering_eps=1e-3)
+    assert 10 ** 7 * MC_BYTES_PER_TRIAL <= MC_MEMORY_CAP_BYTES < 10 ** 8 * MC_BYTES_PER_TRIAL
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="Monte Carlo cap"):
+            monte_carlo_sample(params, sched, trials=10 ** 9, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_monte_carlo_stderr_scales_as_inverse_sqrt_trials():

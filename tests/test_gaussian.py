@@ -9,9 +9,11 @@ from qndprobe.gaussian import (
     CouplingParams,
     PulseSchedule,
     ScheduleEntry,
-    apply_decoherence,
+    _psd_margins,
     apply_pulse,
+    css_meter_variance,
     init_css,
+    pulse_map,
     run_schedule,
     single_atom_mixed_variances,
     state_from_atomic_moments,
@@ -145,18 +147,21 @@ def test_pulse_dropped_terms_feed_jz_and_meter():
 
 
 # ----------------------------------------------------------------- decoherence
+# with g1 = g2 = 0 the atomic block of apply_pulse sees depolarization only
 
 def test_decoherence_identity_at_zero():
-    params = make_params()
+    params = make_params(g1=0.0, g2=0.0, num_pulses=1)
     state = init_css(params)
-    out = apply_decoherence(state, 0.0, params)
-    assert out is state
+    out = apply_pulse(state, ScheduleEntry(1, 1), params)
+    assert np.array_equal(out.cov[:3, :3], state.cov[:3, :3])
+    assert np.array_equal(out.mean, state.mean)
+    assert out.jx_mean == state.jx_mean
 
 
 def test_decoherence_complete_depolarization():
-    params = make_params(atom_number=1e4, f=1.0)
+    params = make_params(g1=0.0, g2=0.0, num_pulses=1, atom_number=1e4, f=1.0, scattering_eps=1.0)
     state = init_css(params)
-    out = apply_decoherence(state, 1.0, params)
+    out = apply_pulse(state, ScheduleEntry(1, 1), params)
     kappa_y, kappa_z, kappa_xy = single_atom_mixed_variances(1.0)
     assert out.jx_mean == 0.0
     assert out.cov[JY, JY] == pytest.approx(1e4 * kappa_y)
@@ -167,15 +172,14 @@ def test_decoherence_complete_depolarization():
 
 
 def test_decoherence_jx_decay_example():
-    params = make_params(atom_number=1e6)
-    out = apply_decoherence(init_css(params), 0.01, params)
+    params = make_params(g1=0.0, g2=0.0, num_pulses=1, atom_number=1e6, scattering_eps=0.01)
+    out = apply_pulse(init_css(params), ScheduleEntry(1, 1), params)
     assert out.jx_mean == pytest.approx(4.95e5)
 
 
 def test_decoherence_rejects_bad_eps():
-    params = make_params()
     with pytest.raises(ValueError):
-        apply_decoherence(init_css(params), 1.2, params)
+        make_params(g1=0.0, g2=0.0, scattering_eps=1.2)
 
 
 # ---------------------------------------------------------------- run_schedule
@@ -219,7 +223,8 @@ def paper_params(mode, p=5, na=1.0e6, **kw):
 @pytest.mark.parametrize("mode,p", [("decoupled", 5), ("naive", 5), ("decoupled", 1)])
 def test_covariance_stays_psd_through_schedule(mode, p):
     params, sched = paper_params(mode, p=p)
-    run_schedule(params, sched, check_psd=True)  # raises on violation
+    result = run_schedule(params, sched)  # raises on violation
+    assert result.pulse_min_cov_eig.shape == (len(sched),)
 
 
 def test_qnd_conservation_residual_shrinks_with_p():
@@ -281,3 +286,141 @@ def test_naive_quadratic_exceeds_decoupled_tenfold():
     c2_dec = fit_linear_quadratic(sweep_atom_number(params_d, na_grid, sched_d)).c2
     assert c2_naive > 0
     assert c2_naive >= 10 * c2_dec
+
+
+# ------------------------------------------------------ kernel vs per-pulse fold
+
+def reference_fold(params, entries, state):
+    """The per-pulse update, one pulse at a time: pulse_map, dropped terms, depolarization."""
+    shot, g2, r = params.photons_per_pulse / 4.0, params.g2, 1.0 - params.scattering_eps
+    depol = params.scattering_eps * params.atom_number * np.array(single_atom_mixed_variances(params.f))
+    mean, cov, jx = state.mean.copy(), state.cov.copy(), state.jx_mean
+    means, meter_var = [], []
+    for entry in entries:
+        a, b = pulse_map(entry, params, jx)
+        if params.include_dropped_terms:
+            b[M, 1] = -entry.meter_sign * g2 * mean[JY]
+        new = a @ cov @ a.T + shot * (b @ b.T)
+        if params.include_dropped_terms:
+            new[M, M] += g2 * g2 * shot * cov[JY, JY]
+        cov = (new + new.T) / 2
+        mean = a @ mean
+        mean[:3] *= r
+        cov[:3, :3] *= r * r
+        cov[:3, M] *= r
+        cov[M, :3] *= r
+        cov[[JY, JZ, JXY], [JY, JZ, JXY]] += depol
+        jx *= r
+        means.append(mean.copy())
+        meter_var.append(cov[M, M])
+    return mean, cov, jx, np.array(means), np.array(meter_var)
+
+
+def assert_cov_close(cov, ref, rel=1e-12):
+    # relative to the scale of each entry: sqrt(var_i var_j)
+    scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+    assert np.all(np.abs(cov - ref) <= rel * scale)
+
+
+def tilted_state(na):
+    cov = np.array([[na / 4, 0.1 * na, 0.02 * na], [0.1 * na, na / 3, na / 4], [0.02 * na, na / 4, na / 4]])
+    return state_from_atomic_moments(0.03 * na, 0.05 * na, 0.04 * na, cov, 0.45 * na)
+
+
+# naive(10), decoupled(5) and decoupled(50), each plain and with eps = 1e-3 plus the dropped terms
+KERNEL_CASES = [
+    (mode, p, eps, dropped)
+    for mode, p in [("naive", 5), ("decoupled", 5), ("decoupled", 50)]
+    for eps, dropped in [(0.0, False), (1e-3, True)]
+]
+
+
+@pytest.mark.parametrize("start", ["css", "tilted"])
+@pytest.mark.parametrize("mode,p,eps,dropped", KERNEL_CASES)
+def test_run_schedule_matches_per_pulse_fold(mode, p, eps, dropped, start):
+    params, sched = paper_params(mode, p=p, scattering_eps=eps, include_dropped_terms=dropped)
+    initial = None if start == "css" else tilted_state(params.atom_number)
+    result = run_schedule(params, sched, initial=initial)
+    mean, cov, jx, means, meter_var = reference_fold(
+        params, sched.entries, init_css(params) if initial is None else initial
+    )
+    assert_cov_close(result.final_state.cov, cov)
+    np.testing.assert_allclose(result.pulse_meter_var, meter_var, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(result.pulse_means, means, rtol=1e-12, atol=1e-12 * np.abs(means).max())
+    np.testing.assert_allclose(result.final_state.mean, mean, rtol=1e-12, atol=1e-12 * np.abs(means).max())
+    assert result.final_state.jx_mean == pytest.approx(jx, rel=1e-12)
+    assert result.pulse_min_cov_eig.shape == (len(sched),)
+    if start == "tilted" and dropped:
+        assert np.abs(means[:, JY]).max() > 0  # the mean loading is exercised
+
+
+@pytest.mark.parametrize("mode,dropped", [("naive", False), ("decoupled", True)])
+def test_sweep_matches_per_point_fold(mode, dropped):
+    from dataclasses import replace
+    from qndprobe.experiment import sweep_atom_number
+    params, sched = paper_params(mode, p=5, scattering_eps=1e-3, include_dropped_terms=dropped)
+    grid = list(np.geomspace(1e4, 2e6, 6))
+    rows = sweep_atom_number(params, grid, sched)
+    for na, row in zip(grid, rows):
+        point = replace(params, atom_number=na)
+        meter_var = reference_fold(point, sched.entries, init_css(point))[1][M, M]
+        assert row.normalized_meter_var == pytest.approx(4 * meter_var / params.total_photons, rel=1e-12)
+    assert css_meter_variance(params, sched, grid).shape == (6,)
+
+
+@pytest.mark.parametrize("batch", [None, 12])
+def test_every_pulse_checked_at_every_point(monkeypatch, batch):
+    # batch 12 splits the train into blocks of 2 pulses (6 points each)
+    import qndprobe.gaussian as gaussian
+    params, sched = paper_params("decoupled", p=5, scattering_eps=1e-3, include_dropped_terms=True)
+    grid = list(np.geomspace(1e4, 2e6, 6))
+    whole_sweep = css_meter_variance(params, sched, grid)
+    whole_run = run_schedule(params, sched)
+    checked = []
+    real = gaussian._psd_margins
+
+    def spy(covs, tol=1e-9):
+        checked.append(covs.shape[:-2])
+        return real(covs, tol)
+
+    monkeypatch.setattr(gaussian, "_psd_margins", spy)
+    if batch is not None:
+        monkeypatch.setattr(gaussian, "_EVAL_BATCH", batch)
+    assert np.array_equal(css_meter_variance(params, sched, grid), whole_sweep)
+    assert sum(n for n, _ in checked) == len(sched) and {k for _, k in checked} == {6}
+    checked.clear()
+    result = run_schedule(params, sched)
+    assert sum(shape[0] for shape in checked) == len(sched)
+    assert np.array_equal(result.pulse_meter_var, whole_run.pulse_meter_var)
+    assert np.array_equal(result.final_state.cov, whole_run.final_state.cov)
+
+
+def test_run_schedule_raises_on_indefinite_covariance():
+    params = make_params(g1=0.0, g2=0.0, num_pulses=2)
+    cov = np.diag([1.0, 1.0, 1.0])
+    cov[0, 1] = cov[1, 0] = 5.0  # eigenvalue -4
+    initial = state_from_atomic_moments(0.0, 0.0, 0.0, cov, 10.0)
+    with pytest.raises(ArithmeticError, match="positive semidefiniteness"):
+        run_schedule(params, PulseSchedule.naive(2), initial=initial)
+
+
+def test_batched_psd_check_covers_every_pulse_and_point():
+    rng = np.random.default_rng(5)
+    roots = rng.standard_normal((5, 3, 4, 4))
+    stack = roots @ roots.swapaxes(-1, -2) + 0.1 * np.eye(4)
+    margins = _psd_margins(stack)
+    assert margins.shape == (5, 3)
+    assert np.all(margins > 0)
+    stack[2, 1] = np.diag([1.0, 2.0, 3.0, -1.0])
+    with pytest.raises(ArithmeticError, match=r"semidefiniteness at index \(2, 1\)"):
+        _psd_margins(stack)
+    stack[2, 1] = np.diag([np.nan, 1.0, 1.0, 1.0])  # eigvalsh would read [0, -0, 1, 1]
+    with pytest.raises(ArithmeticError, match=r"non-finite covariance at index \(2, 1\)"):
+        _psd_margins(stack)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_overflowing_run_is_a_numerical_failure():
+    params, sched = paper_params("decoupled", p=2, g1=1e200, g2=1e-3)
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        run_schedule(params, sched)
