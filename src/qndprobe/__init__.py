@@ -15,8 +15,6 @@ from .gaussian import (
     CouplingParams,
     GaussianState,
     PulseSchedule,
-    ScheduleEntry,
-    apply_pulse,
     init_css,
     pulse_map,
     run_schedule,
@@ -34,10 +32,8 @@ __all__ = [
     "CouplingParams",
     "GaussianState",
     "PulseSchedule",
-    "ScheduleEntry",
     "SpinOperatorSet",
     "StokesOperatorSet",
-    "apply_pulse",
     "build_spin_operators",
     "build_stokes_operators",
     "commutator",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys
@@ -37,7 +38,7 @@ from .experiment import (
     sweep_atom_number,
     quadratic_suppression_curve,
 )
-from .gaussian import CouplingParams, PulseSchedule, run_schedule
+from .gaussian import EVAL_BATCH, CouplingParams, PulseSchedule, run_schedule
 from .operators import build_spin_operators, commutator
 from .oracle import oracle_vs_gaussian
 
@@ -82,6 +83,8 @@ class RunConfig:
             raise ValueError("p must be >= 1")
         if self.na_points < 1 or self.na_min <= 0 or self.na_max < self.na_min:
             raise ValueError("invalid atom-number range")
+        if self.na_points > EVAL_BATCH:
+            raise ValueError(f"na_points {self.na_points} exceeds the {EVAL_BATCH} one sweep evaluates")
         if self.trials < 2:
             raise ValueError("trials must be >= 2")
         if int(self.seed) != self.seed:
@@ -145,6 +148,7 @@ READS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qndprobe",
@@ -242,9 +246,9 @@ def _run_algebra_check(config: RunConfig) -> tuple[list, list, list]:
 
 def _run_oracle_compare(config: RunConfig) -> tuple[list, list, list]:
     _, schedule = paper_scale_params(mode=config.schedule, p=config.p, num_pulses=config.num_pulses)
+    g2 = 0.0 if config.g2 is None else config.g2
     report = oracle_vs_gaussian(
-        na=config.oracle_na, f=config.f, n_ph=config.n_ph,
-        g1=config.g1, g2=0.0 if config.g2 is None else config.g2,
+        na=config.oracle_na, f=config.f, n_ph=config.n_ph, g1=config.g1, g2=g2,
         schedule=schedule, tilt=config.tilt, phase=config.tilt_phase,
     )
     header = ["pulse", "d_jz_mean", "d_jy_mean", "d_meter_mean", "d_meter_var"]
@@ -252,7 +256,7 @@ def _run_oracle_compare(config: RunConfig) -> tuple[list, list, list]:
         [i + 1, report.d_jz[i], report.d_jy[i], report.d_meter_mean[i], report.d_meter_var[i]]
         for i in range(len(report.d_jz))
     ]
-    footer = [f"max_first_moment_deviation = {_fmt(report.max_first_moment_deviation)}"]
+    footer = [f"max_first_moment_deviation = {_fmt(report.max_first_moment_deviation)}", f"g2 = {_fmt(g2)}"]
     return header, rows, footer
 
 
@@ -280,7 +284,7 @@ def _run_suppression(config: RunConfig) -> tuple[list, list, list]:
     first = replace(config, schedule="decoupled", p=config.p_values[0])
     params, _ = _params_and_schedule(first, config.na)
     na_values = list(np.geomspace(config.na_min, config.na_max, config.na_points))
-    points = quadratic_suppression_curve(params, list(config.p_values), na_values)
+    points = quadratic_suppression_curve(params, config.nl_total, list(config.p_values), na_values)
     header = ["p", "c2"]
     rows = [[pt.p, pt.c2] for pt in points]
     footer = ["quadratic coefficient of the decoupled sweep vs decoupling order"]

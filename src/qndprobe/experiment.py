@@ -18,6 +18,7 @@ from .gaussian import (
     JY,
     JZ,
     M,
+    MEMORY_CAP_BYTES,
     CouplingParams,
     PulseSchedule,
     css_meter_variance,
@@ -43,7 +44,7 @@ DEFAULT_NA_GRID = tuple(np.geomspace(1.0e4, 2.0e6, 20))
 # depolarization draw (3), the pulse product's result (4) and the dropped-term
 # product (1).  Trial counts needing more than the cap are refused up front.
 MC_BYTES_PER_TRIAL = 8 * (6 + 3 + 4 + 1)
-MC_MEMORY_CAP_BYTES = 2 * 1024 ** 3
+MC_MEMORY_CAP_BYTES = MEMORY_CAP_BYTES
 
 
 @dataclass(frozen=True)
@@ -140,10 +141,9 @@ def paper_scale_params(
         schedule = PulseSchedule.naive(num_pulses if num_pulses is not None else 2 * p)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    n = len(schedule)
     params = CouplingParams(
-        g1=g1, g2=g2, photons_per_pulse=nl_total / n, num_pulses=n,
-        atom_number=na, f=1.0, scattering_eps=scattering_eps,
+        g1=g1, g2=g2, photons_per_pulse=nl_total / len(schedule),
+        atom_number=na, scattering_eps=scattering_eps,
         include_dropped_terms=include_dropped_terms,
     )
     return params, schedule
@@ -178,10 +178,11 @@ def sweep_atom_number(
     if any(b <= a for a, b in zip(na_values, na_values[1:])):
         raise ValueError("na_values must be strictly ascending")
     meter_var = css_meter_variance(params_template, schedule, na_values)
+    nl_total = params_template.photons_per_pulse * len(schedule)
     return [
         SweepRow(
             na=na,
-            normalized_meter_var=4.0 * float(var) / params_template.total_photons,
+            normalized_meter_var=4.0 * float(var) / nl_total,
             mode=schedule.mode,
             p=schedule.p,
         )
@@ -235,27 +236,23 @@ class SuppressionPoint:
 
 def quadratic_suppression_curve(
     params_template: CouplingParams,
+    nl_total: float,
     p_values,
     na_values=None,
 ) -> list[SuppressionPoint]:
     """Fitted quadratic coefficient of the decoupled sweep as a function of order p.
 
-    The photon budget of the template (photons_per_pulse * num_pulses) is
-    held fixed and re-split across the 2p pulses of each order.
+    The photon budget ``nl_total`` is held fixed and split across the 2p
+    pulses of each order; the template's photons_per_pulse is not used.
     """
     p_values = list(p_values)
     if any(b <= a for a, b in zip(p_values, p_values[1:])):
         raise ValueError("p_values must be strictly ascending")
     na_values = list(DEFAULT_NA_GRID) if na_values is None else list(na_values)
-    nl_total = params_template.total_photons
     points = []
     for p in p_values:
         schedule = PulseSchedule.decoupled(p)
-        params = replace(
-            params_template,
-            photons_per_pulse=nl_total / len(schedule),
-            num_pulses=len(schedule),
-        )
+        params = replace(params_template, photons_per_pulse=nl_total / len(schedule))
         fit = fit_linear_quadratic(sweep_atom_number(params, na_values, schedule))
         points.append(SuppressionPoint(p=p, c2=fit.c2))
     return points
@@ -286,11 +283,11 @@ def monte_carlo_sample(
     """Sampled meter variance from simulated pulse trains.
 
     Draws the initial atomic fluctuations and, per pulse, the shot noise
-    (Sy_in, then Sz_in) and, with scattering_eps > 0, the depolarization
-    noise (Jy, Jz, Jxy).  Each pulse applies the covariance engine's
+    (Sy_in, then Sz_in) and, with scattering_eps > 0, the spin-1
+    depolarization noise (Jy, Jz, Jxy).  Each pulse applies the engine's
     ``pulse_map`` to all trials at once as one product on the stacked
     (Jy, Jz, Jxy, M, Sy_in, Sz_in) samples; the dropped-term meter product
-    -meter_sign g2 Sz_in Jy is added as sampled.  Returns the sample
+    -sign g2 Sz_in Jy is added as sampled.  Returns the sample
     variance of the accumulated meter with the Gaussian standard error
     var * sqrt(2/(trials-1)).  Fixed seeds give bit-identical results; the
     estimate converges to the analytic var(M).  Trial counts whose arrays
@@ -305,8 +302,6 @@ def monte_carlo_sample(
             f"above the {MC_MEMORY_CAP_BYTES / 1e9:.3g} GB Monte Carlo cap"
         )
     rng = np.random.default_rng(seed)
-    if len(schedule) != params.num_pulses:
-        raise ValueError("schedule length does not match params.num_pulses")
 
     state0 = init_css(params)
     # factor the (possibly singular) atomic covariance for sampling
@@ -321,15 +316,15 @@ def monte_carlo_sample(
 
     shot_sd = math.sqrt(params.photons_per_pulse / 4.0)
     eps = params.scattering_eps
-    depol_sd = np.sqrt(eps * params.atom_number * np.array(single_atom_mixed_variances(params.f)))
+    depol_sd = np.sqrt(eps * params.atom_number * np.array(single_atom_mixed_variances(1.0)))
     depol = np.empty((3, trials)) if eps > 0.0 else None
 
-    for entry in schedule.entries:
+    for sign in schedule.signs.tolist():
         rng.standard_normal(out=noise)
         noise *= shot_sd
-        a, b = pulse_map(entry, params, jx)
+        a, b = pulse_map(sign, params, jx)
         if params.include_dropped_terms:
-            product = (-entry.meter_sign * params.g2) * noise[1] * x[JY]
+            product = (-sign * params.g2) * noise[1] * x[JY]
         x[:4] = np.hstack([a, b]) @ x
         if params.include_dropped_terms:
             x[M] += product

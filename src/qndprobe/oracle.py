@@ -230,7 +230,8 @@ def run_schedule_exact(
 ) -> ExactRunRecord:
     """Evolve a pulse train, tracking the signed cumulative meter exactly.
 
-    The meter is M = sum_i meter_sign_i Sy_i.  Cross-pulse covariances
+    Pulse i is probed with the Sx = sign_i n_ph/2 state and the meter is
+    M = sum_i sign_i Sy_i.  Cross-pulse covariances
     cov(Sy_i, Sy_j) survive the photon trace through the correlation operator
     K = sum_i sign_i * (tr_ph[sigma (1 x Sy)] - <Sy_i> rho), which propagates
     through later pulses by the same unitary-plus-trace channel as rho; this
@@ -249,9 +250,8 @@ def run_schedule_exact(
     m_var = 0.0
     rec_jz, rec_jy, rec_mm, rec_mv = [], [], [], []
 
-    for entry in schedule.entries:
-        w = entry.meter_sign
-        phi = polarized_photon_state(state.n_ph, entry.sx_sign)
+    for sign in schedule.signs.tolist():
+        phi = polarized_photon_state(state.n_ph, sign)
         phi_proj = np.outer(phi, phi.conj())
 
         joint = u @ np.kron(state.rho, phi_proj) @ u_dag
@@ -266,11 +266,11 @@ def run_schedule_exact(
         cross = float(np.einsum("alam,ml->", k_sigma, sy).real)
         k_prop = np.einsum("alcl->ac", k_sigma)
 
-        m_mean += w * sy_mean
-        m_var += sy_var + 2.0 * w * cross
+        m_mean += sign * sy_mean
+        m_var += sy_var + 2.0 * sign * cross
 
         corr = np.einsum("albm,ml->ab", sigma, sy)
-        k_corr = k_prop + w * (corr - sy_mean * rho_out)
+        k_corr = k_prop + sign * (corr - sy_mean * rho_out)
 
         state = ExactState(na=state.na, f=state.f, n_ph=state.n_ph, rho=rho_out)
         state.check_normalization()
@@ -335,7 +335,9 @@ def oracle_vs_gaussian(
 
     Both start from the matched product CSS (optionally tilted so the first
     moments are nonzero and the comparison is not trivially 0 = 0).  The
-    engine's initial Gaussian moments are computed from the single-atom state.
+    engine's initial Gaussian moments are computed from the single-atom state,
+    so ``f`` reaches the engine only through them: the engine runs without
+    depolarization, whose noise is the one spin-1 input it has of its own.
     Warns when the couplings are too large for the linearization to be
     meaningful.
     """
@@ -357,10 +359,7 @@ def oracle_vs_gaussian(
         atomic_cov=na * mom["cov"],
         jx_mean=na * mom["mean_jx"],
     )
-    params = CouplingParams(
-        g1=g1, g2=g2, photons_per_pulse=n_ph, num_pulses=len(schedule),
-        atom_number=na, f=f,
-    )
+    params = CouplingParams(g1=g1, g2=g2, photons_per_pulse=n_ph, atom_number=na)
     engine = run_schedule(params, schedule, initial=engine_state)
     e_jy, e_jz, _, e_mm = engine.pulse_means.T
 

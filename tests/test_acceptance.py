@@ -129,13 +129,14 @@ def test_criterion_4_ideal_qnd_recovery():
 def test_criterion_5_projection_noise_line():
     params, sched = paper_scale_params(mode="decoupled", p=5, g2=0.0)
     rows = sweep_atom_number(params, list(DEFAULT_NA_GRID), sched)
+    nl_total = params.photons_per_pulse * len(sched)
     worst = max(
-        abs(r.normalized_meter_var - projection_noise_line(params.g1, params.total_photons, r.na))
-        / projection_noise_line(params.g1, params.total_photons, r.na)
+        abs(r.normalized_meter_var - projection_noise_line(params.g1, nl_total, r.na))
+        / projection_noise_line(params.g1, nl_total, r.na)
         for r in rows
     )
     params_ref, sched_ref = paper_scale_params(mode="decoupled", p=5, g2=0.0, na=1e6)
-    value = 4 * run_schedule(params_ref, sched_ref).meter_var / params_ref.total_photons
+    value = 4 * run_schedule(params_ref, sched_ref).meter_var / (params_ref.photons_per_pulse * len(sched_ref))
     ok = worst < 1e-9 and abs(value - 4.23) <= 0.01
     report(5, ok, f"max relative deviation {worst:.2e}; value at na=1e6: {value:.4f} (4.23 +- 0.01)")
     assert worst < 1e-9
@@ -189,7 +190,7 @@ def test_criterion_6b_decoupled_suppression_ratio():
 def test_criterion_6c_quadratic_component_non_increasing():
     start = time.perf_counter()
     params, _ = paper_scale_params(mode="decoupled", p=1)
-    pts = quadratic_suppression_curve(params, [1, 2, 5])
+    pts = quadratic_suppression_curve(params, NL_REFERENCE, [1, 2, 5])
     c2s = [pt.c2 for pt in pts]
     elapsed = time.perf_counter() - start
     ok = all(b <= a for a, b in zip(c2s, c2s[1:])) and elapsed < 30.0

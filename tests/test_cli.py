@@ -1,5 +1,6 @@
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,10 @@ def test_validation_failures_exit_2(tmp_path):
     assert main(["sweep", "--config", str(conf)]) == 2
     conf.write_text("not json")
     assert main(["sweep", "--config", str(conf)]) == 2
+    conf.write_text(json.dumps({"f": 0.5}))  # the Gaussian subcommands model f = 1 only
+    assert main(["sweep", "--config", str(conf)]) == 2
+    conf.write_text(json.dumps({"p": 2.0}))  # a pulse count must be an integer
+    assert main(["impact", "--config", str(conf)]) == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -61,12 +66,37 @@ def test_validation_failures_exit_2(tmp_path):
     ["oracle-compare", "--dropped"],                 # flags the subcommand does not read
     ["sweep", "--trials", "5"],
     ["suppression", "--pulses", "3"],
+    ["impact", "--p", "100000000"],                  # about 14 GB of per-pulse arrays, above the cap
+    ["sweep", "--na-points", "1000000000"],          # more atom numbers than one sweep evaluates
 ])
 def test_rejected_subcommand_input_exits_2_without_output(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 2
     assert "invalid configuration" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["impact", "--p", "100000000"], "train cap"),
+    (["sweep", "--na-points", "1000000000"], "one sweep evaluates"),
+])
+def test_oversized_input_refused_before_allocating(tmp_path, capsys, argv, reason):
+    parse_config(["sweep"])  # build the cached parser outside the traced window
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reason in capsys.readouterr().err
+    assert peak < 1_000_000
+
+
+def test_cached_parser_does_not_leak_between_parses():
+    assert parse_config(["sweep", "--dropped"]).include_dropped_terms is True
+    assert parse_config(["sweep"]).include_dropped_terms is False
+    assert parse_config(["sweep", "--p", "3"]).p == 3
+    assert parse_config(["sweep"]).p == 5
 
 
 def test_unread_flag_named_in_the_error(capsys):
@@ -112,6 +142,15 @@ def test_oracle_compare_runs(tmp_path):
     _, body, footer = read_csv_rows(out)
     assert len(body) == 4
     assert "max_first_moment_deviation" in footer[0]
+    assert "# g2 = 0.001" in footer
+
+
+def test_oracle_compare_states_its_default_g2(tmp_path):
+    # oracle-compare defaults to g2 = 0, not the calibrated g2 of the Gaussian subcommands
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle-compare", "--out", str(out), "--g1", "1e-3", "--p", "1"]) == 0
+    _, _, footer = read_csv_rows(out)
+    assert "# g2 = 0" in footer
 
 
 def test_sweep_csv_matches_projection_line_for_g2_zero(tmp_path):

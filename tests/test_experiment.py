@@ -102,7 +102,7 @@ def test_sweep_matches_projection_line_when_g2_zero():
     params, sched = paper_scale_params(mode="decoupled", p=5, g2=0.0)
     rows = sweep_atom_number(params, list(DEFAULT_NA_GRID), sched)
     for row in rows:
-        line = projection_noise_line(params.g1, params.total_photons, row.na)
+        line = projection_noise_line(params.g1, params.photons_per_pulse * len(sched), row.na)
         assert row.normalized_meter_var == pytest.approx(line, rel=1e-9)
 
 
@@ -163,28 +163,28 @@ def test_naive_fit_has_positive_quadratic_component():
 
 def test_suppression_curve_decreasing_beyond_single_pair():
     params, _ = paper_scale_params(mode="decoupled", p=2)
-    pts = quadratic_suppression_curve(params, [2, 4, 8, 16])
+    pts = quadratic_suppression_curve(params, NL_REFERENCE, [2, 4, 8, 16])
     c2s = [pt.c2 for pt in pts]
     assert all(b < a for a, b in zip(c2s, c2s[1:]))
 
 
 def test_suppression_curve_approaches_ideal_at_large_p():
     params, _ = paper_scale_params(mode="decoupled", p=2)
-    c2_small = quadratic_suppression_curve(params, [2])[0].c2
-    c2_large = quadratic_suppression_curve(params, [64])[0].c2
+    c2_small = quadratic_suppression_curve(params, NL_REFERENCE, [2])[0].c2
+    c2_large = quadratic_suppression_curve(params, NL_REFERENCE, [64])[0].c2
     assert c2_large < c2_small / 100
 
 
 def test_suppression_curve_zero_when_g2_zero():
     params, _ = paper_scale_params(mode="decoupled", p=2, g2=0.0)
-    for pt in quadratic_suppression_curve(params, [1, 2, 5]):
+    for pt in quadratic_suppression_curve(params, NL_REFERENCE, [1, 2, 5]):
         assert abs(pt.c2) * max(DEFAULT_NA_GRID) ** 2 < 1e-6
 
 
 def test_suppression_requires_ascending_p():
     params, _ = paper_scale_params(mode="decoupled", p=2)
     with pytest.raises(ValueError):
-        quadratic_suppression_curve(params, [5, 2])
+        quadratic_suppression_curve(params, NL_REFERENCE, [5, 2])
 
 
 # ---------------------------------------------------------------- dropped terms

@@ -1,16 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qndprobe.gaussian import (
+    EVAL_BATCH,
     JXY,
     JY,
     JZ,
     M,
+    MEMORY_CAP_BYTES,
+    TRAIN_BYTES_PER_PULSE,
     CouplingParams,
     PulseSchedule,
-    ScheduleEntry,
     _psd_margins,
-    apply_pulse,
     css_meter_variance,
     init_css,
     pulse_map,
@@ -21,8 +24,7 @@ from qndprobe.gaussian import (
 
 
 def make_params(**kw):
-    base = dict(g1=1e-3, g2=1e-3, photons_per_pulse=100.0, num_pulses=2,
-                atom_number=1000.0, f=1.0)
+    base = dict(g1=1e-3, g2=1e-3, photons_per_pulse=100.0, atom_number=1000.0)
     base.update(kw)
     return CouplingParams(**base)
 
@@ -38,10 +40,6 @@ def test_params_validation():
         make_params(atom_number=-5)
     with pytest.raises(ValueError):
         make_params(scattering_eps=1.5)
-    with pytest.raises(ValueError):
-        make_params(num_pulses=0)
-    with pytest.raises(ValueError):
-        make_params(f=0.7)
 
 
 # ----------------------------------------------------------------- schedules
@@ -49,26 +47,69 @@ def test_params_validation():
 def test_naive_schedule_structure():
     sched = PulseSchedule.naive(4)
     assert len(sched) == 4
-    assert all(e.sx_sign == 1 and e.meter_sign == 1 for e in sched.entries)
-    assert sched.describe() == "naive"
+    assert sched.signs.tolist() == [1, 1, 1, 1]
+    assert sched.p is None
+    assert sched == PulseSchedule("naive", 4)
 
 
 def test_decoupled_schedule_structure():
     sched = PulseSchedule.decoupled(3)
     assert len(sched) == 6
-    assert [e.sx_sign for e in sched.entries] == [1, -1, 1, -1, 1, -1]
-    # meter sign is (-1)^(i+1) for 1-based pulse index i
-    assert [e.meter_sign for e in sched.entries] == [(-1) ** (i + 1) for i in range(1, 7)]
-    assert sched.describe() == "decoupled(p=3)"
+    assert sched.signs.tolist() == [1, -1, 1, -1, 1, -1]
+    # one sign per pulse, (-1)^(i+1) for 1-based pulse index i: the Sx sign and the meter sign
+    assert sched.signs.tolist() == [(-1) ** (i + 1) for i in range(1, 7)]
+    assert sched.p == 3
+    assert sched == PulseSchedule("decoupled", 6)
+    assert np.issubdtype(sched.signs.dtype, np.integer)
+    assert not sched.signs.flags.writeable
 
 
 def test_schedule_rejects_inconsistent_entries():
-    with pytest.raises(ValueError):
-        PulseSchedule((ScheduleEntry(-1, 1),), "naive")
-    with pytest.raises(ValueError):
-        PulseSchedule((ScheduleEntry(1, 1), ScheduleEntry(1, -1)), "decoupled", 1)
+    with pytest.raises(ValueError, match="unknown schedule mode"):
+        PulseSchedule("bang-bang", 2)
+    with pytest.raises(ValueError, match="positive integer"):
+        PulseSchedule("naive", 0)
+    with pytest.raises(ValueError, match="positive integer"):
+        PulseSchedule("naive", 4.0)
+    with pytest.raises(ValueError, match="even number"):
+        PulseSchedule("decoupled", 3)
     with pytest.raises(ValueError):
         PulseSchedule.decoupled(0)
+
+
+def test_schedule_holds_no_per_pulse_objects():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sched = PulseSchedule.decoupled(10 ** 5)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(sched) == 2 * 10 ** 5
+    assert held < 1024
+
+
+def test_train_memory_cap_refuses_before_allocating():
+    # admits the 2e7-pulse trains that fit in the cap, refuses 2e8 pulses (about 14 GB)
+    assert 2 * 10 ** 7 * TRAIN_BYTES_PER_PULSE <= MEMORY_CAP_BYTES < 2 * 10 ** 8 * TRAIN_BYTES_PER_PULSE
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="train cap"):
+            PulseSchedule.decoupled(10 ** 8)
+        with pytest.raises(ValueError, match="train cap"):
+            PulseSchedule.naive(10 ** 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_sweep_refuses_more_atom_numbers_than_one_block():
+    params, sched = paper_params("decoupled", p=1)
+    grid = np.geomspace(1e4, 2e6, EVAL_BATCH)
+    assert css_meter_variance(params, sched, grid).shape == (EVAL_BATCH,)
+    with pytest.raises(ValueError, match="atom numbers"):
+        css_meter_variance(params, sched, np.geomspace(1e4, 2e6, EVAL_BATCH + 1))
 
 
 # ------------------------------------------------------------------ init_css
@@ -85,34 +126,33 @@ def test_init_css_projection_noise():
 
 
 def test_init_css_f1_jxy_mirrors_jz():
-    st = init_css(make_params(atom_number=1e6, f=1.0))
+    st = init_css(make_params(atom_number=1e6))
     assert st.cov[JXY, JXY] == st.cov[JZ, JZ]
     assert st.cov[JXY, JZ] == st.cov[JZ, JZ]
     st.check_psd()
 
 
-def test_init_css_f_half_jxy_vanishes():
-    st = init_css(make_params(atom_number=100.0, f=0.5))
-    assert st.cov[JXY, JXY] == 0.0
-    assert st.cov[JXY, JZ] == 0.0
+# ------------------------------------------------------------ one-pulse trains
 
+def apply_one_pulse(state, params):
+    """The state after one +1 pulse: the final state of a one-pulse train."""
+    return run_schedule(params, PulseSchedule.naive(1), initial=state).final_state
 
-# --------------------------------------------------------------- apply_pulse
 
 def test_pulse_meter_gain_pure_qnd():
     # g2 = 0: the meter mean picks up g1 * (nL/2) * <Jz>, var(Jz) untouched
-    params = make_params(g2=0.0, num_pulses=1)
+    params = make_params(g2=0.0)
     state = state_from_atomic_moments(0.0, 30.0, 0.0, np.diag([5.0, 7.0, 3.0]), 500.0)
-    out = apply_pulse(state, ScheduleEntry(1, 1), params)
+    out = apply_one_pulse(state, params)
     assert out.mean[M] == pytest.approx(params.g1 * 50.0 * 30.0)
     assert out.cov[JZ, JZ] == pytest.approx(7.0)
     assert out.mean[JZ] == pytest.approx(30.0)
 
 
 def test_pulse_free_propagation_adds_shot_noise_only():
-    params = make_params(g1=0.0, g2=0.0, num_pulses=1)
+    params = make_params(g1=0.0, g2=0.0)
     state = init_css(params)
-    out = apply_pulse(state, ScheduleEntry(1, 1), params)
+    out = apply_one_pulse(state, params)
     assert np.allclose(out.mean, state.mean)
     assert np.allclose(out.cov[:3, :3], state.cov[:3, :3])
     assert out.cov[M, M] == pytest.approx(params.photons_per_pulse / 4)
@@ -120,21 +160,21 @@ def test_pulse_free_propagation_adds_shot_noise_only():
 
 def test_pulse_naive_jz_variance_gain_matches_affine_transport():
     # independent oracle: var'(Jz) = var(Jz) + g2^2 Sx^2 var(Jy) + 2 g2 Sx cov(Jz, Jy)
-    params = make_params(g1=0.0, g2=2e-3, num_pulses=1)
+    params = make_params(g1=0.0, g2=2e-3)
     cov = np.array([[9.0, 1.5, 0.0], [1.5, 4.0, 0.0], [0.0, 0.0, 2.0]])
     state = state_from_atomic_moments(0.0, 0.0, 0.0, cov, 500.0)
     sx = params.photons_per_pulse / 2
     expected = 4.0 + params.g2 ** 2 * sx ** 2 * 9.0 + 2 * params.g2 * sx * 1.5
-    out = apply_pulse(state, ScheduleEntry(1, 1), params)
+    out = apply_one_pulse(state, params)
     assert out.cov[JZ, JZ] == pytest.approx(expected, rel=1e-12)
 
 
 def test_pulse_dropped_terms_feed_jz_and_meter():
-    params_on = make_params(g2=1e-3, num_pulses=1, include_dropped_terms=True)
-    params_off = make_params(g2=1e-3, num_pulses=1, include_dropped_terms=False)
+    params_on = make_params(g2=1e-3, include_dropped_terms=True)
+    params_off = make_params(g2=1e-3, include_dropped_terms=False)
     state = init_css(params_on)
-    on = apply_pulse(state, ScheduleEntry(1, 1), params_on)
-    off = apply_pulse(state, ScheduleEntry(1, 1), params_off)
+    on = apply_one_pulse(state, params_on)
+    off = apply_one_pulse(state, params_off)
     shot = params_on.photons_per_pulse / 4
     jx = state.jx_mean
     # -g2 Sy_in Jx adds g2^2 var(Sy) jx^2 to var(Jz), correlated with the meter shot noise
@@ -146,22 +186,34 @@ def test_pulse_dropped_terms_feed_jz_and_meter():
     )
 
 
+def test_meter_sign_applies_to_the_shot_noise_of_its_pulse():
+    # g1 = 0, dropped terms on: pulse i loads -g2 jx Sy_i into Jz and sign_i Sy_i into M,
+    # so cov(Jz, M) sums -sign_i g2 jx var(Sy): zero for (+, -), -2 g2 jx var(Sy) for (+, +)
+    params = make_params(g1=0.0, g2=1e-3, include_dropped_terms=True)
+    state = init_css(params)
+    unit = params.g2 * state.jx_mean * params.photons_per_pulse / 4
+    decoupled = run_schedule(params, PulseSchedule.decoupled(1), initial=state).final_state
+    naive = run_schedule(params, PulseSchedule.naive(2), initial=state).final_state
+    assert abs(decoupled.cov[JZ, M]) <= 1e-12 * unit
+    assert naive.cov[JZ, M] == pytest.approx(-2 * unit, rel=1e-12)
+
+
 # ----------------------------------------------------------------- decoherence
-# with g1 = g2 = 0 the atomic block of apply_pulse sees depolarization only
+# with g1 = g2 = 0 the atomic block of a one-pulse train sees depolarization only
 
 def test_decoherence_identity_at_zero():
-    params = make_params(g1=0.0, g2=0.0, num_pulses=1)
+    params = make_params(g1=0.0, g2=0.0)
     state = init_css(params)
-    out = apply_pulse(state, ScheduleEntry(1, 1), params)
+    out = apply_one_pulse(state, params)
     assert np.array_equal(out.cov[:3, :3], state.cov[:3, :3])
     assert np.array_equal(out.mean, state.mean)
     assert out.jx_mean == state.jx_mean
 
 
 def test_decoherence_complete_depolarization():
-    params = make_params(g1=0.0, g2=0.0, num_pulses=1, atom_number=1e4, f=1.0, scattering_eps=1.0)
+    params = make_params(g1=0.0, g2=0.0, atom_number=1e4, scattering_eps=1.0)
     state = init_css(params)
-    out = apply_pulse(state, ScheduleEntry(1, 1), params)
+    out = apply_one_pulse(state, params)
     kappa_y, kappa_z, kappa_xy = single_atom_mixed_variances(1.0)
     assert out.jx_mean == 0.0
     assert out.cov[JY, JY] == pytest.approx(1e4 * kappa_y)
@@ -172,8 +224,8 @@ def test_decoherence_complete_depolarization():
 
 
 def test_decoherence_jx_decay_example():
-    params = make_params(g1=0.0, g2=0.0, num_pulses=1, atom_number=1e6, scattering_eps=0.01)
-    out = apply_pulse(init_css(params), ScheduleEntry(1, 1), params)
+    params = make_params(g1=0.0, g2=0.0, atom_number=1e6, scattering_eps=0.01)
+    out = apply_one_pulse(init_css(params), params)
     assert out.jx_mean == pytest.approx(4.95e5)
 
 
@@ -185,32 +237,26 @@ def test_decoherence_rejects_bad_eps():
 # ---------------------------------------------------------------- run_schedule
 
 def test_decoupled_pair_conserves_mean_jz():
-    params = make_params(g2=5e-3, num_pulses=2)
+    params = make_params(g2=5e-3)
     result = run_schedule(params, PulseSchedule.decoupled(1))
     assert result.final_state.mean[JZ] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_decoupled_meter_noise_closed_form():
     # g2 = 0: 4 var(M)/NL = 1 + g1^2 NL var(Jz)
-    params = make_params(g2=0.0, num_pulses=10, photons_per_pulse=1e5, atom_number=1e5)
+    params = make_params(g2=0.0, photons_per_pulse=1e5, atom_number=1e5)
     result = run_schedule(params, PulseSchedule.decoupled(5))
-    nl_total = params.total_photons
+    nl_total = params.photons_per_pulse * 10
     lhs = 4 * result.meter_var / nl_total
     rhs = 1 + params.g1 ** 2 * nl_total * params.atom_number / 4
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_naive_meter_pure_shot_noise_when_g1_zero():
-    params = make_params(g1=0.0, g2=3e-3, num_pulses=4)
+    params = make_params(g1=0.0, g2=3e-3)
     result = run_schedule(params, PulseSchedule.naive(4))
-    assert result.meter_var == pytest.approx(params.total_photons / 4, rel=1e-12)
+    assert result.meter_var == pytest.approx(params.photons_per_pulse * 4 / 4, rel=1e-12)
     assert result.meter_mean == 0.0
-
-
-def test_run_schedule_rejects_length_mismatch():
-    params = make_params(num_pulses=2)
-    with pytest.raises(ValueError):
-        run_schedule(params, PulseSchedule.naive(3))
 
 
 # ------------------------------------------------------------------ invariants
@@ -249,8 +295,8 @@ def test_meter_gain_independent_of_p():
     def meter_mean(p, mean_jxy):
         sched = PulseSchedule.decoupled(p)
         params = CouplingParams(
-            g1=G1_REFERENCE, g2=g2_from_impact(), atom_number=na, f=1.0,
-            photons_per_pulse=NL_REFERENCE / len(sched), num_pulses=len(sched),
+            g1=G1_REFERENCE, g2=g2_from_impact(), atom_number=na,
+            photons_per_pulse=NL_REFERENCE / len(sched),
         )
         cov = np.full((3, 3), 0.0)
         np.fill_diagonal(cov, na / 4)
@@ -273,7 +319,7 @@ def test_backaction_growth_identical_in_both_modes(mode):
     params, sched = paper_params(mode, p=5, g2=0.0)
     result = run_schedule(params, sched)
     per_pulse = params.g1 ** 2 * (params.photons_per_pulse / 4) * (params.atom_number / 2) ** 2
-    expected = params.atom_number / 4 + params.num_pulses * per_pulse
+    expected = params.atom_number / 4 + len(sched) * per_pulse
     assert result.final_state.cov[JY, JY] == pytest.approx(expected, rel=1e-12)
 
 
@@ -290,16 +336,16 @@ def test_naive_quadratic_exceeds_decoupled_tenfold():
 
 # ------------------------------------------------------ kernel vs per-pulse fold
 
-def reference_fold(params, entries, state):
+def reference_fold(params, signs, state):
     """The per-pulse update, one pulse at a time: pulse_map, dropped terms, depolarization."""
     shot, g2, r = params.photons_per_pulse / 4.0, params.g2, 1.0 - params.scattering_eps
-    depol = params.scattering_eps * params.atom_number * np.array(single_atom_mixed_variances(params.f))
+    depol = params.scattering_eps * params.atom_number * np.array(single_atom_mixed_variances(1.0))
     mean, cov, jx = state.mean.copy(), state.cov.copy(), state.jx_mean
     means, meter_var = [], []
-    for entry in entries:
-        a, b = pulse_map(entry, params, jx)
+    for sign in signs:
+        a, b = pulse_map(sign, params, jx)
         if params.include_dropped_terms:
-            b[M, 1] = -entry.meter_sign * g2 * mean[JY]
+            b[M, 1] = -sign * g2 * mean[JY]
         new = a @ cov @ a.T + shot * (b @ b.T)
         if params.include_dropped_terms:
             new[M, M] += g2 * g2 * shot * cov[JY, JY]
@@ -342,7 +388,7 @@ def test_run_schedule_matches_per_pulse_fold(mode, p, eps, dropped, start):
     initial = None if start == "css" else tilted_state(params.atom_number)
     result = run_schedule(params, sched, initial=initial)
     mean, cov, jx, means, meter_var = reference_fold(
-        params, sched.entries, init_css(params) if initial is None else initial
+        params, sched.signs.tolist(), init_css(params) if initial is None else initial
     )
     assert_cov_close(result.final_state.cov, cov)
     np.testing.assert_allclose(result.pulse_meter_var, meter_var, rtol=1e-12, atol=0)
@@ -363,8 +409,9 @@ def test_sweep_matches_per_point_fold(mode, dropped):
     rows = sweep_atom_number(params, grid, sched)
     for na, row in zip(grid, rows):
         point = replace(params, atom_number=na)
-        meter_var = reference_fold(point, sched.entries, init_css(point))[1][M, M]
-        assert row.normalized_meter_var == pytest.approx(4 * meter_var / params.total_photons, rel=1e-12)
+        meter_var = reference_fold(point, sched.signs.tolist(), init_css(point))[1][M, M]
+        nl_total = params.photons_per_pulse * len(sched)
+        assert row.normalized_meter_var == pytest.approx(4 * meter_var / nl_total, rel=1e-12)
     assert css_meter_variance(params, sched, grid).shape == (6,)
 
 
@@ -385,7 +432,7 @@ def test_every_pulse_checked_at_every_point(monkeypatch, batch):
 
     monkeypatch.setattr(gaussian, "_psd_margins", spy)
     if batch is not None:
-        monkeypatch.setattr(gaussian, "_EVAL_BATCH", batch)
+        monkeypatch.setattr(gaussian, "EVAL_BATCH", batch)
     assert np.array_equal(css_meter_variance(params, sched, grid), whole_sweep)
     assert sum(n for n, _ in checked) == len(sched) and {k for _, k in checked} == {6}
     checked.clear()
@@ -396,7 +443,7 @@ def test_every_pulse_checked_at_every_point(monkeypatch, batch):
 
 
 def test_run_schedule_raises_on_indefinite_covariance():
-    params = make_params(g1=0.0, g2=0.0, num_pulses=2)
+    params = make_params(g1=0.0, g2=0.0)
     cov = np.diag([1.0, 1.0, 1.0])
     cov[0, 1] = cov[1, 0] = 5.0  # eigenvalue -4
     initial = state_from_atomic_moments(0.0, 0.0, 0.0, cov, 10.0)

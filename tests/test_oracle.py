@@ -172,7 +172,8 @@ def brute_force_meter(na, f, n_ph, g1, g2, schedule, tilt, phase):
     ws = _pulse_workspace(na, int(round(2 * f)), n_ph, g1, g2)
     d_a, d_p = ws["dim_a"], ws["dim_ph"]
     n = len(schedule)
-    phis = [polarized_photon_state(n_ph, e.sx_sign) for e in schedule.entries]
+    signs = schedule.signs.tolist()
+    phis = [polarized_photon_state(n_ph, sign) for sign in signs]
     psi = reduce(np.kron, [psi_a] + phis)
     for i in range(n):
         before, after = d_p ** i, d_p ** (n - 1 - i)
@@ -187,7 +188,7 @@ def brute_force_meter(na, f, n_ph, g1, g2, schedule, tilt, phase):
         t = vec.reshape(d_a * before, d_p, after)
         return np.einsum("ml,alb->amb", sy, t).reshape(-1)
 
-    weighted = [schedule.entries[i].meter_sign * apply_sy(psi, i) for i in range(n)]
+    weighted = [signs[i] * apply_sy(psi, i) for i in range(n)]
     total = sum(weighted)
     mean = (psi.conj() @ total).real
     second = (total.conj() @ total).real
