@@ -48,6 +48,11 @@ MODES = ("algebra-check", "oracle-compare", "sweep", "suppression", "impact", "m
 GAUSSIAN_MODES = ("sweep", "suppression", "impact", "montecarlo")
 
 
+# A config file is JSON, so 20.0 or true can reach these fields; `type(x) is int`
+# refuses both (bool is a subclass of int).
+_INT_FIELDS = ("seed", "p", "num_pulses", "na_points", "n_ph", "oracle_na", "trials")
+
+
 @dataclass
 class RunConfig:
     mode: str
@@ -77,6 +82,12 @@ class RunConfig:
     def validate(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "num_pulses" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not (isinstance(self.p_values, tuple) and all(type(x) is int for x in self.p_values)):
+            raise ValueError(f"p_values must be a list of integers, got {self.p_values!r}")
         if self.schedule not in ("naive", "decoupled"):
             raise ValueError(f"schedule must be 'naive' or 'decoupled', got {self.schedule!r}")
         if self.p < 1:
@@ -87,8 +98,6 @@ class RunConfig:
             raise ValueError(f"na_points {self.na_points} exceeds the {EVAL_BATCH} one sweep evaluates")
         if self.trials < 2:
             raise ValueError("trials must be >= 2")
-        if int(self.seed) != self.seed:
-            raise ValueError("seed must be an integer")
         if self.mode in GAUSSIAN_MODES and self.f != 1.0:
             raise ValueError(f"{self.mode} models f = 1 only, got f = {self.f}")
 
@@ -176,8 +185,8 @@ def parse_config(argv=None) -> RunConfig:
     values.update(flags)
     if isinstance(values.get("p_values"), str):
         values["p_values"] = tuple(int(x) for x in values["p_values"].split(","))
-    if "p_values" in values:
-        values["p_values"] = tuple(int(x) for x in values["p_values"])
+    if isinstance(values.get("p_values"), list):
+        values["p_values"] = tuple(values["p_values"])
     if "f_values" in values:
         values["f_values"] = tuple(float(x) for x in values["f_values"])
     config = RunConfig(mode=args.mode, **values)

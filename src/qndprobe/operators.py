@@ -75,7 +75,7 @@ class StokesOperatorSet:
     sz: np.ndarray
 
 
-def build_spin_operators(f: float, dim_cap: int = DEFAULT_DIM_CAP) -> SpinOperatorSet:
+def build_spin_operators(f: float) -> SpinOperatorSet:
     """Build the spin-f operator set.
 
     The alignment operators are quadratic combinations of the spin matrices:
@@ -87,8 +87,8 @@ def build_spin_operators(f: float, dim_cap: int = DEFAULT_DIM_CAP) -> SpinOperat
     if not _is_half_integer(f) or f < 0.5:
         raise ValueError(f"spin must be a positive half-integer, got {f}")
     dim = int(round(2 * f)) + 1
-    if dim > dim_cap:
-        raise ValueError(f"spin f={f} needs dimension {dim} > cap {dim_cap}")
+    if dim > DEFAULT_DIM_CAP:
+        raise ValueError(f"spin f={f} needs dimension {dim} > cap {DEFAULT_DIM_CAP}")
     fx, fy, fz = angular_momentum_matrices(f)
     # jx = (fx^2 - fy^2)/2 = (f+^2 + f-^2)/4 and jy = (fx fy + fy fx)/2
     # = (f+^2 - f-^2)/(4i).  Building the squared ladder entries as a single

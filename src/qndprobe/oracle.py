@@ -4,10 +4,12 @@ Validates the linearized covariance engine: builds the full coupling
 Hamiltonian g1 Sz Jz + g2 (Sx Jx + Sy Jy) on the (atoms x photons) tensor
 space, evolves exactly via Hermitian eigendecomposition, and checks the
 bang-bang rotation / polarization-flip equivalence.  Between pulses the
-reduced atomic density matrix is carried (unconditional dynamics); meter
-correlations across pulses are tracked exactly through a propagated
-correlation operator so the cumulative meter variance matches the full
-multi-pulse pure-state calculation.
+reduced atomic density matrix is carried (unconditional dynamics): each
+probe pulse enters pure, so a pulse is the atomic Kraus channel of the
+operators <l|U|phi>, built once per run.  Meter correlations across pulses
+are tracked exactly through a propagated correlation operator so the
+cumulative meter variance matches the full multi-pulse pure-state
+calculation.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import numpy as np
 from .gaussian import CouplingParams, PulseSchedule, run_schedule, state_from_atomic_moments
 from .operators import build_spin_operators, build_stokes_operators
 
-# A dense complex D x D matrix takes 16 D^2 bytes and a pulse holds several:
+# A dense complex D x D matrix takes 16 D^2 bytes, and a run builds several
+# before its first pulse: the joint operators, H, its eigendecomposition and U.
 # D = 4096 (268 MB each) admits na = 6 spin-1 atoms at n_ph = 4 (D = 3645),
 # while na = 7 (D = 10935, 1.9 GB each) would exhaust an 8 GB host.
 DEFAULT_DIM_CAP = 4096
@@ -194,24 +197,9 @@ def single_atom_moments(single: np.ndarray, f: float) -> dict:
             "cov": cov, "mean_jx": ev(ops.jx)}
 
 
-@lru_cache(maxsize=32)
-def _pulse_workspace(na: int, two_f: int, n_ph: int, g1: float, g2: float):
-    """Cached unitary and photon-sector operators for one pulse configuration."""
-    ops = build_joint_operators(na, two_f / 2, n_ph)
-    h = build_heff(ops, g1, g2)
-    u = hermitian_unitary(h)
-    stokes = build_stokes_operators(n_ph)
-    return {
-        "u": u,
-        "sy": np.asarray(stokes.sy),
-        "sy2": np.asarray(stokes.sy @ stokes.sy),
-        "dim_a": int(round(2 * (two_f / 2) + 1)) ** na,
-        "dim_ph": n_ph + 1,
-    }
-
-
-def _pulse_reshape(mat: np.ndarray, dim_a: int, dim_ph: int) -> np.ndarray:
-    return mat.reshape(dim_a, dim_ph, dim_a, dim_ph)
+def _kraus_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_l left_l right_l^dag over two (n_ph+1)-stacks of atomic matrices."""
+    return np.tensordot(left, right.conj(), axes=([0, 2], [0, 2]))
 
 
 @dataclass(frozen=True)
@@ -230,20 +218,29 @@ def run_schedule_exact(
 ) -> ExactRunRecord:
     """Evolve a pulse train, tracking the signed cumulative meter exactly.
 
-    Pulse i is probed with the Sx = sign_i n_ph/2 state and the meter is
-    M = sum_i sign_i Sy_i.  Cross-pulse covariances
-    cov(Sy_i, Sy_j) survive the photon trace through the correlation operator
-    K = sum_i sign_i * (tr_ph[sigma (1 x Sy)] - <Sy_i> rho), which propagates
-    through later pulses by the same unitary-plus-trace channel as rho; this
-    reproduces the full multi-pulse calculation without keeping every photon
-    sector alive.
+    Pulse i is probed with the Sx = sign_i n_ph/2 state |phi_s> and the meter
+    is M = sum_i sign_i Sy_i.  Because the probe enters pure, a pulse acts on
+    the atoms as the Kraus channel rho -> sum_l E_l rho E_l^dag with
+    E_l = <l|U|phi_s>, and the outgoing Sy is read through
+    F_l = sum_m Sy[l, m] E_m: <Sy> = tr sum E rho F^dag and
+    <Sy^2> = tr sum F rho F^dag.  Both stacks are built once per sign and run,
+    so a pulse costs only products of atomic-sized matrices.
+    Cross-pulse covariances cov(Sy_i, Sy_j) survive the photon trace through
+    the correlation operator K = sum_i sign_i (sum E rho F^dag - <Sy_i> rho'),
+    which later pulses carry by the same channel as rho and read out as
+    tr sum E K F^dag; this reproduces the full multi-pulse calculation
+    without keeping every photon sector alive.
     """
     state = initial
     atomic = _atomic_collective(state.na, int(round(2 * state.f)))
-    ws = _pulse_workspace(state.na, int(round(2 * state.f)), state.n_ph, float(g1), float(g2))
-    dim_a, dim_ph = ws["dim_a"], ws["dim_ph"]
-    sy, sy2, u = ws["sy"], ws["sy2"], ws["u"]
-    u_dag = u.conj().T
+    dim_a, dim_ph = state.rho.shape[0], state.n_ph + 1
+    u = hermitian_unitary(build_heff(build_joint_operators(state.na, state.f, state.n_ph), g1, g2))
+    u = u.reshape(dim_a, dim_ph, dim_a, dim_ph)
+    sy = build_stokes_operators(state.n_ph).sy
+    kraus = {}
+    for sign in (1, -1):
+        e = np.ascontiguousarray(np.moveaxis(u @ polarized_photon_state(state.n_ph, sign), 1, 0))
+        kraus[sign] = e, np.tensordot(sy, e, axes=1)
 
     k_corr = np.zeros((dim_a, dim_a), dtype=complex)
     m_mean = 0.0
@@ -251,26 +248,20 @@ def run_schedule_exact(
     rec_jz, rec_jy, rec_mm, rec_mv = [], [], [], []
 
     for sign in schedule.signs.tolist():
-        phi = polarized_photon_state(state.n_ph, sign)
-        phi_proj = np.outer(phi, phi.conj())
-
-        joint = u @ np.kron(state.rho, phi_proj) @ u_dag
-        sigma = _pulse_reshape(joint, dim_a, dim_ph)
-        sy_mean = float(np.einsum("alam,ml->", sigma, sy).real)
-        sy_var = float(np.einsum("alam,ml->", sigma, sy2).real) - sy_mean ** 2
-        rho_out = np.einsum("alcl->ac", sigma)
+        e, sy_e = kraus[sign]
+        e_rho, e_k = e @ state.rho, e @ k_corr
+        rho_out = _kraus_sum(e_rho, e)
+        corr = _kraus_sum(e_rho, sy_e)
+        sy_mean = float(np.trace(corr).real)
+        sy_var = float(np.vdot(sy_e, sy_e @ state.rho).real) - sy_mean ** 2
 
         # cross covariance of this pulse with all earlier ones
-        k_joint = u @ np.kron(k_corr, phi_proj) @ u_dag
-        k_sigma = _pulse_reshape(k_joint, dim_a, dim_ph)
-        cross = float(np.einsum("alam,ml->", k_sigma, sy).real)
-        k_prop = np.einsum("alcl->ac", k_sigma)
+        cross = float(np.vdot(sy_e, e_k).real)
 
         m_mean += sign * sy_mean
         m_var += sy_var + 2.0 * sign * cross
 
-        corr = np.einsum("albm,ml->ab", sigma, sy)
-        k_corr = k_prop + sign * (corr - sy_mean * rho_out)
+        k_corr = _kraus_sum(e_k, e) + sign * (corr - sy_mean * rho_out)
 
         state = ExactState(na=state.na, f=state.f, n_ph=state.n_ph, rho=rho_out)
         state.check_normalization()
@@ -296,8 +287,7 @@ def check_bangbang_equivalence(
     """
     ops = build_joint_operators(na, f, n_ph)
     u_h = hermitian_unitary(build_heff(ops, g1, g2))
-    h_flipped = g1 * (ops.sz @ ops.jz) - g2 * (ops.sx @ ops.jx + ops.sy @ ops.jy)
-    u_flip = hermitian_unitary((h_flipped + h_flipped.conj().T) / 2)
+    u_flip = hermitian_unitary(build_heff(ops, g1, -g2))
     u_b = hermitian_unitary(ops.jz, phase=math.pi)
     diff = u_b.conj().T @ u_h @ u_b - u_flip
     return float(np.max(np.abs(diff)))

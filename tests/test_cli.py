@@ -53,6 +53,12 @@ def test_validation_failures_exit_2(tmp_path):
     assert main(["sweep", "--config", str(conf)]) == 2
     conf.write_text(json.dumps({"p": 2.0}))  # a pulse count must be an integer
     assert main(["impact", "--config", str(conf)]) == 2
+    # every integer field refuses a JSON float instead of crashing or truncating
+    for mode, key, value in (("sweep", "na_points", 20.0), ("montecarlo", "trials", 1e5),
+                             ("montecarlo", "seed", 5.0), ("oracle-compare", "n_ph", 4.0),
+                             ("oracle-compare", "oracle_na", 2.0), ("suppression", "p_values", [1.5, 2.7])):
+        conf.write_text(json.dumps({key: value}))
+        assert main([mode, "--config", str(conf)]) == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -76,7 +76,6 @@ def test_spin_builder_rejects_bad_input():
         build_spin_operators(0.0)
     with pytest.raises(ValueError):
         build_spin_operators(15.0)  # dimension 31 > default cap
-    build_spin_operators(15.0, dim_cap=40)
 
 
 def test_stokes_single_photon_is_half_pauli():
