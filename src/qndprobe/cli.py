@@ -23,6 +23,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .experiment import (
     G1_REFERENCE,
     NL_REFERENCE,
     dropped_terms_impact,
-    fit_linear_quadratic,
     monte_carlo_sample,
     paper_scale_params,
     projection_noise_line,
@@ -48,9 +48,16 @@ MODES = ("algebra-check", "oracle-compare", "sweep", "suppression", "impact", "m
 GAUSSIAN_MODES = ("sweep", "suppression", "impact", "montecarlo")
 
 
-# A config file is JSON, so 20.0 or true can reach these fields; `type(x) is int`
-# refuses both (bool is a subclass of int).
-_INT_FIELDS = ("seed", "p", "num_pulses", "na_points", "n_ph", "oracle_na", "trials")
+def _has_type(value, declared) -> bool:
+    """Whether a JSON config value has its field's declared type, without coercion."""
+    args = get_args(declared)
+    if get_origin(declared) is tuple:  # tuple[X, ...]: a JSON list of X
+        return type(value) is tuple and all(_has_type(x, args[0]) for x in value)
+    if args:  # X | None
+        return any(_has_type(value, arg) for arg in args)
+    if declared is float:  # an int too, but not a bool (a subclass of int)
+        return type(value) in (int, float)
+    return type(value) is declared  # so an int field refuses true and 20.0
 
 
 @dataclass
@@ -69,7 +76,7 @@ class RunConfig:
     na_min: float = 1.0e4
     na_max: float = 2.0e6
     na_points: int = 20
-    p_values: tuple = (1, 2, 5)
+    p_values: tuple[int, ...] = (1, 2, 5)
     n_ph: int = 4
     oracle_na: int = 2
     tilt: float = 0.4
@@ -77,22 +84,24 @@ class RunConfig:
     trials: int = 100_000
     scattering_eps: float = 0.0
     include_dropped_terms: bool = False
-    f_values: tuple = (0.5, 1.0, 1.5, 2.0)
+    f_values: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0)
 
     def validate(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if type(value) is not int and not (name == "num_pulses" and value is None):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not (isinstance(self.p_values, tuple) and all(type(x) is int for x in self.p_values)):
-            raise ValueError(f"p_values must be a list of integers, got {self.p_values!r}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not _has_type(value, _FIELD_TYPES[field.name]):
+                raise ValueError(f"{field.name} must have type {field.type}, got {value!r}")
         if self.schedule not in ("naive", "decoupled"):
             raise ValueError(f"schedule must be 'naive' or 'decoupled', got {self.schedule!r}")
         if self.p < 1:
             raise ValueError("p must be >= 1")
-        if self.na_points < 1 or self.na_min <= 0 or self.na_max < self.na_min:
+        # four points over-determine c0 + c1 NA + c2 NA^2, so a reader can
+        # re-fit the CSV rows and check the exact footer
+        if self.na_points < 4:
+            raise ValueError(f"na_points must be >= 4, got {self.na_points}")
+        if self.na_min <= 0 or self.na_max < self.na_min:
             raise ValueError("invalid atom-number range")
         if self.na_points > EVAL_BATCH:
             raise ValueError(f"na_points {self.na_points} exceeds the {EVAL_BATCH} one sweep evaluates")
@@ -103,6 +112,7 @@ class RunConfig:
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"mode"}
+_FIELD_TYPES = get_type_hints(RunConfig)
 
 
 def _load_config_file(path: str) -> dict:
@@ -161,7 +171,7 @@ READS = {
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qndprobe",
-        description="Pulsed QND probing of large-spin ensembles: checks, sweeps and fits.",
+        description="Pulsed QND probing of large-spin ensembles: checks and sweeps.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode in MODES:
@@ -185,10 +195,9 @@ def parse_config(argv=None) -> RunConfig:
     values.update(flags)
     if isinstance(values.get("p_values"), str):
         values["p_values"] = tuple(int(x) for x in values["p_values"].split(","))
-    if isinstance(values.get("p_values"), list):
-        values["p_values"] = tuple(values["p_values"])
-    if "f_values" in values:
-        values["f_values"] = tuple(float(x) for x in values["f_values"])
+    for name in ("p_values", "f_values"):
+        if isinstance(values.get(name), list):
+            values[name] = tuple(values[name])
     config = RunConfig(mode=args.mode, **values)
     config.validate()
     return config
@@ -272,20 +281,14 @@ def _run_oracle_compare(config: RunConfig) -> tuple[list, list, list]:
 def _run_sweep(config: RunConfig) -> tuple[list, list, list]:
     na_values = list(np.geomspace(config.na_min, config.na_max, config.na_points))
     params, schedule = _params_and_schedule(config, na_values[0])
-    rows_data = sweep_atom_number(params, na_values, schedule)
+    sweep = sweep_atom_number(params, na_values, schedule)
     header = ["na", "mode", "p", "normalized_meter_var", "projection_line"]
+    p = schedule.p if schedule.p is not None else 0
     rows = [
-        [r.na, r.mode, r.p if r.p is not None else 0, r.normalized_meter_var,
-         projection_noise_line(params.g1, config.nl_total, r.na)]
-        for r in rows_data
+        [na, schedule.mode, p, var, projection_noise_line(params.g1, config.nl_total, na)]
+        for na, var in zip(sweep.na.tolist(), sweep.normalized_meter_var.tolist())
     ]
-    fit = fit_linear_quadratic(rows_data)
-    footer = [
-        f"c0 = {_fmt(fit.c0)}",
-        f"c1 = {_fmt(fit.c1)}",
-        f"c2 = {_fmt(fit.c2)}",
-        f"residual_rms = {_fmt(fit.residual_rms)}",
-    ]
+    footer = [f"c0 = {_fmt(sweep.c0)}", f"c1 = {_fmt(sweep.c1)}", f"c2 = {_fmt(sweep.c2)}"]
     return header, rows, footer
 
 

@@ -1,8 +1,8 @@
-"""Noise-scaling sweeps, fits and figure-of-merit formulas for pulsed QND probing.
+"""Noise-scaling sweeps and figure-of-merit formulas for pulsed QND probing.
 
 Reproduces the desk-scale quantitative story: normalized polarimeter
-variance versus atom number for naive and decoupled pulse trains, the
-linear/quadratic decomposition of that curve, the projection-noise line,
+variance versus atom number for naive and decoupled pulse trains with the
+kernel's exact c0 + c1 NA + c2 NA^2 of that curve, the projection-noise line,
 the dB-below-projection metric, physical coupling estimates, and a seeded
 Monte Carlo cross-check of the analytic meter variance.
 """
@@ -150,44 +150,45 @@ def paper_scale_params(
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    na: float
-    normalized_meter_var: float
-    mode: str
-    p: int | None
+class Sweep:
+    """Normalized var(M) at each atom number and its exact polynomial c0 + c1 NA + c2 NA^2."""
+
+    na: np.ndarray
+    normalized_meter_var: np.ndarray
+    c0: float
+    c1: float
+    c2: float
 
     def __post_init__(self):
         # below the shot-noise floor means the propagation broke down numerically
-        if self.normalized_meter_var < 1.0 - 1e-9:
+        if (self.normalized_meter_var < 1.0 - 1e-9).any():
             raise ArithmeticError("normalized meter variance fell below the shot-noise floor")
+
+    def __len__(self) -> int:
+        return len(self.na)
 
 
 def sweep_atom_number(
     params_template: CouplingParams,
     na_values,
     schedule: PulseSchedule,
-) -> list[SweepRow]:
+) -> Sweep:
     """Normalized var(M) of the CSS at every atom number, from one pass of the train.
 
     ``gaussian.css_meter_variance`` propagates the covariance once as its
-    exact quadratic in NA and PSD-checks every pulse at every atom number.
+    exact quadratic in NA and PSD-checks every pulse at every atom number;
+    its final var(M) coefficients, normalized like the grid values, are the
+    sweep's c0, c1 and c2.
     """
-    na_values = [float(na) for na in na_values]
-    if not na_values:
+    na = np.array(na_values, dtype=float)
+    if not na.size:
         raise ValueError("na_values must be non-empty")
-    if any(b <= a for a, b in zip(na_values, na_values[1:])):
+    if (np.diff(na) <= 0).any():
         raise ValueError("na_values must be strictly ascending")
-    meter_var = css_meter_variance(params_template, schedule, na_values)
+    meter_var, coeffs = css_meter_variance(params_template, schedule, na)
     nl_total = params_template.photons_per_pulse * len(schedule)
-    return [
-        SweepRow(
-            na=na,
-            normalized_meter_var=4.0 * float(var) / nl_total,
-            mode=schedule.mode,
-            p=schedule.p,
-        )
-        for na, var in zip(na_values, meter_var)
-    ]
+    c0, c1, c2 = (4.0 * coeffs / nl_total).tolist()
+    return Sweep(na=na, normalized_meter_var=4.0 * meter_var / nl_total, c0=c0, c1=c1, c2=c2)
 
 
 @dataclass(frozen=True)
@@ -198,18 +199,16 @@ class FitResult:
     residual_rms: float
 
 
-def fit_linear_quadratic(rows) -> FitResult:
+def fit_linear_quadratic(data) -> FitResult:
     """Unweighted least-squares fit v(na) = c0 + c1 na + c2 na^2.
 
-    Accepts SweepRow lists or (na, value) array pairs.  Columns are rescaled
+    Accepts a Sweep or an (na, value) array pair.  Columns are rescaled
     before the orthogonal-decomposition solve so the wide dynamic range of
     na does not degrade the recovered coefficients.
     """
-    if isinstance(rows, tuple) and len(rows) == 2:
-        na, values = (np.asarray(x, dtype=float) for x in rows)
-    else:
-        na = np.array([r.na for r in rows], dtype=float)
-        values = np.array([r.normalized_meter_var for r in rows], dtype=float)
+    if isinstance(data, Sweep):
+        data = data.na, data.normalized_meter_var
+    na, values = (np.asarray(x, dtype=float) for x in data)
     if na.size < 4:
         raise ValueError("need at least 4 rows for a quadratic fit")
     scale = na.max()
@@ -240,7 +239,7 @@ def quadratic_suppression_curve(
     p_values,
     na_values=None,
 ) -> list[SuppressionPoint]:
-    """Fitted quadratic coefficient of the decoupled sweep as a function of order p.
+    """Exact quadratic coefficient of the decoupled sweep as a function of order p.
 
     The photon budget ``nl_total`` is held fixed and split across the 2p
     pulses of each order; the template's photons_per_pulse is not used.
@@ -253,8 +252,7 @@ def quadratic_suppression_curve(
     for p in p_values:
         schedule = PulseSchedule.decoupled(p)
         params = replace(params_template, photons_per_pulse=nl_total / len(schedule))
-        fit = fit_linear_quadratic(sweep_atom_number(params, na_values, schedule))
-        points.append(SuppressionPoint(p=p, c2=fit.c2))
+        points.append(SuppressionPoint(p=p, c2=sweep_atom_number(params, na_values, schedule).c2))
     return points
 
 

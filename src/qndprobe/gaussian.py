@@ -16,8 +16,8 @@ C0 + NA C1 + NA^2 C2 for a CSS start, so the kernel carries the three
 coefficient matrices through the train in one pass (a given initial state
 is the same polynomial taken at 1).  ``run_schedule`` evaluates it at its
 atom number; ``css_meter_variance`` evaluates one train at every atom number
-of a sweep.  Every pulse's covariance is PSD-checked, in a sweep at every
-atom number.
+of a sweep and returns the final var(M) coefficients too.  Every pulse's
+covariance is PSD-checked, in a sweep at every atom number.
 """
 
 from __future__ import annotations
@@ -398,8 +398,8 @@ def run_schedule(
     )
 
 
-def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_numbers) -> np.ndarray:
-    """Final var(M) of the x-polarized CSS at each atom number, from one pass of the train.
+def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_numbers) -> tuple:
+    """Final var(M) of the x-polarized CSS at each atom number, and its c0, c1, c2 in NA.
 
     The covariance is exactly quadratic in NA, so the train is propagated once
     and evaluated at every atom number; ``params.atom_number`` is not used.
@@ -413,4 +413,4 @@ def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_num
     for _, _, coeffs, _ in _train(params, schedule, unit, nu, EVAL_BATCH // len(lam)):
         covs = _covariances(coeffs, lam)
         _psd_margins(covs)
-    return covs[-1, :, M, M]
+    return covs[-1, :, M, M], coeffs[-1, :, _VEC_M_M]

@@ -52,7 +52,7 @@ def _atomic_collective(na: int, two_f: int) -> dict:
     """Collective atomic operators (sums over atoms) on the atomic space."""
     ops = build_spin_operators(two_f / 2)
     out = {}
-    for name, single in (("jx", ops.jx), ("jy", ops.jy), ("jz", ops.jz), ("jxy", ops.jxy)):
+    for name, single in (("jx", ops.jx), ("jy", ops.jy), ("jz", ops.jz)):
         total = sum(_embed_single_atom(single, i, na) for i in range(na))
         total.setflags(write=False)
         out[name] = total
@@ -70,7 +70,6 @@ class CollectiveOperators:
     jx: np.ndarray
     jy: np.ndarray
     jz: np.ndarray
-    jxy: np.ndarray
     sx: np.ndarray
     sy: np.ndarray
     sz: np.ndarray
@@ -92,7 +91,6 @@ def build_joint_operators(na: int, f: float, n_ph: int) -> CollectiveOperators:
         jx=np.kron(atomic["jx"], eye_ph),
         jy=np.kron(atomic["jy"], eye_ph),
         jz=np.kron(atomic["jz"], eye_ph),
-        jxy=np.kron(atomic["jxy"], eye_ph),
         sx=np.kron(eye_a, stokes.sx),
         sy=np.kron(eye_a, stokes.sy),
         sz=np.kron(eye_a, stokes.sz),

@@ -128,12 +128,12 @@ def test_criterion_4_ideal_qnd_recovery():
 
 def test_criterion_5_projection_noise_line():
     params, sched = paper_scale_params(mode="decoupled", p=5, g2=0.0)
-    rows = sweep_atom_number(params, list(DEFAULT_NA_GRID), sched)
+    sweep = sweep_atom_number(params, list(DEFAULT_NA_GRID), sched)
     nl_total = params.photons_per_pulse * len(sched)
     worst = max(
-        abs(r.normalized_meter_var - projection_noise_line(params.g1, nl_total, r.na))
-        / projection_noise_line(params.g1, nl_total, r.na)
-        for r in rows
+        abs(var - projection_noise_line(params.g1, nl_total, na))
+        / projection_noise_line(params.g1, nl_total, na)
+        for na, var in zip(sweep.na, sweep.normalized_meter_var)
     )
     params_ref, sched_ref = paper_scale_params(mode="decoupled", p=5, g2=0.0, na=1e6)
     value = 4 * run_schedule(params_ref, sched_ref).meter_var / (params_ref.photons_per_pulse * len(sched_ref))

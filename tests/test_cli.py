@@ -56,7 +56,11 @@ def test_validation_failures_exit_2(tmp_path):
     # every integer field refuses a JSON float instead of crashing or truncating
     for mode, key, value in (("sweep", "na_points", 20.0), ("montecarlo", "trials", 1e5),
                              ("montecarlo", "seed", 5.0), ("oracle-compare", "n_ph", 4.0),
-                             ("oracle-compare", "oracle_na", 2.0), ("suppression", "p_values", [1.5, 2.7])):
+                             ("oracle-compare", "oracle_na", 2.0), ("suppression", "p_values", [1.5, 2.7]),
+                             # and every other field a value of another JSON type
+                             ("sweep", "include_dropped_terms", "no"), ("montecarlo", "scattering_eps", True),
+                             ("algebra-check", "f_values", "12"), ("sweep", "na_min", "1e4"),
+                             ("impact", "g1", "0.1"), ("impact", "na", None), ("oracle-compare", "tilt", "0.4")):
         conf.write_text(json.dumps({key: value}))
         assert main([mode, "--config", str(conf)]) == 2
 
@@ -169,6 +173,7 @@ def test_sweep_csv_matches_projection_line_for_g2_zero(tmp_path):
         var, line = float(row[i_var]), float(row[i_line])
         assert abs(var - line) / line < 1e-9
     assert any(line.startswith("# c2") for line in footer)
+    assert "# c2 = 0" in footer  # the kernel's exact quadratic coefficient
 
 
 def test_fixed_seed_runs_are_byte_identical(tmp_path):

@@ -100,24 +100,24 @@ def test_db_rejects_nonpositive_excess():
 
 def test_sweep_matches_projection_line_when_g2_zero():
     params, sched = paper_scale_params(mode="decoupled", p=5, g2=0.0)
-    rows = sweep_atom_number(params, list(DEFAULT_NA_GRID), sched)
-    for row in rows:
-        line = projection_noise_line(params.g1, params.photons_per_pulse * len(sched), row.na)
-        assert row.normalized_meter_var == pytest.approx(line, rel=1e-9)
+    sweep = sweep_atom_number(params, list(DEFAULT_NA_GRID), sched)
+    for na, var in zip(sweep.na, sweep.normalized_meter_var):
+        line = projection_noise_line(params.g1, params.photons_per_pulse * len(sched), na)
+        assert var == pytest.approx(line, rel=1e-9)
 
 
 def test_naive_noisier_than_decoupled_at_paper_scale():
     params_n, sched_n = paper_scale_params(mode="naive", p=5, na=1e6)
     params_d, sched_d = paper_scale_params(mode="decoupled", p=5, na=1e6)
-    naive = sweep_atom_number(params_n, [1e6], sched_n)[0].normalized_meter_var
-    dec = sweep_atom_number(params_d, [1e6], sched_d)[0].normalized_meter_var
+    naive = sweep_atom_number(params_n, [1e6], sched_n).normalized_meter_var[0]
+    dec = sweep_atom_number(params_d, [1e6], sched_d).normalized_meter_var[0]
     assert naive > dec
 
 
 def test_sweep_single_row_and_validation():
     params, sched = paper_scale_params(mode="decoupled", p=2)
-    rows = sweep_atom_number(params, [1e5], sched)
-    assert len(rows) == 1 and rows[0].na == 1e5 and rows[0].p == 2
+    sweep = sweep_atom_number(params, [1e5], sched)
+    assert len(sweep) == 1 and sweep.na[0] == 1e5 and sweep.normalized_meter_var.shape == (1,)
     with pytest.raises(ValueError):
         sweep_atom_number(params, [], sched)
     with pytest.raises(ValueError):
@@ -150,6 +150,27 @@ def test_fit_validation():
     same = np.full(5, 2e5)
     with pytest.raises(ValueError):
         fit_linear_quadratic((same, np.ones(5)))
+
+
+# naive(10), decoupled(5) and decoupled(1000), each plain and at eps = 1e-6 with the
+# dropped terms, then the two sweeps whose quadratic vanishes: g2 = 0 and decoupled(1)
+EXACT_CASES = [
+    (mode, p, None, eps, dropped)
+    for mode, p in [("naive", 5), ("decoupled", 5), ("decoupled", 1000)]
+    for eps, dropped in [(0.0, False), (1e-6, True)]
+] + [("decoupled", 5, 0.0, 0.0, False), ("decoupled", 1, None, 0.0, False)]
+
+
+@pytest.mark.parametrize("mode,p,g2,eps,dropped", EXACT_CASES)
+def test_sweep_coefficients_match_the_fit(mode, p, g2, eps, dropped):
+    params, sched = paper_scale_params(mode=mode, p=p, g2=g2, scattering_eps=eps, include_dropped_terms=dropped)
+    sweep = sweep_atom_number(params, list(DEFAULT_NA_GRID), sched)
+    fit = fit_linear_quadratic(sweep)
+    vanishes = g2 == 0.0 or sched.num_pulses == 2
+    assert (sweep.c2 == 0.0) == vanishes
+    pairs = [(sweep.c0, fit.c0), (sweep.c1, fit.c1)] + ([] if vanishes else [(sweep.c2, fit.c2)])
+    for exact, fitted in pairs:
+        assert exact != 0.0 and abs(exact - fitted) <= 1e-10 * abs(exact)
 
 
 def test_naive_fit_has_positive_quadratic_component():

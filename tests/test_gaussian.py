@@ -107,7 +107,7 @@ def test_train_memory_cap_refuses_before_allocating():
 def test_sweep_refuses_more_atom_numbers_than_one_block():
     params, sched = paper_params("decoupled", p=1)
     grid = np.geomspace(1e4, 2e6, EVAL_BATCH)
-    assert css_meter_variance(params, sched, grid).shape == (EVAL_BATCH,)
+    assert css_meter_variance(params, sched, grid)[0].shape == (EVAL_BATCH,)
     with pytest.raises(ValueError, match="atom numbers"):
         css_meter_variance(params, sched, np.geomspace(1e4, 2e6, EVAL_BATCH + 1))
 
@@ -406,13 +406,13 @@ def test_sweep_matches_per_point_fold(mode, dropped):
     from qndprobe.experiment import sweep_atom_number
     params, sched = paper_params(mode, p=5, scattering_eps=1e-3, include_dropped_terms=dropped)
     grid = list(np.geomspace(1e4, 2e6, 6))
-    rows = sweep_atom_number(params, grid, sched)
-    for na, row in zip(grid, rows):
+    sweep = sweep_atom_number(params, grid, sched)
+    for na, var in zip(grid, sweep.normalized_meter_var):
         point = replace(params, atom_number=na)
         meter_var = reference_fold(point, sched.signs.tolist(), init_css(point))[1][M, M]
         nl_total = params.photons_per_pulse * len(sched)
-        assert row.normalized_meter_var == pytest.approx(4 * meter_var / nl_total, rel=1e-12)
-    assert css_meter_variance(params, sched, grid).shape == (6,)
+        assert var == pytest.approx(4 * meter_var / nl_total, rel=1e-12)
+    assert css_meter_variance(params, sched, grid)[0].shape == (6,)
 
 
 @pytest.mark.parametrize("batch", [None, 12])
@@ -421,7 +421,7 @@ def test_every_pulse_checked_at_every_point(monkeypatch, batch):
     import qndprobe.gaussian as gaussian
     params, sched = paper_params("decoupled", p=5, scattering_eps=1e-3, include_dropped_terms=True)
     grid = list(np.geomspace(1e4, 2e6, 6))
-    whole_sweep = css_meter_variance(params, sched, grid)
+    whole_sweep = css_meter_variance(params, sched, grid)[0]
     whole_run = run_schedule(params, sched)
     checked = []
     real = gaussian._psd_margins
@@ -433,7 +433,7 @@ def test_every_pulse_checked_at_every_point(monkeypatch, batch):
     monkeypatch.setattr(gaussian, "_psd_margins", spy)
     if batch is not None:
         monkeypatch.setattr(gaussian, "EVAL_BATCH", batch)
-    assert np.array_equal(css_meter_variance(params, sched, grid), whole_sweep)
+    assert np.array_equal(css_meter_variance(params, sched, grid)[0], whole_sweep)
     assert sum(n for n, _ in checked) == len(sched) and {k for _, k in checked} == {6}
     checked.clear()
     result = run_schedule(params, sched)
