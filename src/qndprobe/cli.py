@@ -93,10 +93,16 @@ class RunConfig:
             value = getattr(self, field.name)
             if not _has_type(value, _FIELD_TYPES[field.name]):
                 raise ValueError(f"{field.name} must have type {field.type}, got {value!r}")
+            # JSON NaN and Infinity are floats, and so are the flag values nan and inf
+            items = value if type(value) is tuple else (value,)
+            if any(type(x) is float and not math.isfinite(x) for x in items):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         if self.schedule not in ("naive", "decoupled"):
             raise ValueError(f"schedule must be 'naive' or 'decoupled', got {self.schedule!r}")
         if self.p < 1:
             raise ValueError("p must be >= 1")
+        if not self.p_values or not self.f_values:
+            raise ValueError("p_values and f_values must not be empty")
         # four points over-determine c0 + c1 NA + c2 NA^2, so a reader can
         # re-fit the CSV rows and check the exact footer
         if self.na_points < 4:

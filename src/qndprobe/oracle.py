@@ -2,7 +2,8 @@
 
 Validates the linearized covariance engine: builds the full coupling
 Hamiltonian g1 Sz Jz + g2 (Sx Jx + Sy Jy) on the (atoms x photons) tensor
-space, evolves exactly via Hermitian eigendecomposition, and checks the
+space as a sum of Kronecker products of collective atomic and Stokes
+factors, evolves exactly via Hermitian eigendecomposition, and checks the
 bang-bang rotation / polarization-flip equivalence.  Between pulses the
 reduced atomic density matrix is carried (unconditional dynamics): each
 probe pulse enters pure, so a pulse is the atomic Kraus channel of the
@@ -25,16 +26,18 @@ from .gaussian import CouplingParams, PulseSchedule, run_schedule, state_from_at
 from .operators import build_spin_operators, build_stokes_operators
 
 # A dense complex D x D matrix takes 16 D^2 bytes, and a run builds several
-# before its first pulse: the joint operators, H, its eigendecomposition and U.
+# before its first pulse: H, its eigenvectors and U.
 # D = 4096 (268 MB each) admits na = 6 spin-1 atoms at n_ph = 4 (D = 3645),
 # while na = 7 (D = 10935, 1.9 GB each) would exhaust an 8 GB host.
 DEFAULT_DIM_CAP = 4096
 
 
-def _check_joint_dim(dim_a: int, n_ph: int) -> None:
-    """Refuse an atomic dimension dim_a whose joint space with n_ph photons exceeds the cap."""
-    if dim_a * (n_ph + 1) > DEFAULT_DIM_CAP:
-        raise ValueError(f"joint dimension {dim_a * (n_ph + 1)} exceeds cap {DEFAULT_DIM_CAP}")
+def _check_joint_dim(dim: int, na: int, n_ph: int) -> None:
+    """Refuse na < 1, or na dim-level atoms whose joint space with n_ph photons exceeds the cap."""
+    if na < 1:
+        raise ValueError("need at least one atom")
+    if dim ** na * (n_ph + 1) > DEFAULT_DIM_CAP:
+        raise ValueError(f"joint dimension {dim ** na * (n_ph + 1)} exceeds cap {DEFAULT_DIM_CAP}")
 
 
 def _kron_all(mats) -> np.ndarray:
@@ -59,48 +62,20 @@ def _atomic_collective(na: int, two_f: int) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class CollectiveOperators:
-    """Collective spin/alignment and Stokes operators on the joint space."""
+def build_heff(na: int, f: float, n_ph: int, g1: float, g2: float) -> np.ndarray:
+    """Pulse-integrated coupling Hamiltonian g1 Sz Jz + g2 (Sx Jx + Sy Jy).
 
-    na: int
-    f: float
-    n_ph: int
-    dim: int
-    jx: np.ndarray
-    jy: np.ndarray
-    jz: np.ndarray
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-
-
-def build_joint_operators(na: int, f: float, n_ph: int) -> CollectiveOperators:
-    """Tensor the collective atomic operators and Stokes operators together."""
-    if na < 1:
-        raise ValueError("need at least one atom")
-    spin = build_spin_operators(f)
+    Each term is the Kronecker product of a collective atomic operator and a
+    Stokes operator, so H is built on the (atoms x photons) space without
+    joint-space operators or matrix products, and is exactly Hermitian.
+    The joint dimension is checked against the cap before anything is built.
+    """
+    _check_joint_dim(build_spin_operators(f).dim, na, n_ph)
     stokes = build_stokes_operators(n_ph)
-    _check_joint_dim(spin.dim ** na, n_ph)
-    dim = spin.dim ** na * stokes.dim
     atomic = _atomic_collective(na, int(round(2 * f)))
-    eye_a = np.eye(spin.dim ** na, dtype=complex)
-    eye_ph = np.eye(stokes.dim, dtype=complex)
-    return CollectiveOperators(
-        na=na, f=float(f), n_ph=n_ph, dim=dim,
-        jx=np.kron(atomic["jx"], eye_ph),
-        jy=np.kron(atomic["jy"], eye_ph),
-        jz=np.kron(atomic["jz"], eye_ph),
-        sx=np.kron(eye_a, stokes.sx),
-        sy=np.kron(eye_a, stokes.sy),
-        sz=np.kron(eye_a, stokes.sz),
+    return g1 * np.kron(atomic["jz"], stokes.sz) + g2 * (
+        np.kron(atomic["jx"], stokes.sx) + np.kron(atomic["jy"], stokes.sy)
     )
-
-
-def build_heff(ops: CollectiveOperators, g1: float, g2: float) -> np.ndarray:
-    """Pulse-integrated coupling Hamiltonian g1 Sz Jz + g2 (Sx Jx + Sy Jy)."""
-    h = g1 * (ops.sz @ ops.jz) + g2 * (ops.sx @ ops.jx + ops.sy @ ops.jy)
-    return (h + h.conj().T) / 2
 
 
 def hermitian_unitary(h: np.ndarray, phase: float = -1.0) -> np.ndarray:
@@ -135,11 +110,11 @@ class ExactState:
     rho: np.ndarray
 
     def __post_init__(self):
-        dim_a = int(round(2 * self.f + 1)) ** self.na
+        dim = int(round(2 * self.f + 1))
+        _check_joint_dim(dim, self.na, self.n_ph)
         rho = np.asarray(self.rho, dtype=complex)
-        if rho.shape != (dim_a, dim_a):
-            raise ValueError(f"density matrix must be {dim_a}x{dim_a}")
-        _check_joint_dim(dim_a, self.n_ph)
+        if rho.shape != (dim ** self.na, dim ** self.na):
+            raise ValueError(f"density matrix must be {dim ** self.na}x{dim ** self.na}")
         self.rho = rho
 
     @classmethod
@@ -148,7 +123,7 @@ class ExactState:
         norm = np.linalg.norm(single)
         if abs(norm - 1.0) > 1e-10:
             raise ValueError("single-atom state must be normalized")
-        _check_joint_dim(single.size ** na, n_ph)  # before the dim_a^2 density matrix exists
+        _check_joint_dim(single.size, na, n_ph)  # before the dim_a^2 density matrix exists
         psi = _kron_all([single] * na)
         return cls(na=na, f=float(f), n_ph=n_ph, rho=np.outer(psi, psi.conj()))
 
@@ -232,7 +207,7 @@ def run_schedule_exact(
     state = initial
     atomic = _atomic_collective(state.na, int(round(2 * state.f)))
     dim_a, dim_ph = state.rho.shape[0], state.n_ph + 1
-    u = hermitian_unitary(build_heff(build_joint_operators(state.na, state.f, state.n_ph), g1, g2))
+    u = hermitian_unitary(build_heff(state.na, state.f, state.n_ph, g1, g2))
     u = u.reshape(dim_a, dim_ph, dim_a, dim_ph)
     sy = build_stokes_operators(state.n_ph).sy
     kraus = {}
@@ -283,10 +258,10 @@ def check_bangbang_equivalence(
     Jx, Jy, so U_b^dag U_H U_b must equal evolution under the Hamiltonian
     with Sx -> -Sx, Sy -> -Sy.
     """
-    ops = build_joint_operators(na, f, n_ph)
-    u_h = hermitian_unitary(build_heff(ops, g1, g2))
-    u_flip = hermitian_unitary(build_heff(ops, g1, -g2))
-    u_b = hermitian_unitary(ops.jz, phase=math.pi)
+    u_h = hermitian_unitary(build_heff(na, f, n_ph, g1, g2))
+    u_flip = hermitian_unitary(build_heff(na, f, n_ph, g1, -g2))
+    jz = _atomic_collective(na, int(round(2 * f)))["jz"]
+    u_b = np.kron(hermitian_unitary(jz, phase=math.pi), np.eye(n_ph + 1))
     diff = u_b.conj().T @ u_h @ u_b - u_flip
     return float(np.max(np.abs(diff)))
 

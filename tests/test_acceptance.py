@@ -27,10 +27,10 @@ from qndprobe.experiment import (
     sweep_atom_number,
 )
 from qndprobe.gaussian import JZ, PulseSchedule, init_css, run_schedule
-from qndprobe.operators import build_spin_operators, commutator
+from qndprobe.operators import build_spin_operators, build_stokes_operators, commutator
 from qndprobe.oracle import (
+    _atomic_collective,
     build_heff,
-    build_joint_operators,
     check_bangbang_equivalence,
     oracle_vs_gaussian,
 )
@@ -76,9 +76,10 @@ def test_criterion_2_symmetry_and_bangbang():
     for f in (0.5, 1.0):
         for na in (1, 2, 3):
             for n_ph in (2, 4, 6):
-                ops = build_joint_operators(na, f, n_ph)
-                h = build_heff(ops, 0.05, 0.05)
-                total_z = ops.sz + ops.jz
+                h = build_heff(na, f, n_ph, 0.05, 0.05)
+                jz = _atomic_collective(na, int(round(2 * f)))["jz"]
+                sz = build_stokes_operators(n_ph).sz
+                total_z = np.kron(jz, np.eye(n_ph + 1)) + np.kron(np.eye(jz.shape[0]), sz)
                 worst_comm = max(worst_comm, np.max(np.abs(h @ total_z - total_z @ h)))
                 worst_bb = max(worst_bb, check_bangbang_equivalence(na, f, n_ph, 0.05, 0.05))
     elapsed = time.perf_counter() - start

@@ -60,7 +60,12 @@ def test_validation_failures_exit_2(tmp_path):
                              # and every other field a value of another JSON type
                              ("sweep", "include_dropped_terms", "no"), ("montecarlo", "scattering_eps", True),
                              ("algebra-check", "f_values", "12"), ("sweep", "na_min", "1e4"),
-                             ("impact", "g1", "0.1"), ("impact", "na", None), ("oracle-compare", "tilt", "0.4")):
+                             ("impact", "g1", "0.1"), ("impact", "na", None), ("oracle-compare", "tilt", "0.4"),
+                             # non-finite numbers (json writes NaN and Infinity) and empty lists
+                             ("impact", "na", float("nan")), ("oracle-compare", "tilt", float("nan")),
+                             ("sweep", "na_max", float("inf")), ("impact", "g2", float("-inf")),
+                             ("algebra-check", "f_values", [1.0, float("nan")]),
+                             ("suppression", "p_values", []), ("algebra-check", "f_values", [])):
         conf.write_text(json.dumps({key: value}))
         assert main([mode, "--config", str(conf)]) == 2
 
@@ -78,6 +83,12 @@ def test_validation_failures_exit_2(tmp_path):
     ["suppression", "--pulses", "3"],
     ["impact", "--p", "100000000"],                  # about 14 GB of per-pulse arrays, above the cap
     ["sweep", "--na-points", "1000000000"],          # more atom numbers than one sweep evaluates
+    ["oracle-compare", "--oracle-na", "0"],          # no atoms
+    ["oracle-compare", "--oracle-na", "-1"],
+    ["sweep", "--na-min", "nan"],                    # non-finite numbers
+    ["sweep", "--na-max", "inf"],
+    ["impact", "--na", "nan"],
+    ["impact", "--nl", "inf"],
 ])
 def test_rejected_subcommand_input_exits_2_without_output(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"

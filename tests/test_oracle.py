@@ -9,7 +9,6 @@ from qndprobe.operators import build_stokes_operators
 from qndprobe.oracle import (
     ExactState,
     build_heff,
-    build_joint_operators,
     check_bangbang_equivalence,
     hermitian_unitary,
     oracle_vs_gaussian,
@@ -21,30 +20,37 @@ from qndprobe.oracle import (
 )
 
 
-# ------------------------------------------------------------- joint operators
+# ------------------------------------------------------- joint space and factors
+
+def total_z(na, f, n_ph):
+    """Sz + Jz on the (atoms x photons) space, built from the factors H is built from."""
+    jz = _atomic_collective(na, int(round(2 * f)))["jz"]
+    sz = build_stokes_operators(n_ph).sz
+    return np.kron(jz, np.eye(n_ph + 1)) + np.kron(np.eye(jz.shape[0]), sz)
+
 
 def test_joint_dimension_two_atoms():
-    ops = build_joint_operators(2, 1.0, 2)
-    assert ops.dim == 27
-    assert ops.jz.shape == (27, 27)
+    h = build_heff(2, 1.0, 2, 0.3, 0.2)
+    assert h.shape[0] == 27
+    assert h.shape == (27, 27)
 
 
 def test_single_atom_jz_spectrum():
-    ops = build_joint_operators(1, 1.0, 2)
-    eig = np.unique(np.round(np.linalg.eigvalsh(ops.jz), 12))
+    # at g1 = 1, g2 = 0, H = Jz (x) Sz, and Sz at n_ph = 2 has spectrum {-1, 0, 1}
+    eig = np.unique(np.round(np.linalg.eigvalsh(build_heff(1, 1.0, 2, 1.0, 0.0)), 12))
     assert np.allclose(eig, [-0.5, 0.0, 0.5])
 
 
 def test_three_atom_jx_extreme_eigenvalue():
-    ops = build_joint_operators(3, 1.0, 2)
-    assert np.linalg.eigvalsh(ops.jx).max() == pytest.approx(1.5, abs=1e-10)
+    jx = _atomic_collective(3, 2)["jx"]
+    assert np.linalg.eigvalsh(jx).max() == pytest.approx(1.5, abs=1e-10)
 
 
 def test_dimension_cap_enforced():
     with pytest.raises(ValueError):
-        build_joint_operators(6, 2.0, 10)  # 5^6 * 11 >> 4096
+        build_heff(6, 2.0, 10, 0.1, 0.1)  # 5^6 * 11 >> 4096
     with pytest.raises(ValueError):
-        build_joint_operators(7, 1.0, 4)  # 3^7 * 5 = 10935 > 4096
+        build_heff(7, 1.0, 4, 0.1, 0.1)  # 3^7 * 5 = 10935 > 4096
 
 
 def test_product_state_refused_before_density_matrix_is_built():
@@ -59,25 +65,49 @@ def test_product_state_refused_before_density_matrix_is_built():
     assert peak < 1_000_000
 
 
+def test_heff_refused_before_any_operator_is_built():
+    # the three Stokes matrices at n_ph = 1400 alone would take 94 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds cap"):
+            build_heff(1, 1.0, 1400, 0.1, 0.1)  # 3 * 1401 = 4203 > 4096
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_exact_run_peaks_below_six_joint_matrices():
+    # H is summed from Kronecker products, so no joint operator set exists before
+    # the eigendecomposition; six complex D x D matrices at D = 81 * 5 take 15.7 MB
+    state = ExactState.from_product_state(single_atom_css(1.0), 4, 1.0, 4)
+    _atomic_collective(4, 2)  # the cached atomic factors, built outside the traced window
+    tracemalloc.start()
+    try:
+        run_schedule_exact(state, PulseSchedule.decoupled(2), 1e-3, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 16 * 405 ** 2
+
+
 # ----------------------------------------------------------------- Hamiltonian
 
 def test_heff_diagonal_when_g2_zero():
-    ops = build_joint_operators(2, 1.0, 2)
-    h = build_heff(ops, 0.3, 0.0)
+    h = build_heff(2, 1.0, 2, 0.3, 0.0)
     assert np.max(np.abs(h - np.diag(np.diag(h)))) == 0.0
 
 
 @pytest.mark.parametrize("na,f,n_ph", [(1, 0.5, 2), (2, 1.0, 3), (3, 1.0, 2), (2, 0.5, 6)])
 def test_heff_commutes_with_total_z(na, f, n_ph):
-    ops = build_joint_operators(na, f, n_ph)
-    h = build_heff(ops, 0.11, 0.07)
-    total_z = ops.sz + ops.jz
-    assert np.max(np.abs(h @ total_z - total_z @ h)) < 1e-10
+    h = build_heff(na, f, n_ph, 0.11, 0.07)
+    z = total_z(na, f, n_ph)
+    assert np.max(np.abs(h @ z - z @ h)) < 1e-10
+    assert np.array_equal(h, h.conj().T)  # every Kronecker factor is exactly Hermitian
 
 
 def test_heff_g2_irrelevant_for_spin_half():
-    ops = build_joint_operators(2, 0.5, 3)
-    assert np.max(np.abs(build_heff(ops, 0.2, 5.0) - build_heff(ops, 0.2, 0.0))) == 0.0
+    assert np.max(np.abs(build_heff(2, 0.5, 3, 0.2, 5.0) - build_heff(2, 0.5, 3, 0.2, 0.0))) == 0.0
 
 
 # --------------------------------------------------------------- photon states
@@ -169,7 +199,7 @@ def brute_force_meter(na, f, n_ph, g1, g2, schedule, tilt, phase):
     """Full multi-pulse pure-state meter moments; every photon sector kept alive."""
     single = single_atom_css(f, tilt, phase)
     psi_a = reduce(np.kron, [single] * na)
-    u = hermitian_unitary(build_heff(build_joint_operators(na, f, n_ph), g1, g2))
+    u = hermitian_unitary(build_heff(na, f, n_ph, g1, g2))
     d_a, d_p = psi_a.size, n_ph + 1
     n = len(schedule)
     signs = schedule.signs.tolist()
