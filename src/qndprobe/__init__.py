@@ -4,7 +4,7 @@ Subpackages:
 
 - ``operators``:  spin-f matrices, alignment operators, Stokes operators
 - ``gaussian``:   covariance propagation of (Jy, Jz, Jxy, meter) over pulse trains
-- ``oracle``:     exact few-atom unitary simulation used to validate the engine
+- ``oracle``:     exact unitary simulation (spin-1 atoms as one spin na/2) used to validate the engine
 - ``experiment``: noise-vs-atom-number sweeps and their exact NA polynomial, figure-of-merit formulas
 - ``cli``:        command line front end emitting CSV + run manifests
 """

@@ -1,16 +1,18 @@
-"""Brute-force unitary simulation of few atoms and a truncated photon sector.
+"""Exact unitary simulation of an atomic ensemble and a truncated photon sector.
 
 Validates the linearized covariance engine: builds the full coupling
-Hamiltonian g1 Sz Jz + g2 (Sx Jx + Sy Jy) on the (atoms x photons) tensor
-space as a sum of Kronecker products of collective atomic and Stokes
-factors, evolves exactly via Hermitian eigendecomposition, and checks the
-bang-bang rotation / polarization-flip equivalence.  Between pulses the
-reduced atomic density matrix is carried (unconditional dynamics): each
-probe pulse enters pure, so a pulse is the atomic Kraus channel of the
-operators <l|U|phi>, built once per run.  Meter correlations across pulses
-are tracked exactly through a propagated correlation operator so the
-cumulative meter variance matches the full multi-pulse pure-state
-calculation.
+Hamiltonian g1 Sz Jz + g2 (Sx Jx + Sy Jy) on the (atoms x photons) space as
+a sum of Kronecker products of collective atomic and Stokes factors, evolves
+exactly via one Hermitian eigendecomposition per conserved Sz + Jz block, and
+checks the bang-bang rotation / polarization-flip equivalence.  Spin-1 atoms
+are one collective spin na/2 (dimension na + 1), exact because jx, jy, jz act
+as sigma/2 on {|1>, |-1>} and vanish on |0>; other spins keep the
+(2f+1)^na tensor space.  Between pulses the reduced atomic density matrix is
+carried (unconditional dynamics): each probe pulse enters pure, so a pulse is
+the atomic Kraus channel of the operators <l|U|phi>, built once per run.
+Meter correlations across pulses are tracked exactly through a propagated
+correlation operator so the cumulative meter variance matches the full
+multi-pulse pure-state calculation.
 """
 
 from __future__ import annotations
@@ -23,21 +25,26 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .gaussian import CouplingParams, PulseSchedule, run_schedule, state_from_atomic_moments
-from .operators import build_spin_operators, build_stokes_operators
+from .operators import angular_momentum_matrices, build_spin_operators, build_stokes_operators
 
-# A dense complex D x D matrix takes 16 D^2 bytes, and a run builds several
-# before its first pulse: H, its eigenvectors and U.
-# D = 4096 (268 MB each) admits na = 6 spin-1 atoms at n_ph = 4 (D = 3645),
-# while na = 7 (D = 10935, 1.9 GB each) would exhaust an 8 GB host.
+# A dense complex D x D matrix takes 16 D^2 bytes, and a run builds H densely.
+# D = 4096 (268 MB) admits na = 818 spin-1 atoms at n_ph = 4 (D = 4095) but only
+# na = 4 spin-2 atoms (D = 3125): at na = 5 (D = 15625) H alone takes 3.9 GB.
 DEFAULT_DIM_CAP = 4096
+
+
+def _atomic_dim(dim: int, na: int) -> int:
+    """Atomic dimension of na dim-level atoms: spin na/2 for spin 1, the tensor space otherwise."""
+    return na + 1 if dim == 3 else dim ** na
 
 
 def _check_joint_dim(dim: int, na: int, n_ph: int) -> None:
     """Refuse na < 1, or na dim-level atoms whose joint space with n_ph photons exceeds the cap."""
     if na < 1:
         raise ValueError("need at least one atom")
-    if dim ** na * (n_ph + 1) > DEFAULT_DIM_CAP:
-        raise ValueError(f"joint dimension {dim ** na * (n_ph + 1)} exceeds cap {DEFAULT_DIM_CAP}")
+    joint = _atomic_dim(dim, na) * (n_ph + 1)
+    if joint > DEFAULT_DIM_CAP:
+        raise ValueError(f"joint dimension {joint} exceeds cap {DEFAULT_DIM_CAP}")
 
 
 def _kron_all(mats) -> np.ndarray:
@@ -53,13 +60,14 @@ def _embed_single_atom(op: np.ndarray, atom: int, na: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _atomic_collective(na: int, two_f: int) -> dict:
     """Collective atomic operators (sums over atoms) on the atomic space."""
-    ops = build_spin_operators(two_f / 2)
-    out = {}
-    for name, single in (("jx", ops.jx), ("jy", ops.jy), ("jz", ops.jz)):
-        total = sum(_embed_single_atom(single, i, na) for i in range(na))
+    if two_f == 2:  # the symmetric span of {|1>, |-1>}, which H never leaves
+        mats = angular_momentum_matrices(na / 2)
+    else:
+        ops = build_spin_operators(two_f / 2)
+        mats = [sum(_embed_single_atom(op, i, na) for i in range(na)) for op in (ops.jx, ops.jy, ops.jz)]
+    for total in mats:
         total.setflags(write=False)
-        out[name] = total
-    return out
+    return dict(zip(("jx", "jy", "jz"), mats))
 
 
 def build_heff(na: int, f: float, n_ph: int, g1: float, g2: float) -> np.ndarray:
@@ -79,7 +87,7 @@ def build_heff(na: int, f: float, n_ph: int, g1: float, g2: float) -> np.ndarray
 
 
 def hermitian_unitary(h: np.ndarray, phase: float = -1.0) -> np.ndarray:
-    """exp(i * phase * h) for Hermitian h via eigendecomposition (exact at these sizes)."""
+    """exp(i * phase * h) for Hermitian h via eigendecomposition (the oracle's H one block at a time)."""
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * phase * w)) @ v.conj().T
 
@@ -102,7 +110,7 @@ def polarized_photon_state(n_ph: int, sign: int) -> np.ndarray:
 
 @dataclass
 class ExactState:
-    """Reduced atomic density matrix of na spin-f atoms probed by n_ph-photon pulses."""
+    """Reduced atomic density matrix of na spin-f atoms (for f = 1, one spin na/2) probed by n_ph photons."""
 
     na: int
     f: float
@@ -112,9 +120,10 @@ class ExactState:
     def __post_init__(self):
         dim = int(round(2 * self.f + 1))
         _check_joint_dim(dim, self.na, self.n_ph)
+        dim_a = _atomic_dim(dim, self.na)
         rho = np.asarray(self.rho, dtype=complex)
-        if rho.shape != (dim ** self.na, dim ** self.na):
-            raise ValueError(f"density matrix must be {dim ** self.na}x{dim ** self.na}")
+        if rho.shape != (dim_a, dim_a):
+            raise ValueError(f"density matrix must be {dim_a}x{dim_a}")
         self.rho = rho
 
     @classmethod
@@ -123,8 +132,17 @@ class ExactState:
         norm = np.linalg.norm(single)
         if abs(norm - 1.0) > 1e-10:
             raise ValueError("single-atom state must be normalized")
+        if single.size == 3 and single[1] != 0:
+            raise ValueError("spin-1 state with |m=0> amplitude leaves the spin-na/2 space")
         _check_joint_dim(single.size, na, n_ph)  # before the dim_a^2 density matrix exists
-        psi = _kron_all([single] * na)
+        if single.size == 3:
+            # spin coherent state sqrt(C(na, k)) a^(na-k) b^k at m = na/2 - k; C(na, k)
+            # passes 1e308 beyond na = 1029, so its root is taken in integers
+            root = np.array([math.isqrt(math.comb(na, k) << 128) / 2 ** 64 for k in range(na + 1)])
+            a_pow, b_pow = (np.cumprod(np.r_[1, np.full(na, amp)]) for amp in (single[0], single[2]))
+            psi = root * a_pow[::-1] * b_pow
+        else:
+            psi = _kron_all([single] * na)
         return cls(na=na, f=float(f), n_ph=n_ph, rho=np.outer(psi, psi.conj()))
 
     def check_normalization(self, tol: float = 1e-10):
@@ -132,7 +150,7 @@ class ExactState:
             raise ArithmeticError("atomic state lost normalization")
 
     def expect(self, atomic_op: np.ndarray) -> float:
-        return float(np.trace(atomic_op @ self.rho).real)
+        return float(np.einsum("ij,ji->", atomic_op, self.rho).real)
 
 
 def single_atom_css(f: float, tilt: float = 0.0, phase: float = 0.0) -> np.ndarray:
@@ -175,6 +193,32 @@ def _kraus_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.tensordot(left, right.conj(), axes=([0, 2], [0, 2]))
 
 
+def _kraus_stacks(state: ExactState, g1: float, g2: float) -> dict:
+    """Per probe sign, the (n_ph+1)-stacks E_l = <l|U|phi_sign> and F_l = sum_m Sy[l, m] E_m.
+
+    H conserves Sz + Jz, diagonal in this basis, so U is never formed: each
+    block of equal Sz + Jz is exponentiated on its own and written straight
+    into the stacks.  Given (l, a') and a, one photon state s puts (a, s) in
+    the block of (a', l), so E_l[a', a] = U_b[(a', l), (a, s)] phi[s] exactly.
+    """
+    dim_a, dim_ph = state.rho.shape[0], state.n_ph + 1
+    h = build_heff(state.na, state.f, state.n_ph, g1, g2)
+    jz = _atomic_collective(state.na, int(round(2 * state.f)))["jz"]
+    stokes = build_stokes_operators(state.n_ph)
+    # joint index a * dim_ph + s; the Sz + Jz values are exact dyadic rationals
+    total_z = np.add.outer(jz.diagonal(), stokes.sz.diagonal()).real.ravel()
+    _, block = np.unique(total_z, return_inverse=True)
+    phis = {sign: polarized_photon_state(state.n_ph, sign) for sign in (1, -1)}
+    stacks = {sign: np.zeros((dim_ph, dim_a, dim_a), dtype=complex) for sign in phis}
+    for b in range(block.max() + 1):
+        idx = np.flatnonzero(block == b)
+        u_b = hermitian_unitary(h[np.ix_(idx, idx)])
+        a, s = np.divmod(idx, dim_ph)
+        for sign, e in stacks.items():
+            e[s[:, None], a[:, None], a] = u_b * phis[sign][s]
+    return {sign: (e, np.tensordot(stokes.sy, e, axes=1)) for sign, e in stacks.items()}
+
+
 @dataclass(frozen=True)
 class ExactRunRecord:
     """Per-pulse expectation values plus cumulative meter statistics."""
@@ -202,20 +246,14 @@ def run_schedule_exact(
     the correlation operator K = sum_i sign_i (sum E rho F^dag - <Sy_i> rho'),
     which later pulses carry by the same channel as rho and read out as
     tr sum E K F^dag; this reproduces the full multi-pulse calculation
-    without keeping every photon sector alive.
+    without keeping every photon sector alive.  The stacks are built block by
+    block of the conserved Sz + Jz, so no joint-space unitary is formed.
     """
     state = initial
     atomic = _atomic_collective(state.na, int(round(2 * state.f)))
-    dim_a, dim_ph = state.rho.shape[0], state.n_ph + 1
-    u = hermitian_unitary(build_heff(state.na, state.f, state.n_ph, g1, g2))
-    u = u.reshape(dim_a, dim_ph, dim_a, dim_ph)
-    sy = build_stokes_operators(state.n_ph).sy
-    kraus = {}
-    for sign in (1, -1):
-        e = np.ascontiguousarray(np.moveaxis(u @ polarized_photon_state(state.n_ph, sign), 1, 0))
-        kraus[sign] = e, np.tensordot(sy, e, axes=1)
+    kraus = _kraus_stacks(state, g1, g2)
 
-    k_corr = np.zeros((dim_a, dim_a), dtype=complex)
+    k_corr = np.zeros_like(state.rho)
     m_mean = 0.0
     m_var = 0.0
     rec_jz, rec_jy, rec_mm, rec_mv = [], [], [], []

@@ -76,7 +76,7 @@ def test_validation_failures_exit_2(tmp_path):
     ["impact", "--eps", "2"],                        # depolarization probability above 1
     ["montecarlo", "--mode", "naive", "--pulses", "0"],
     ["sweep", "--f", "0.5"],                         # Gaussian subcommands model f = 1 only
-    ["oracle-compare", "--oracle-na", "7"],          # joint dimension 10935 above the cap
+    ["oracle-compare", "--oracle-na", "1000"],       # joint dimension 5005 above the cap
     ["montecarlo", "--trials", "1000000000"],        # about 112 GB of samples, above the cap
     ["oracle-compare", "--dropped"],                 # flags the subcommand does not read
     ["sweep", "--trials", "5"],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qndprobe.gaussian import PulseSchedule
-from qndprobe.operators import build_stokes_operators
+from qndprobe.operators import build_spin_operators, build_stokes_operators
 from qndprobe.oracle import (
     ExactState,
     build_heff,
@@ -17,6 +17,7 @@ from qndprobe.oracle import (
     single_atom_css,
     single_atom_moments,
     _atomic_collective,
+    _kraus_stacks,
 )
 
 
@@ -30,9 +31,10 @@ def total_z(na, f, n_ph):
 
 
 def test_joint_dimension_two_atoms():
-    h = build_heff(2, 1.0, 2, 0.3, 0.2)
-    assert h.shape[0] == 27
-    assert h.shape == (27, 27)
+    h = build_heff(2, 1.0, 2, 0.3, 0.2)  # spin-1 atoms are one spin 1: 3 * 3
+    assert h.shape[0] == 9
+    assert h.shape == (9, 9)
+    assert build_heff(2, 1.5, 2, 0.3, 0.2).shape == (48, 48)  # other spins keep 4^2 * 3
 
 
 def test_single_atom_jz_spectrum():
@@ -50,19 +52,34 @@ def test_dimension_cap_enforced():
     with pytest.raises(ValueError):
         build_heff(6, 2.0, 10, 0.1, 0.1)  # 5^6 * 11 >> 4096
     with pytest.raises(ValueError):
-        build_heff(7, 1.0, 4, 0.1, 0.1)  # 3^7 * 5 = 10935 > 4096
+        build_heff(1000, 1.0, 4, 0.1, 0.1)  # 1001 * 5 = 5005 > 4096
 
 
 def test_product_state_refused_before_density_matrix_is_built():
-    # the 2187 x 2187 complex density matrix of 7 spin-1 atoms would take 76 MB
+    # the 3125 x 3125 complex density matrix of 5 spin-2 atoms would take 156 MB
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="exceeds cap"):
-            ExactState.from_product_state(single_atom_css(1.0), 7, 1.0, 4)
+            ExactState.from_product_state(single_atom_css(2.0), 5, 2.0, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_spin_one_state_with_m0_amplitude_refused():
+    # |m=0> lies outside the spin-na/2 space; single_atom_css writes an exact 0 there
+    assert single_atom_css(1.0, tilt=0.3, phase=0.5)[1] == 0
+    single = np.array([0.6, 1e-9, 0.8], dtype=complex)
+    single /= np.linalg.norm(single)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="m=0"):
+            ExactState.from_product_state(single, 800, 1.0, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000
 
 
 def test_heff_refused_before_any_operator_is_built():
@@ -70,7 +87,7 @@ def test_heff_refused_before_any_operator_is_built():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="exceeds cap"):
-            build_heff(1, 1.0, 1400, 0.1, 0.1)  # 3 * 1401 = 4203 > 4096
+            build_heff(1, 1.5, 1400, 0.1, 0.1)  # 4 * 1401 = 5604 > 4096
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -79,7 +96,8 @@ def test_heff_refused_before_any_operator_is_built():
 
 def test_exact_run_peaks_below_six_joint_matrices():
     # H is summed from Kronecker products, so no joint operator set exists before
-    # the eigendecomposition; six complex D x D matrices at D = 81 * 5 take 15.7 MB
+    # the eigendecomposition; four spin-1 atoms are one spin 2, so D = 5 * 5, far
+    # below the bound of six complex D x D matrices at the tensor-space D = 81 * 5
     state = ExactState.from_product_state(single_atom_css(1.0), 4, 1.0, 4)
     _atomic_collective(4, 2)  # the cached atomic factors, built outside the traced window
     tracemalloc.start()
@@ -104,6 +122,25 @@ def test_heff_commutes_with_total_z(na, f, n_ph):
     z = total_z(na, f, n_ph)
     assert np.max(np.abs(h @ z - z @ h)) < 1e-10
     assert np.array_equal(h, h.conj().T)  # every Kronecker factor is exactly Hermitian
+
+
+@pytest.mark.parametrize("na,f,n_ph", [(2, 0.5, 3), (5, 1.0, 4), (2, 1.5, 3), (2, 2.0, 2)])
+def test_heff_vanishes_off_the_total_z_blocks(na, f, n_ph):
+    h = build_heff(na, f, n_ph, 0.11, 0.07)
+    z = np.diag(total_z(na, f, n_ph)).real
+    assert np.count_nonzero(h[z[:, None] != z[None, :]]) == 0
+    assert np.count_nonzero(h[z[:, None] == z[None, :]]) > 0
+
+
+@pytest.mark.parametrize("na,f,n_ph", [(3, 1.0, 4), (2, 0.5, 3), (2, 1.5, 2), (1, 2.0, 3)])
+def test_block_kraus_stacks_match_dense_propagator(na, f, n_ph):
+    g1, g2 = 0.11, 0.07
+    state = ExactState.from_product_state(single_atom_css(f), na, f, n_ph)
+    dim_a, dim_ph = state.rho.shape[0], n_ph + 1
+    u = hermitian_unitary(build_heff(na, f, n_ph, g1, g2)).reshape(dim_a, dim_ph, dim_a, dim_ph)
+    for sign, (e, _) in _kraus_stacks(state, g1, g2).items():
+        dense = np.moveaxis(u @ polarized_photon_state(n_ph, sign), 1, 0)
+        assert np.max(np.abs(e - dense)) < 1e-13
 
 
 def test_heff_g2_irrelevant_for_spin_half():
@@ -196,10 +233,23 @@ def test_bangbang_trivial_when_g2_zero():
 # -------------------------------------------------- cumulative meter statistics
 
 def brute_force_meter(na, f, n_ph, g1, g2, schedule, tilt, phase):
-    """Full multi-pulse pure-state meter moments; every photon sector kept alive."""
+    """Full multi-pulse pure-state meter moments and final <Jz>, <Jy>.
+
+    Every photon sector is kept alive, and H is built on the unreduced
+    (2f+1)^na atomic tensor space from single-atom operators.
+    """
+    ops = build_spin_operators(f)
+    stokes = build_stokes_operators(n_ph)
+    eye = np.eye(ops.dim)
+
+    def collective(single):
+        return sum(reduce(np.kron, [single if i == k else eye for i in range(na)]) for k in range(na))
+
+    jx, jy, jz = collective(ops.jx), collective(ops.jy), collective(ops.jz)
+    h = g1 * np.kron(jz, stokes.sz) + g2 * (np.kron(jx, stokes.sx) + np.kron(jy, stokes.sy))
     single = single_atom_css(f, tilt, phase)
     psi_a = reduce(np.kron, [single] * na)
-    u = hermitian_unitary(build_heff(na, f, n_ph, g1, g2))
+    u = hermitian_unitary(h)
     d_a, d_p = psi_a.size, n_ph + 1
     n = len(schedule)
     signs = schedule.signs.tolist()
@@ -211,7 +261,7 @@ def brute_force_meter(na, f, n_ph, g1, g2, schedule, tilt, phase):
         t = np.moveaxis(t, 2, 1).reshape(d_a * d_p, before * after)
         t = u @ t
         psi = np.moveaxis(t.reshape(d_a, d_p, before, after), 1, 2).reshape(-1)
-    sy = np.asarray(build_stokes_operators(n_ph).sy)
+    sy = np.asarray(stokes.sy)
 
     def apply_sy(vec, i):
         before, after = d_p ** i, d_p ** (n - 1 - i)
@@ -222,18 +272,23 @@ def brute_force_meter(na, f, n_ph, g1, g2, schedule, tilt, phase):
     total = sum(weighted)
     mean = (psi.conj() @ total).real
     second = (total.conj() @ total).real
-    return mean, second - mean ** 2
+    atoms = psi.reshape(d_a, -1)
+    jz_final, jy_final = (np.vdot(atoms, op @ atoms).real for op in (jz, jy))
+    return mean, second - mean ** 2, jz_final, jy_final
 
 
-@pytest.mark.parametrize("na,f,n_ph", [(2, 1.0, 3), (3, 1.0, 2), (2, 0.5, 4), (1, 1.5, 3)])
+@pytest.mark.parametrize("na,f,n_ph", [(2, 1.0, 3), (3, 1.0, 2), (2, 0.5, 4), (1, 1.5, 3),
+                                       (4, 1.0, 2), (2, 2.0, 2)])
 @pytest.mark.parametrize("sched", [PulseSchedule.decoupled(2), PulseSchedule.naive(3)])
 def test_meter_correlation_tracking_matches_brute_force(sched, na, f, n_ph):
     g1, g2, tilt, phase = 1e-2, 7e-3, 0.4, 0.3
     state = ExactState.from_product_state(single_atom_css(f, tilt, phase), na, f, n_ph)
     rec = run_schedule_exact(state, sched, g1, g2)
-    bf_mean, bf_var = brute_force_meter(na, f, n_ph, g1, g2, sched, tilt, phase)
+    bf_mean, bf_var, bf_jz, bf_jy = brute_force_meter(na, f, n_ph, g1, g2, sched, tilt, phase)
     assert rec.meter_mean[-1] == pytest.approx(bf_mean, abs=1e-10)
     assert rec.meter_var[-1] == pytest.approx(bf_var, rel=1e-10)
+    assert rec.jz_mean[-1] == pytest.approx(bf_jz, abs=1e-12)
+    assert rec.jy_mean[-1] == pytest.approx(bf_jy, abs=1e-12)
 
 
 # --------------------------------------------------------- engine comparisons
@@ -249,6 +304,17 @@ def test_first_moment_residual_shrinks_quadratically():
     for g in (1e-3, 5e-4, 2.5e-4):
         rep = oracle_vs_gaussian(2, 1.0, 4, g1=g, g2=g,
                                  schedule=PulseSchedule.naive(4), tilt=0.4, phase=0.3)
+        devs.append(rep.max_first_moment_deviation)
+    assert devs[0] / devs[1] >= 3.5
+    assert devs[1] / devs[2] >= 3.5
+
+
+@pytest.mark.parametrize("sched", [PulseSchedule.naive(4), PulseSchedule.decoupled(2)])
+def test_first_moment_residual_shrinks_quadratically_at_sixty_atoms(sched):
+    # na = 60 is a joint dimension of 61 * 9 = 549 on the spin-30 space
+    devs = []
+    for g in (1e-4, 5e-5, 2.5e-5):
+        rep = oracle_vs_gaussian(60, 1.0, 8, g1=g, g2=g, schedule=sched, tilt=0.4, phase=0.3)
         devs.append(rep.max_first_moment_deviation)
     assert devs[0] / devs[1] >= 3.5
     assert devs[1] / devs[2] >= 3.5
