@@ -40,11 +40,17 @@ NA_REFERENCE = 1.0e6
 DEFAULT_NA_GRID = tuple(np.geomspace(1.0e4, 2.0e6, 20))
 
 # Peak bytes one Monte Carlo trial holds, counted from monte_carlo_sample's
-# float64 arrays in its pulse loop: the stacked samples (6 rows), the
-# depolarization draw (3), the pulse product's result (4) and the dropped-term
-# product (1).  Trial counts needing more than the cap are refused up front.
-MC_BYTES_PER_TRIAL = 8 * (6 + 3 + 4 + 1)
+# float64 rows: the stacked [x; z] samples (at most 4 + 5, with the dropped
+# terms on: Sy_in, Sz_in and three depolarization draws) and the pulse
+# product's result (4).  With the dropped terms off the stack has at most
+# 4 + 3 rows, and the summed Sy_in draw reuses a row of the product's result.
+# Trial counts needing more than the cap are refused up front.
+MC_BYTES_PER_TRIAL = 8 * (4 + 5 + 4)
 MC_MEMORY_CAP_BYTES = MEMORY_CAP_BYTES
+# eigenvalues below this fraction of the largest are rounding, not noise
+MC_RANK_TOL = 1e-13
+# pulses whose maps one batched eigendecomposition builds
+MC_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -272,6 +278,62 @@ class MonteCarloResult:
     trials: int
 
 
+def _roots(covs: np.ndarray) -> np.ndarray:
+    """R with R R^T = C for each PSD C of a (..., k, k) stack, as many columns as the largest rank.
+
+    Eigenvalues within ``MC_RANK_TOL`` of their matrix's largest count as
+    zero, and a matrix of lower rank than the stack's largest gets zero columns.
+    """
+    w, v = np.linalg.eigh(covs)
+    w = np.where(w > MC_RANK_TOL * w[..., -1:], w, 0.0)
+    rank = np.count_nonzero(w, axis=-1).max(initial=0)
+    return (v * np.sqrt(w)[..., None, :])[..., w.shape[-1] - rank:]
+
+
+def _monte_carlo_maps(params: CouplingParams, schedule: PulseSchedule, jx: float):
+    """Per pulse, the Monte Carlo's map [D A | R] and the Sy_in variance it leaves to one summed draw.
+
+    A and B come from ``pulse_map`` (B as B0 + jx B1 at the pre-pulse jx,
+    which depolarization shrinks by (1 - eps) per pulse), and
+    D = diag(1 - eps, 1 - eps, 1 - eps, 1) is the depolarization contraction.
+    Pulse k adds noise of covariance shot (D B)(D B)^T + diag(eps NA v, 0) on
+    top of D A x, with shot = n_L/4 and v the mixed single-atom variances.
+    With the dropped terms on, R holds sqrt(shot) D B as its first two
+    columns, so that Sy_in and Sz_in are the first two draws (the meter
+    product reads Sz_in), then the depolarization root, and nothing is left
+    over.  With them off, Sy_in enters only M, with loading sign, and M feeds
+    back into nothing, so the pulse leaves its variance shot to one
+    N(0, n shot) draw of sum sign Sy_in per trial; R is a rank-revealing root
+    of the rest of the noise, which merges Sz_in with the Jy depolarization
+    draw.  The maps are built ``MC_BLOCK`` pulses at a time.
+    """
+    shot = params.photons_per_pulse / 4.0
+    eps = params.scattering_eps
+    d = np.array([1.0 - eps] * 3 + [1.0])
+    depol = np.diag([*(eps * params.atom_number * np.array(single_atom_mixed_variances(1.0))), 0.0])
+    depol_root = _roots(depol)
+    da, b0, b1 = [], [], []
+    for sign in (1, -1):
+        a, b = pulse_map(sign, params, 0.0)
+        da.append(d[:, None] * a)
+        b0.append(b)
+        b1.append(pulse_map(sign, params, 1.0)[1] - b)
+    da, b0, b1 = np.array(da), np.array(b0), np.array(b1)
+    kind = (schedule.signs < 0).astype(int)
+    left_over = 0.0 if params.include_dropped_terms else shot
+
+    for start in range(0, len(kind), MC_BLOCK):
+        ks = kind[start:start + MC_BLOCK]
+        jxs = jx * (1.0 - eps) ** np.arange(start, start + len(ks))
+        db = math.sqrt(shot) * d[:, None] * (b0[ks] + jxs[:, None, None] * b1[ks])
+        if params.include_dropped_terms:
+            r = np.concatenate([db, np.broadcast_to(depol_root, (len(ks), *depol_root.shape))], axis=2)
+        else:
+            r = _roots(db[..., 1:] @ db[..., 1:].swapaxes(1, 2) + depol)
+        for w in np.concatenate([da[ks], r], axis=2):
+            yield w, left_over
+
+
 def monte_carlo_sample(
     params: CouplingParams,
     schedule: PulseSchedule,
@@ -280,17 +342,19 @@ def monte_carlo_sample(
 ) -> MonteCarloResult:
     """Sampled meter variance from simulated pulse trains.
 
-    Draws the initial atomic fluctuations and, per pulse, the shot noise
-    (Sy_in, then Sz_in) and, with scattering_eps > 0, the spin-1
-    depolarization noise (Jy, Jz, Jxy).  Each pulse applies the engine's
-    ``pulse_map`` to all trials at once as one product on the stacked
-    (Jy, Jz, Jxy, M, Sy_in, Sz_in) samples; the dropped-term meter product
-    -sign g2 Sz_in Jy is added as sampled.  Returns the sample
+    Draws the initial atomic fluctuations from a root of the CSS covariance
+    (rank 2, since Jxy = Jz) and, per pulse, the independent noise of
+    ``_monte_carlo_maps``: one product [D A | R] @ [x; z] on the stacked
+    (Jy, Jz, Jxy, M) samples x and fresh standard normals z moves all trials
+    at once.  With the dropped terms on, z holds Sy_in and Sz_in explicitly
+    and the meter product -sign g2 Sz_in Jy is added as sampled; with them
+    off, the meter's shot noise sum sign Sy_in is one draw per trial, added at
+    the end.  The samples are exact in distribution.  Returns the sample
     variance of the accumulated meter with the Gaussian standard error
     var * sqrt(2/(trials-1)).  Fixed seeds give bit-identical results; the
     estimate converges to the analytic var(M).  Trial counts whose arrays
     would exceed ``MC_MEMORY_CAP_BYTES`` raise ValueError before anything is
-    allocated (about 19 million trials).
+    allocated (about 20 million trials).
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
@@ -302,38 +366,37 @@ def monte_carlo_sample(
     rng = np.random.default_rng(seed)
 
     state0 = init_css(params)
-    # factor the (possibly singular) atomic covariance for sampling
-    atom_cov = state0.cov[:3, :3]
-    w, v = np.linalg.eigh((atom_cov + atom_cov.T) / 2)
-    root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-    x = np.empty((6, trials))  # rows: Jy, Jz, Jxy, M, Sy_in, Sz_in
-    x[:3] = root @ rng.standard_normal((3, trials))
+    root = _roots(state0.cov[:3, :3])
+    # rows Jy, Jz, Jxy, M, then the draws z: with the dropped terms on Sy_in, Sz_in
+    # and one per depolarized atomic row, with them off at most one per atomic row
+    noise_rows = 2 + 3 * (params.scattering_eps > 0.0) if params.include_dropped_terms else 3
+    x = np.empty((4 + noise_rows, trials))
+    rng.standard_normal(out=x[:root.shape[1]])
+    x[:3] = root @ x[:root.shape[1]]
     x[M] = 0.0
-    noise = x[4:]
-    jx = state0.jx_mean
+    moved = np.empty((4, trials))
+    product_scale = -params.g2 * math.sqrt(params.photons_per_pulse / 4.0)
+    sy_var = 0.0
 
-    shot_sd = math.sqrt(params.photons_per_pulse / 4.0)
-    eps = params.scattering_eps
-    depol_sd = np.sqrt(eps * params.atom_number * np.array(single_atom_mixed_variances(1.0)))
-    depol = np.empty((3, trials)) if eps > 0.0 else None
-
-    for sign in schedule.signs.tolist():
-        rng.standard_normal(out=noise)
-        noise *= shot_sd
-        a, b = pulse_map(sign, params, jx)
+    maps = _monte_carlo_maps(params, schedule, state0.jx_mean)
+    for sign, (w, left_over) in zip(schedule.signs.tolist(), maps):
+        width = w.shape[1]
+        rng.standard_normal(out=x[4:width])
+        np.matmul(w, x[:width], out=moved)
         if params.include_dropped_terms:
-            product = (-sign * params.g2) * noise[1] * x[JY]
-        x[:4] = np.hstack([a, b]) @ x
-        if params.include_dropped_terms:
-            x[M] += product
+            sz_in = x[5]  # Sz_in / sqrt(shot), overwritten with the meter product
+            sz_in *= sign * product_scale
+            sz_in *= x[JY]
+            moved[M] += sz_in
+        x[:4] = moved
+        sy_var += left_over
 
-        if depol is not None:
-            rng.standard_normal(out=depol)
-            depol *= depol_sd[:, None]
-            x[:3] *= 1.0 - eps
-            x[:3] += depol
-            jx *= 1.0 - eps
-
-    sample_var = float(np.var(x[M], ddof=1))
+    meter = x[M]
+    if sy_var:  # the summed Sy_in draw reuses a row of the product's result
+        rng.standard_normal(out=moved[0])
+        moved[0] *= math.sqrt(sy_var)
+        meter += moved[0]
+    del moved  # before np.var's temporary row
+    sample_var = float(np.var(meter, ddof=1))
     stderr = sample_var * math.sqrt(2.0 / (trials - 1))
     return MonteCarloResult(meter_variance=sample_var, stderr=stderr, trials=trials)

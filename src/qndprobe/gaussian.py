@@ -253,6 +253,28 @@ def _psd_margins(covs: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return low
 
 
+def _check_psd(covs: np.ndarray, tol: float = 1e-9) -> None:
+    """Raise where ``_psd_margins`` raises, without computing eigenvalues on the passing path.
+
+    One batched Cholesky factorization of sym(C) + tol * max(1, tr C) I
+    succeeds when every smallest eigenvalue lies above -tol * max(1, tr C),
+    which is the margins' criterion up to rounding (about 1e-16 |C|).  A
+    stack that is not finite (which the factorization need not detect) or
+    fails it is handed to ``_psd_margins`` for the verdict and the error
+    message.
+    """
+    if np.isfinite(covs).all():
+        shifted = (covs + covs.swapaxes(-1, -2)) / 2
+        diag = np.arange(4)
+        shifted[..., diag, diag] += tol * np.maximum(1.0, np.trace(covs, axis1=-2, axis2=-1))[..., None]
+        try:
+            np.linalg.cholesky(shifted)
+            return
+        except np.linalg.LinAlgError:
+            pass
+    _psd_margins(covs, tol)
+
+
 def _covariances(coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """(n, 3, 16) coefficients of lambda^0..2 -> (n, len(lam), 4, 4) covariances."""
     powers = np.asarray(lam, dtype=float)[:, None] ** np.arange(3)
@@ -403,8 +425,10 @@ def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_num
 
     The covariance is exactly quadratic in NA, so the train is propagated once
     and evaluated at every atom number; ``params.atom_number`` is not used.
-    Every pulse is PSD-checked at every atom number.  At most ``EVAL_BATCH``
-    atom numbers are accepted, so one block holds at least one pulse.
+    Every pulse is PSD-checked at every atom number by ``_check_psd``, whose
+    passing path is one batched Cholesky factorization; no PSD margin is
+    recorded.  At most ``EVAL_BATCH`` atom numbers are accepted, so one block
+    holds at least one pulse.
     """
     if len(atom_numbers) > EVAL_BATCH:
         raise ValueError(f"{len(atom_numbers)} atom numbers exceed the {EVAL_BATCH} one sweep evaluates")
@@ -412,5 +436,5 @@ def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_num
     unit, nu, _ = _start(params, None)
     for _, _, coeffs, _ in _train(params, schedule, unit, nu, EVAL_BATCH // len(lam)):
         covs = _covariances(coeffs, lam)
-        _psd_margins(covs)
+        _check_psd(covs)
     return covs[-1, :, M, M], coeffs[-1, :, _VEC_M_M]

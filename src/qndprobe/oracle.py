@@ -98,14 +98,16 @@ def polarized_photon_state(n_ph: int, sign: int) -> np.ndarray:
     Binomial amplitudes in the |n_plus, n_minus> basis: expanding
     ((a_plus^dag +- a_minus^dag)/sqrt(2))^n on the vacuum gives
     2^(-n/2) sqrt(C(n, n_plus)) with alternating signs for the -45 state.
+    They are formed in log space from lgamma, since C(n, n_plus) and 2^n
+    overflow a float above n = 1023, and normalized to absorb lgamma's
+    rounding (about 1e-12 relative at n = 2047).
     """
     if sign not in (-1, 1):
         raise ValueError("polarization sign must be +1 or -1")
-    amps = np.zeros(n_ph + 1, dtype=complex)
-    for i in range(n_ph + 1):
-        n_plus = n_ph - i
-        amps[i] = (sign ** i) * math.sqrt(math.comb(n_ph, n_plus))
-    return amps / math.sqrt(2.0 ** n_ph)
+    log_fact = np.fromiter(map(math.lgamma, range(1, n_ph + 2)), float, n_ph + 1)  # log i!
+    log_amps = 0.5 * (log_fact[-1] - log_fact - log_fact[::-1] - n_ph * math.log(2.0))
+    amps = float(sign) ** np.arange(n_ph + 1) * np.exp(log_amps)
+    return (amps / np.linalg.norm(amps)).astype(complex)
 
 
 @dataclass

@@ -174,6 +174,13 @@ def test_oracle_compare_states_its_default_g2(tmp_path):
     assert "# g2 = 0" in footer
 
 
+def test_oracle_compare_runs_above_a_thousand_photons(tmp_path):
+    # the photon state's binomial amplitudes overflow a float above 1023 photons
+    out = tmp_path / "oracle.csv"
+    argv = ["oracle-compare", "--out", str(out), "--oracle-na", "1", "--n-ph", "1100", "--g1", "1e-6", "--p", "1"]
+    assert main(argv) == 0
+
+
 def test_sweep_csv_matches_projection_line_for_g2_zero(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--out", str(out), "--g2", "0", "--p", "5"]) == 0

@@ -22,7 +22,8 @@ from qndprobe.experiment import (
     quadratic_suppression_curve,
     sweep_atom_number,
 )
-from qndprobe.gaussian import run_schedule
+from qndprobe.experiment import _monte_carlo_maps, _roots
+from qndprobe.gaussian import M, pulse_map, run_schedule, single_atom_mixed_variances
 
 
 # --------------------------------------------------------- physical couplings
@@ -230,8 +231,11 @@ def test_dropped_terms_below_two_percent_at_paper_scale():
 
 # ------------------------------------------------------------------ Monte Carlo
 
-def test_monte_carlo_matches_analytic_within_three_stderr():
-    params, sched = paper_scale_params(mode="decoupled", p=5, g2=0.0, na=1e6)
+# eps > 0 with the dropped terms off is the path whose Sz_in and Jy depolarization
+# draws the Monte Carlo merges into one
+@pytest.mark.parametrize("eps", [0.0, 1e-4, 0.2])
+def test_monte_carlo_matches_analytic_within_three_stderr(eps):
+    params, sched = paper_scale_params(mode="decoupled", p=5, g2=0.0, na=1e6, scattering_eps=eps)
     analytic = run_schedule(params, sched).meter_var
     mc = monte_carlo_sample(params, sched, trials=100_000, seed=2024)
     assert abs(mc.meter_variance - analytic) <= 3 * mc.stderr
@@ -246,6 +250,61 @@ def test_monte_carlo_with_tensor_terms_and_dropped_terms(eps):
     analytic = run_schedule(params, sched).meter_var
     mc = monte_carlo_sample(params, sched, trials=100_000, seed=99)
     assert abs(mc.meter_variance - analytic) <= 3 * mc.stderr
+
+
+@pytest.mark.parametrize("dropped", [False, True])
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 0.2])
+def test_monte_carlo_keeps_the_kernel_noise(eps, dropped, monkeypatch):
+    import qndprobe.experiment as experiment
+    monkeypatch.setattr(experiment, "MC_BLOCK", 3)  # blocks of 3 and 1 pulses
+    params, sched = paper_scale_params(mode="decoupled", p=2, na=3e5, scattering_eps=eps,
+                                       include_dropped_terms=dropped)
+    jx = params.atom_number / 2
+    maps = list(_monte_carlo_maps(params, sched, jx))
+    shot = params.photons_per_pulse / 4
+    d = np.array([1 - eps, 1 - eps, 1 - eps, 1.0])
+    depol = np.diag([*(eps * params.atom_number * np.array(single_atom_mixed_variances(1.0))), 0.0])
+    assert len(maps) == len(sched)
+    for k, (sign, (w, left_over)) in enumerate(zip(sched.signs.tolist(), maps)):
+        a, b = pulse_map(sign, params, jx * (1 - eps) ** k)
+        noise = shot * (d[:, None] * b) @ (d[:, None] * b).T + depol
+        root = w[:, 4:]
+        sampled = root @ root.T
+        sampled[M, M] += left_over  # the summed Sy_in draw's share
+        assert np.array_equal(w[:, :4], d[:, None] * a)
+        assert np.abs(sampled - noise).max() <= 1e-12 * np.abs(noise).max()
+        if dropped:  # Sy_in and Sz_in are the first two draws, as the meter product needs
+            np.testing.assert_allclose(root[:, :2], np.sqrt(shot) * d[:, None] * b, rtol=1e-14, atol=0)
+
+
+def test_roots_pad_lower_ranks_with_zero_columns():
+    covs = np.zeros((2, 3, 3))
+    covs[0, 0, 0] = 2.0
+    covs[1, 1:, 1:] = [[1.0, 0.5], [0.5, 1.0]]
+    roots = _roots(covs)
+    assert roots.shape == (2, 3, 2)
+    assert np.allclose(roots @ roots.swapaxes(1, 2), covs, rtol=0, atol=1e-15)
+    assert _roots(np.zeros((3, 3))).shape == (3, 0)
+
+
+def test_monte_carlo_draws_only_the_independent_noise(monkeypatch):
+    # bench configuration: rank-2 CSS start, per pulse Sz_in merged with the
+    # Jy depolarization plus Jz and Jxy depolarization, one summed Sy_in draw
+    params, sched = paper_scale_params(mode="decoupled", p=5, scattering_eps=1e-4)
+    counted = []
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self._rng = np.random.Generator(np.random.PCG64(seed))
+
+        def standard_normal(self, size=None, out=None):
+            draw = self._rng.standard_normal(size, out=out)
+            counted.append(draw.size)
+            return draw
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    monte_carlo_sample(params, sched, trials=1_000, seed=5)
+    assert sum(counted) == (2 + 3 * len(sched) + 1) * 1_000 == 33 * 1_000
 
 
 def test_monte_carlo_deterministic_for_fixed_seed():

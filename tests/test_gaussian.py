@@ -13,6 +13,7 @@ from qndprobe.gaussian import (
     TRAIN_BYTES_PER_PULSE,
     CouplingParams,
     PulseSchedule,
+    _check_psd,
     _psd_margins,
     css_meter_variance,
     init_css,
@@ -423,21 +424,29 @@ def test_every_pulse_checked_at_every_point(monkeypatch, batch):
     grid = list(np.geomspace(1e4, 2e6, 6))
     whole_sweep = css_meter_variance(params, sched, grid)[0]
     whole_run = run_schedule(params, sched)
-    checked = []
-    real = gaussian._psd_margins
+    checked = {"_check_psd": [], "_psd_margins": []}
 
-    def spy(covs, tol=1e-9):
-        checked.append(covs.shape[:-2])
-        return real(covs, tol)
+    def spy(name):
+        real = getattr(gaussian, name)
 
-    monkeypatch.setattr(gaussian, "_psd_margins", spy)
+        def check(covs, tol=1e-9):
+            checked[name].append(covs.shape[:-2])
+            return real(covs, tol)
+        return check
+
+    for name in checked:
+        monkeypatch.setattr(gaussian, name, spy(name))
     if batch is not None:
         monkeypatch.setattr(gaussian, "EVAL_BATCH", batch)
+    # the sweep checks by Cholesky and computes no margin on the passing path
     assert np.array_equal(css_meter_variance(params, sched, grid)[0], whole_sweep)
-    assert sum(n for n, _ in checked) == len(sched) and {k for _, k in checked} == {6}
-    checked.clear()
+    swept = checked["_check_psd"]
+    assert sum(n for n, _ in swept) == len(sched) and {k for _, k in swept} == {6}
+    assert checked["_psd_margins"] == []
+    swept.clear()
     result = run_schedule(params, sched)
-    assert sum(shape[0] for shape in checked) == len(sched)
+    assert swept == []
+    assert sum(shape[0] for shape in checked["_psd_margins"]) == len(sched)
     assert np.array_equal(result.pulse_meter_var, whole_run.pulse_meter_var)
     assert np.array_equal(result.final_state.cov, whole_run.final_state.cov)
 
@@ -464,6 +473,39 @@ def test_batched_psd_check_covers_every_pulse_and_point():
     stack[2, 1] = np.diag([np.nan, 1.0, 1.0, 1.0])  # eigvalsh would read [0, -0, 1, 1]
     with pytest.raises(ArithmeticError, match=r"non-finite covariance at index \(2, 1\)"):
         _psd_margins(stack)
+
+
+def stack_with_min_eigenvalue(scale, k, tol=1e-9):
+    """(3, 2, 4, 4) PSD stack whose entry (1, 0) has smallest eigenvalue -k tol max(1, trace)."""
+    rng = np.random.default_rng(17)
+    roots = rng.standard_normal((3, 2, 4, 4))
+    stack = scale * (roots @ roots.swapaxes(-1, -2) + 0.1 * np.eye(4))
+    q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    rest = scale * np.array([0.3, 1.0, 2.5])
+    low = -k * tol * max(1.0, rest.sum() / (1.0 + k * tol))  # the trace includes low
+    stack[1, 0] = q @ np.diag([low, *rest]) @ q.T
+    return stack
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e12])
+def test_cholesky_check_agrees_with_margins(scale, monkeypatch):
+    import qndprobe.gaussian as gaussian
+    inside = stack_with_min_eigenvalue(scale, 0.5)
+    assert _psd_margins(inside)[1, 0] < 0  # within tolerance, not PSD
+    with monkeypatch.context() as patch:
+        patch.setattr(gaussian, "_psd_margins", None)  # the Cholesky alone passes it
+        _check_psd(inside)
+    outside = stack_with_min_eigenvalue(scale, 2.0)
+    for check in (_check_psd, _psd_margins):
+        with pytest.raises(ArithmeticError, match=r"semidefiniteness at index \(1, 0\)"):
+            check(outside)
+
+
+def test_cholesky_check_refuses_non_finite():
+    stack = stack_with_min_eigenvalue(1.0, 0.5)
+    stack[2, 1, 0, 3] = np.nan
+    with pytest.raises(ArithmeticError, match=r"non-finite covariance at index \(2, 1\)"):
+        _check_psd(stack)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from functools import reduce
 
@@ -161,6 +162,28 @@ def test_polarized_photon_state(n_ph, sign):
         var = (phi.conj() @ op @ op @ phi).real - mean ** 2
         assert mean == pytest.approx(0.0, abs=1e-12)
         assert var == pytest.approx(n_ph / 4, abs=1e-12)
+
+
+def test_polarized_photon_state_matches_binomial_formula():
+    for n_ph in range(61):
+        for sign in (1, -1):
+            binomial = [sign ** i * math.sqrt(math.comb(n_ph, n_ph - i)) / math.sqrt(2.0 ** n_ph)
+                        for i in range(n_ph + 1)]
+            assert np.abs(polarized_photon_state(n_ph, sign) - binomial).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n_ph", [1100, 2047])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_polarized_photon_state_above_float_range_of_binomials(n_ph, sign):
+    phi = polarized_photon_state(n_ph, sign)
+    assert not phi.imag.any()
+    assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-14)
+    # <Sx> from sx's superdiagonal <i|sx|i+1> = sqrt((i+1)(n-i))/2, which the dense sx has at n = 8
+    j = np.arange(8)
+    assert np.allclose(build_stokes_operators(8).sx.diagonal(1), np.sqrt((j + 1) * (8 - j)) / 2)
+    i = np.arange(n_ph)
+    sx_mean = phi.real[:-1] @ (np.sqrt((i + 1) * (n_ph - i)) * phi.real[1:])
+    assert sx_mean == pytest.approx(sign * n_ph / 2, rel=1e-13)
 
 
 # ------------------------------------------------- short trains, exact evolution
