@@ -23,9 +23,8 @@ from .gaussian import (
     PulseSchedule,
     css_meter_variance,
     init_css,
-    pulse_map,
+    pulse_channel,
     run_schedule,
-    single_atom_mixed_variances,
 )
 
 # Reference values used for "paper-scale" runs: the independently measured
@@ -293,44 +292,34 @@ def _roots(covs: np.ndarray) -> np.ndarray:
 def _monte_carlo_maps(params: CouplingParams, schedule: PulseSchedule, jx: float):
     """Per pulse, the Monte Carlo's map [D A | R] and the Sy_in variance it leaves to one summed draw.
 
-    A and B come from ``pulse_map`` (B as B0 + jx B1 at the pre-pulse jx,
-    which depolarization shrinks by (1 - eps) per pulse), and
-    D = diag(1 - eps, 1 - eps, 1 - eps, 1) is the depolarization contraction.
-    Pulse k adds noise of covariance shot (D B)(D B)^T + diag(eps NA v, 0) on
-    top of D A x, with shot = n_L/4 and v the mixed single-atom variances.
-    With the dropped terms on, R holds sqrt(shot) D B as its first two
-    columns, so that Sy_in and Sz_in are the first two draws (the meter
-    product reads Sz_in), then the depolarization root, and nothing is left
-    over.  With them off, Sy_in enters only M, with loading sign, and M feeds
-    back into nothing, so the pulse leaves its variance shot to one
-    N(0, n shot) draw of sum sign Sy_in per trial; R is a rank-revealing root
-    of the rest of the noise, which merges Sz_in with the Jy depolarization
-    draw.  The maps are built ``MC_BLOCK`` pulses at a time.
+    D A, the shot-noise root sqrt(shot) D B(jx) at the pre-pulse jx, the
+    meter product's q and the depolarization are ``pulse_channel``'s.  Where
+    q is nonzero, R holds sqrt(shot) D B as its first two columns, so that
+    Sy_in and Sz_in are the first two draws (the meter product reads Sz_in),
+    then the depolarization root, and nothing is left over.  Otherwise Sy_in
+    enters only M, with loading sign, and M feeds back into nothing, so the
+    pulse leaves its variance shot to one N(0, n shot) draw of sum sign Sy_in
+    per trial; R is a rank-revealing root of the rest of the noise, which
+    merges Sz_in with the Jy depolarization draw.  The maps are built
+    ``MC_BLOCK`` pulses at a time.
     """
-    shot = params.photons_per_pulse / 4.0
-    eps = params.scattering_eps
-    d = np.array([1.0 - eps] * 3 + [1.0])
-    depol = np.diag([*(eps * params.atom_number * np.array(single_atom_mixed_variances(1.0))), 0.0])
+    channel = pulse_channel(params)
+    depol = np.diag(params.atom_number * channel.depol)
     depol_root = _roots(depol)
-    da, b0, b1 = [], [], []
-    for sign in (1, -1):
-        a, b = pulse_map(sign, params, 0.0)
-        da.append(d[:, None] * a)
-        b0.append(b)
-        b1.append(pulse_map(sign, params, 1.0)[1] - b)
-    da, b0, b1 = np.array(da), np.array(b0), np.array(b1)
+    explicit = channel.q.any()
     kind = (schedule.signs < 0).astype(int)
-    left_over = 0.0 if params.include_dropped_terms else shot
+    # the Sy_in column's M entry is sqrt(shot) sign
+    left_over = 0.0 if explicit else channel.db0[0, M, 0] ** 2
 
     for start in range(0, len(kind), MC_BLOCK):
         ks = kind[start:start + MC_BLOCK]
-        jxs = jx * (1.0 - eps) ** np.arange(start, start + len(ks))
-        db = math.sqrt(shot) * d[:, None] * (b0[ks] + jxs[:, None, None] * b1[ks])
-        if params.include_dropped_terms:
+        jxs = jx * channel.jx_decay ** np.arange(start, start + len(ks))
+        db = channel.db0[ks] + jxs[:, None, None] * channel.db1[ks]
+        if explicit:
             r = np.concatenate([db, np.broadcast_to(depol_root, (len(ks), *depol_root.shape))], axis=2)
         else:
             r = _roots(db[..., 1:] @ db[..., 1:].swapaxes(1, 2) + depol)
-        for w in np.concatenate([da[ks], r], axis=2):
+        for w in np.concatenate([channel.da[ks], r], axis=2):
             yield w, left_over
 
 
@@ -346,15 +335,15 @@ def monte_carlo_sample(
     (rank 2, since Jxy = Jz) and, per pulse, the independent noise of
     ``_monte_carlo_maps``: one product [D A | R] @ [x; z] on the stacked
     (Jy, Jz, Jxy, M) samples x and fresh standard normals z moves all trials
-    at once.  With the dropped terms on, z holds Sy_in and Sz_in explicitly
-    and the meter product -sign g2 Sz_in Jy is added as sampled; with them
-    off, the meter's shot noise sum sign Sy_in is one draw per trial, added at
-    the end.  The samples are exact in distribution.  Returns the sample
-    variance of the accumulated meter with the Gaussian standard error
-    var * sqrt(2/(trials-1)).  Fixed seeds give bit-identical results; the
-    estimate converges to the analytic var(M).  Trial counts whose arrays
-    would exceed ``MC_MEMORY_CAP_BYTES`` raise ValueError before anything is
-    allocated (about 20 million trials).
+    at once.  Where ``pulse_channel``'s meter-product loading q is nonzero
+    (the dropped terms on), z holds Sy_in and Sz_in explicitly and the
+    product q Jy z[1] is added as sampled; otherwise the meter's shot noise
+    sum sign Sy_in is one draw per trial, added at the end.  The samples are
+    exact in distribution.  Returns the sample variance of the accumulated
+    meter with the Gaussian standard error var * sqrt(2/(trials-1)).  Fixed
+    seeds give bit-identical results; the estimate converges to the analytic
+    var(M).  Trial counts whose arrays would exceed ``MC_MEMORY_CAP_BYTES``
+    raise ValueError before anything is allocated (about 20 million trials).
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
@@ -367,25 +356,25 @@ def monte_carlo_sample(
 
     state0 = init_css(params)
     root = _roots(state0.cov[:3, :3])
-    # rows Jy, Jz, Jxy, M, then the draws z: with the dropped terms on Sy_in, Sz_in
-    # and one per depolarized atomic row, with them off at most one per atomic row
-    noise_rows = 2 + 3 * (params.scattering_eps > 0.0) if params.include_dropped_terms else 3
+    q = pulse_channel(params).q
+    # rows Jy, Jz, Jxy, M, then the draws z: with the meter product Sy_in, Sz_in
+    # and one per depolarized atomic row, without it at most one per atomic row
+    noise_rows = 2 + 3 * (params.scattering_eps > 0.0) if q.any() else 3
     x = np.empty((4 + noise_rows, trials))
     rng.standard_normal(out=x[:root.shape[1]])
     x[:3] = root @ x[:root.shape[1]]
     x[M] = 0.0
     moved = np.empty((4, trials))
-    product_scale = -params.g2 * math.sqrt(params.photons_per_pulse / 4.0)
     sy_var = 0.0
 
     maps = _monte_carlo_maps(params, schedule, state0.jx_mean)
-    for sign, (w, left_over) in zip(schedule.signs.tolist(), maps):
+    for q_k, (w, left_over) in zip(q[(schedule.signs < 0).astype(int)].tolist(), maps):
         width = w.shape[1]
         rng.standard_normal(out=x[4:width])
         np.matmul(w, x[:width], out=moved)
-        if params.include_dropped_terms:
+        if q_k:
             sz_in = x[5]  # Sz_in / sqrt(shot), overwritten with the meter product
-            sz_in *= sign * product_scale
+            sz_in *= q_k
             sz_in *= x[JY]
             moved[M] += sz_in
         x[:4] = moved

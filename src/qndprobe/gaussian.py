@@ -14,24 +14,25 @@ One kernel propagates every train.  Because A does not depend on the atom
 number and B is affine in jx, the covariance after each pulse is exactly
 C0 + NA C1 + NA^2 C2 for a CSS start, so the kernel carries the three
 coefficient matrices through the train in one pass (a given initial state
-is the same polynomial taken at 1).  ``run_schedule`` evaluates it at its
-atom number; ``css_meter_variance`` evaluates one train at every atom number
-of a sweep and returns the final var(M) coefficients too.  Every pulse's
-covariance is PSD-checked, in a sweep at every atom number.
+is the same polynomial taken at 1).  Its pulses, like the Monte Carlo's,
+are ``pulse_channel``'s.  ``run_schedule`` evaluates it at its atom number;
+``css_meter_variance`` evaluates one train at every atom number of a sweep
+and returns the final var(M) coefficients too.  Every pulse's covariance is
+PSD-checked, in a sweep at every atom number.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .operators import build_spin_operators
-
 # index order of the tracked variables (Jy, Jz, Jxy, meter)
 JY, JZ, JXY, M = 0, 1, 2, 3
+# variance of jy, jz and jxy in the maximally mixed spin-1 state, tr(op^2)/3
+MIXED_VARIANCE = 1.0 / 6.0
 
 # Memory a run may hold, shared with the Monte Carlo.  A run holds 8-byte
 # arrays of one value per pulse (the signs, the operator index, jx and the
@@ -62,10 +63,10 @@ class CouplingParams:
     def __post_init__(self):
         if not (math.isfinite(self.g1) and math.isfinite(self.g2)):
             raise ValueError("couplings g1, g2 must be finite")
-        if self.photons_per_pulse <= 0:
-            raise ValueError("photons_per_pulse must be positive")
-        if self.atom_number <= 0:
-            raise ValueError("atom_number must be positive")
+        if not (math.isfinite(self.photons_per_pulse) and self.photons_per_pulse > 0):
+            raise ValueError("photons_per_pulse must be positive and finite")
+        if not (math.isfinite(self.atom_number) and self.atom_number > 0):
+            raise ValueError("atom_number must be positive and finite")
         if not 0.0 <= self.scattering_eps <= 1.0:
             raise ValueError("scattering_eps must lie in [0, 1]")
 
@@ -140,24 +141,6 @@ class GaussianState:
         _psd_margins(self.cov[None], tol)
 
 
-@lru_cache(maxsize=None)
-def single_atom_mixed_variances(f: float) -> tuple[float, float, float]:
-    """Variances of (jy, jz, jxy) in the maximally mixed single-atom state.
-
-    jz gives f(f+1)/12 (the isotropic spin variance over the 1/2 in its
-    definition); jy and jxy are evaluated from their matrices as
-    tr(op^2)/(2f+1), all first moments being traceless or zero.
-    """
-    ops = build_spin_operators(f)
-    dim = ops.dim
-
-    def mixed_var(op):
-        mean = np.trace(op).real / dim
-        return float(np.trace(op @ op).real / dim - mean ** 2)
-
-    return mixed_var(ops.jy), mixed_var(ops.jz), mixed_var(ops.jxy)
-
-
 def init_css(params: CouplingParams) -> GaussianState:
     """Initial x-polarized coherent-spin-state moments.
 
@@ -205,7 +188,7 @@ def pulse_map(sign: int, params: CouplingParams, jx: float) -> tuple[np.ndarray,
 
     with pre-pulse values on all right-hand sides.  A is 4x4 and B the 4x2
     loadings of (Sy_in, Sz_in).  The one non-linear contribution, the
-    dropped-term meter product -sign g2 Sz_in Jy, is left to the caller.
+    dropped-term meter product -sign g2 Sz_in Jy, is left to ``pulse_channel``.
     """
     sx = sign * params.photons_per_pulse / 2.0
     g1, g2 = params.g1, params.g2
@@ -223,11 +206,53 @@ def pulse_map(sign: int, params: CouplingParams, jx: float) -> tuple[np.ndarray,
     return a, b
 
 
+class PulseChannel(NamedTuple):
+    """The depolarized pulse of each sign, index 0 for +1 and 1 for -1 (see ``pulse_channel``)."""
+
+    da: np.ndarray      # (2, 4, 4) D A
+    db0: np.ndarray     # (2, 4, 2) sqrt(shot) D B0
+    db1: np.ndarray     # (2, 4, 2) sqrt(shot) D B1
+    q: np.ndarray       # (2,) meter-product loading -sign g2 sqrt(shot)
+    depol: np.ndarray   # (4,) depolarization variance per atom
+    jx_decay: float     # 1 - eps
+
+
+def pulse_channel(params: CouplingParams) -> PulseChannel:
+    """One pulse of each sign followed by depolarization, with the shot noise in standard normals.
+
+    With A and B(jx) = B0 + jx B1 from ``pulse_map``, shot = n_L/4 and
+    z = (Sy_in, Sz_in) / sqrt(shot) two fresh standard normals, a pulse of
+    sign s maps x = (Jy, Jz, Jxy, M) and the pre-pulse jx of NA atoms to
+
+        x  <- D A x + sqrt(shot) D B(jx) z + q Jy z[1] e_M + w
+        jx <- (1 - eps) jx
+
+    where D = diag(1 - eps, 1 - eps, 1 - eps, 1) is the depolarization
+    contraction, q = -s g2 sqrt(shot) loads the dropped-term meter product
+    -s g2 Sz_in Jy (q = 0 with the dropped terms off) and w is independent
+    noise of variance NA * depol: eps times ``MIXED_VARIANCE`` on every
+    atomic variable and 0 on M, so eps = 1 lands on the fully depolarized
+    ensemble.  Everything is evaluated with pre-pulse values.
+    """
+    eps = params.scattering_eps
+    d = np.array([1.0 - eps] * 3 + [1.0])[:, None]
+    sqrt_shot = math.sqrt(params.photons_per_pulse / 4.0)
+    da, db0, db1 = [], [], []
+    for sign in (1, -1):
+        a, b = pulse_map(sign, params, 0.0)
+        da.append(d * a)
+        db0.append(sqrt_shot * d * b)
+        db1.append(sqrt_shot * d * (pulse_map(sign, params, 1.0)[1] - b))
+    q = -np.array([1.0, -1.0]) * params.g2 * sqrt_shot if params.include_dropped_terms else np.zeros(2)
+    depol = eps * np.array([MIXED_VARIANCE] * 3 + [0.0])
+    return PulseChannel(np.array(da), np.array(db0), np.array(db1), q, depol, 1.0 - eps)
+
+
 # vec(cov)[4 i + j] = cov[i, j]; the kernel acts on covariances in this flattened form
 _TRANSPOSE = np.eye(16)[[4 * j + i for i in range(4) for j in range(4)]]
 _SYMMETRIZE = (np.eye(16) + _TRANSPOSE) / 2
 _VEC_JY_JY, _VEC_M_M = 5 * JY, 5 * M
-_VEC_ATOMIC_DIAG = [5 * JY, 5 * JZ, 5 * JXY]
+_VEC_DIAG = 5 * np.arange(4)
 # covariance matrices evaluated per block of the kernel (2 MB of 4x4 floats),
 # so also the most atom numbers one sweep evaluates
 EVAL_BATCH = 1 << 14
@@ -286,47 +311,32 @@ def _train(params: CouplingParams, schedule: PulseSchedule, unit: GaussianState,
 
     The state has jx = lambda * unit.jx_mean, means lambda * unit.mean and
     covariance lambda * unit.cov, and carries nu * lambda atoms (nu = 1 for a
-    CSS of lambda = NA atoms).  Since A does not depend on lambda and
-    B(jx) = B0 + jx B1 is affine in it, the covariance after every pulse is
-    exactly C0 + lambda C1 + lambda^2 C2.  Each pulse sign becomes one
-    16x16 operator on vec(cov): A (x) A, the dropped-term
-    g2^2 shot var(Jy) -> var(M) entry, symmetrization and the depolarization
-    contraction.  The per-pulse noise (shot noise through B, the dropped-term
-    mean loading -sign g2 <Jy> of Sz_in into M, and the depolarization
-    noise eps nu lambda kappa) is built in array operations, so the loop body
-    is one (3, 16) @ (16, 16) product and one add.
+    CSS of lambda = NA atoms).  Each pulse is ``pulse_channel``'s.  Since
+    D A does not depend on lambda and D B(jx) is affine in it, the
+    covariance after every pulse is exactly C0 + lambda C1 + lambda^2 C2.
+    Each pulse sign becomes one 16x16 operator on vec(cov): the symmetrized
+    (D A) (x) (D A) plus the meter product's q^2 var(Jy) -> var(M).  The
+    per-pulse noise (the channel's shot noise, with the meter product's mean
+    loading q <Jy> of Sz_in into M, and its depolarization noise for
+    nu lambda atoms) is built in array operations, so the loop body is one
+    (3, 16) @ (16, 16) product and one add.
 
     Yields, per block of at most ``block`` pulses, the index of its first
     pulse, the means per unit lambda (pulses, 4), the coefficients
     (pulses, 3, 16) and the jx per unit lambda after each of them.
     """
     n = len(schedule)
-    shot = params.photons_per_pulse / 4.0
-    eps = params.scattering_eps
-    r = 1.0 - eps
-    d = np.array([r, r, r, 1.0])
-    dd = np.outer(d, d).ravel()
+    da, db0, db1, q, depol, jx_decay = pulse_channel(params)
 
     # operator index of each pulse: 0 for sign +1, 1 for sign -1
     kind = (schedule.signs < 0).astype(int)
-    maps, ops, b0, b1, load = [], [], [], [], []
-    for sign in (1, -1):
-        a, b = pulse_map(sign, params, 0.0)
-        k = np.kron(a, a)
-        mean_load = np.zeros((4, 2))
-        if params.include_dropped_terms:
-            k[_VEC_M_M, _VEC_JY_JY] += params.g2 * params.g2 * shot
-            mean_load[M, 1] = -sign * params.g2
-        maps.append(a)
-        # transposed, to act on the rows of the coefficient stack
-        ops.append((dd[:, None] * (_SYMMETRIZE @ k)).T)
-        b0.append(b)
-        b1.append(pulse_map(sign, params, 1.0)[1] - b)
-        load.append(mean_load)
-    b0, b1, load = np.array(b0), np.array(b1), np.array(load)
-    b0_noise = shot * np.einsum("kia,kja->kij", b0, b0).reshape(-1, 16) * dd
-    depol_noise = eps * nu * np.array(single_atom_mixed_variances(1.0))
-    jx = unit.jx_mean * r ** np.arange(n + 1)
+    ops = []
+    for k in range(2):
+        op = _SYMMETRIZE @ np.kron(da[k], da[k])
+        op[_VEC_M_M, _VEC_JY_JY] += q[k] * q[k]
+        ops.append(op.T)  # transposed, to act on the rows of the coefficient stack
+    b0_noise = np.einsum("kia,kja->kij", db0, db0).reshape(-1, 16)
+    jx = unit.jx_mean * jx_decay ** np.arange(n + 1)
 
     mean = unit.mean
     c = np.zeros((3, 16))
@@ -338,17 +348,18 @@ def _train(params: CouplingParams, schedule: PulseSchedule, unit: GaussianState,
         if mean.any():
             for i, k in enumerate(ks):
                 pre_jy[i] = mean[JY]
-                mean = (maps[k] @ mean) * d
+                mean = da[k] @ mean
                 means[i] = mean
 
-        # B = B0 + lambda (u B1 + <Jy> L) per unit lambda
-        lin = jx[start:start + len(ks), None, None] * b1[ks] + pre_jy[:, None, None] * load[ks]
-        cross = np.einsum("nia,nja->nij", b0[ks], lin)
+        # the noise root is db0 + lambda lin: lin = u db1 plus the loading q <Jy> of Sz_in into M
+        lin = jx[start:start + len(ks), None, None] * db1[ks]
+        lin[:, M, 1] += pre_jy * q[ks]
+        cross = np.einsum("nia,nja->nij", db0[ks], lin)
         noise = np.empty((len(ks), 3, 16))
         noise[:, 0] = b0_noise[ks]
-        noise[:, 1] = shot * (cross + cross.swapaxes(1, 2)).reshape(-1, 16) * dd
-        noise[:, 2] = shot * np.einsum("nia,nja->nij", lin, lin).reshape(-1, 16) * dd
-        noise[:, 1, _VEC_ATOMIC_DIAG] += depol_noise
+        noise[:, 1] = (cross + cross.swapaxes(1, 2)).reshape(-1, 16)
+        noise[:, 2] = np.einsum("nia,nja->nij", lin, lin).reshape(-1, 16)
+        noise[:, 1, _VEC_DIAG] += nu * depol
 
         coeffs = np.empty((len(ks), 3, 16))
         for i, k in enumerate(ks):
@@ -388,17 +399,12 @@ def run_schedule(
 ) -> ScheduleResult:
     """Run a train from ``initial`` (default: the CSS), recording the moments after every pulse.
 
-    Each pulse applies ``pulse_map`` to the means and covariances, which
-    follow the affine-Gaussian transport exactly.  With the dropped terms on,
-    the meter product -sign g2 Sz_in Jy enters through its mean, as the Sz_in
-    loading -sign g2 <Jy> of M, and its fluctuation contributes the
-    Gaussian-factorized variance g2^2 var(Sz_in) var(Jy) as an independent
-    noise on M.  Depolarization (scattering_eps) then shrinks the atomic
-    means and jx by (1 - eps), contracts the atomic covariance block by
-    (1 - eps)^2 and the atomic-meter covariances by (1 - eps), and adds
-    eps * NA times the fully mixed single-atom variances, so eps = 1 lands on
-    the fully depolarized ensemble.  One pass of the covariance kernel; every
-    pulse's covariance is PSD-checked (ArithmeticError on a violation).
+    Each pulse is ``pulse_channel``'s, applied to the means and
+    covariances, which follow the affine-Gaussian transport exactly; the
+    dropped-term meter product enters through its mean (the Sz_in loading
+    q <Jy> of M) and its Gaussian-factorized variance q^2 var(Jy).  One pass
+    of the covariance kernel; every pulse's covariance is PSD-checked
+    (ArithmeticError on a violation).
     """
     unit, nu, lam = _start(params, initial)
     n = len(schedule)
@@ -427,12 +433,12 @@ def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_num
     and evaluated at every atom number; ``params.atom_number`` is not used.
     Every pulse is PSD-checked at every atom number by ``_check_psd``, whose
     passing path is one batched Cholesky factorization; no PSD margin is
-    recorded.  At most ``EVAL_BATCH`` atom numbers are accepted, so one block
-    holds at least one pulse.
+    recorded.  From 1 to ``EVAL_BATCH`` atom numbers are accepted, so one
+    block holds at least one pulse.
     """
-    if len(atom_numbers) > EVAL_BATCH:
-        raise ValueError(f"{len(atom_numbers)} atom numbers exceed the {EVAL_BATCH} one sweep evaluates")
     lam = np.asarray(atom_numbers, dtype=float)
+    if not 0 < len(lam) <= EVAL_BATCH:
+        raise ValueError(f"a sweep evaluates 1 to {EVAL_BATCH} atom numbers, got {len(lam)}")
     unit, nu, _ = _start(params, None)
     for _, _, coeffs, _ in _train(params, schedule, unit, nu, EVAL_BATCH // len(lam)):
         covs = _covariances(coeffs, lam)

@@ -23,7 +23,7 @@ from qndprobe.experiment import (
     sweep_atom_number,
 )
 from qndprobe.experiment import _monte_carlo_maps, _roots
-from qndprobe.gaussian import M, pulse_map, run_schedule, single_atom_mixed_variances
+from qndprobe.gaussian import MIXED_VARIANCE, M, pulse_map, run_schedule
 
 
 # --------------------------------------------------------- physical couplings
@@ -263,7 +263,7 @@ def test_monte_carlo_keeps_the_kernel_noise(eps, dropped, monkeypatch):
     maps = list(_monte_carlo_maps(params, sched, jx))
     shot = params.photons_per_pulse / 4
     d = np.array([1 - eps, 1 - eps, 1 - eps, 1.0])
-    depol = np.diag([*(eps * params.atom_number * np.array(single_atom_mixed_variances(1.0))), 0.0])
+    depol = np.diag([eps * params.atom_number * MIXED_VARIANCE] * 3 + [0.0])
     assert len(maps) == len(sched)
     for k, (sign, (w, left_over)) in enumerate(zip(sched.signs.tolist(), maps)):
         a, b = pulse_map(sign, params, jx * (1 - eps) ** k)

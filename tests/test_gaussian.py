@@ -10,6 +10,7 @@ from qndprobe.gaussian import (
     JZ,
     M,
     MEMORY_CAP_BYTES,
+    MIXED_VARIANCE,
     TRAIN_BYTES_PER_PULSE,
     CouplingParams,
     PulseSchedule,
@@ -17,11 +18,12 @@ from qndprobe.gaussian import (
     _psd_margins,
     css_meter_variance,
     init_css,
+    pulse_channel,
     pulse_map,
     run_schedule,
-    single_atom_mixed_variances,
     state_from_atomic_moments,
 )
+from qndprobe.operators import build_spin_operators
 
 
 def make_params(**kw):
@@ -41,6 +43,10 @@ def test_params_validation():
         make_params(atom_number=-5)
     with pytest.raises(ValueError):
         make_params(scattering_eps=1.5)
+    for name in ("photons_per_pulse", "atom_number"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                make_params(**{name: value})
 
 
 # ----------------------------------------------------------------- schedules
@@ -111,6 +117,12 @@ def test_sweep_refuses_more_atom_numbers_than_one_block():
     assert css_meter_variance(params, sched, grid)[0].shape == (EVAL_BATCH,)
     with pytest.raises(ValueError, match="atom numbers"):
         css_meter_variance(params, sched, np.geomspace(1e4, 2e6, EVAL_BATCH + 1))
+
+
+def test_sweep_refuses_an_empty_grid():
+    params, sched = paper_params("decoupled", p=1)
+    with pytest.raises(ValueError, match="atom numbers, got 0"):
+        css_meter_variance(params, sched, [])
 
 
 # ------------------------------------------------------------------ init_css
@@ -215,13 +227,19 @@ def test_decoherence_complete_depolarization():
     params = make_params(g1=0.0, g2=0.0, atom_number=1e4, scattering_eps=1.0)
     state = init_css(params)
     out = apply_one_pulse(state, params)
-    kappa_y, kappa_z, kappa_xy = single_atom_mixed_variances(1.0)
     assert out.jx_mean == 0.0
-    assert out.cov[JY, JY] == pytest.approx(1e4 * kappa_y)
-    assert out.cov[JZ, JZ] == pytest.approx(1e4 * kappa_z)
-    assert out.cov[JXY, JXY] == pytest.approx(1e4 * kappa_xy)
+    assert out.cov[JY, JY] == pytest.approx(1e4 * MIXED_VARIANCE)
+    assert out.cov[JZ, JZ] == pytest.approx(1e4 * MIXED_VARIANCE)
+    assert out.cov[JXY, JXY] == pytest.approx(1e4 * MIXED_VARIANCE)
     # f = 1 isotropic single-atom variance f(f+1)/3 scaled by the 1/2 in jz
-    assert kappa_z == pytest.approx(1.0 * 2.0 / 12.0)
+    assert MIXED_VARIANCE == pytest.approx(1.0 * 2.0 / 12.0)
+
+
+def test_mixed_variance_is_the_spin_1_trace():
+    ops = build_spin_operators(1.0)
+    for op in (ops.jy, ops.jz, ops.jxy):
+        mean = np.trace(op).real / 3
+        assert np.trace(op @ op).real / 3 - mean ** 2 == MIXED_VARIANCE
 
 
 def test_decoherence_jx_decay_example():
@@ -335,12 +353,35 @@ def test_naive_quadratic_exceeds_decoupled_tenfold():
     assert c2_naive >= 10 * c2_dec
 
 
+# ---------------------------------------------------------------- pulse channel
+
+@pytest.mark.parametrize("dropped", [False, True])
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 0.2])
+def test_pulse_channel_is_the_depolarized_pulse_map(eps, dropped):
+    params = make_params(scattering_eps=eps, include_dropped_terms=dropped)
+    channel = pulse_channel(params)
+    d = np.array([1 - eps, 1 - eps, 1 - eps, 1.0])
+    shot = params.photons_per_pulse / 4
+    for k, sign in enumerate((1, -1)):
+        a = pulse_map(sign, params, 0.0)[0]
+        assert np.array_equal(channel.da[k], d[:, None] * a)
+        for jx in (0.37 * params.atom_number, 2.0e6):
+            b = pulse_map(sign, params, jx)[1]
+            np.testing.assert_allclose(channel.db0[k] + jx * channel.db1[k], np.sqrt(shot) * d[:, None] * b,
+                                       rtol=1e-15, atol=0)
+        assert (channel.q[k] != 0) == dropped
+    if dropped:
+        np.testing.assert_allclose(channel.q, [-params.g2 * np.sqrt(shot), params.g2 * np.sqrt(shot)], rtol=1e-15)
+    assert np.array_equal(channel.depol, eps * np.array([MIXED_VARIANCE] * 3 + [0.0]))
+    assert channel.jx_decay == 1 - eps
+
+
 # ------------------------------------------------------ kernel vs per-pulse fold
 
 def reference_fold(params, signs, state):
     """The per-pulse update, one pulse at a time: pulse_map, dropped terms, depolarization."""
     shot, g2, r = params.photons_per_pulse / 4.0, params.g2, 1.0 - params.scattering_eps
-    depol = params.scattering_eps * params.atom_number * np.array(single_atom_mixed_variances(1.0))
+    depol = params.scattering_eps * params.atom_number * MIXED_VARIANCE
     mean, cov, jx = state.mean.copy(), state.cov.copy(), state.jx_mean
     means, meter_var = [], []
     for sign in signs:
