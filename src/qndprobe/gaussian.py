@@ -439,6 +439,8 @@ def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_num
     lam = np.asarray(atom_numbers, dtype=float)
     if not 0 < len(lam) <= EVAL_BATCH:
         raise ValueError(f"a sweep evaluates 1 to {EVAL_BATCH} atom numbers, got {len(lam)}")
+    if not np.all(np.isfinite(lam) & (lam > 0)):
+        raise ValueError("atom numbers must be positive and finite")
     unit, nu, _ = _start(params, None)
     for _, _, coeffs, _ in _train(params, schedule, unit, nu, EVAL_BATCH // len(lam)):
         covs = _covariances(coeffs, lam)

@@ -1,18 +1,18 @@
 """Exact unitary simulation of an atomic ensemble and a truncated photon sector.
 
-Validates the linearized covariance engine: builds the full coupling
-Hamiltonian g1 Sz Jz + g2 (Sx Jx + Sy Jy) on the (atoms x photons) space as
-a sum of Kronecker products of collective atomic and Stokes factors, evolves
-exactly via one Hermitian eigendecomposition per conserved Sz + Jz block, and
-checks the bang-bang rotation / polarization-flip equivalence.  Spin-1 atoms
-are one collective spin na/2 (dimension na + 1), exact because jx, jy, jz act
-as sigma/2 on {|1>, |-1>} and vanish on |0>; other spins keep the
-(2f+1)^na tensor space.  Between pulses the reduced atomic density matrix is
-carried (unconditional dynamics): each probe pulse enters pure, so a pulse is
-the atomic Kraus channel of the operators <l|U|phi>, built once per run.
-Meter correlations across pulses are tracked exactly through a propagated
-correlation operator so the cumulative meter variance matches the full
-multi-pulse pure-state calculation.
+Validates the linearized covariance engine.  The coupling Hamiltonian
+g1 Sz Jz + g2 (Sx Jx + Sy Jy) on the (atoms x photons) space conserves
+Sz + Jz and is written only block by block, from collective atomic and Stokes
+factors; each block is evolved by one Hermitian eigendecomposition and checked
+for the bang-bang rotation / polarization-flip equivalence, so no joint-space
+matrix is formed.  Spin-1 atoms are one collective spin na/2 (dimension
+na + 1), exact because jx, jy, jz act as sigma/2 on {|1>, |-1>} and vanish on
+|0>; other spins keep the (2f+1)^na tensor space.  Between pulses the reduced
+atomic density matrix is carried (unconditional dynamics): each probe pulse
+enters pure, so a pulse is the atomic Kraus channel of the operators
+<l|U|phi>, built once per run.  Meter correlations across pulses are tracked
+exactly through a propagated correlation operator so the cumulative meter
+variance matches the full multi-pulse pure-state calculation.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ import numpy as np
 from .gaussian import CouplingParams, PulseSchedule, run_schedule, state_from_atomic_moments
 from .operators import angular_momentum_matrices, build_spin_operators, build_stokes_operators
 
-# A dense complex D x D matrix takes 16 D^2 bytes, and a run builds H densely.
-# D = 4096 (268 MB) admits na = 818 spin-1 atoms at n_ph = 4 (D = 4095) but only
-# na = 4 spin-2 atoms (D = 3125): at na = 5 (D = 15625) H alone takes 3.9 GB.
+# No joint-space matrix is built; the largest arrays are the four Kraus stacks of
+# n_ph + 1 atomic matrices, 64 D dim_a bytes, at most about 537 MB at D = 4096
+# (n_ph = 1).  The cap admits na = 818 spin-1 atoms at n_ph = 4 (D = 4095) but
+# only na = 4 spin-2 atoms: at na = 5 (D = 15625) the stacks would take 3.1 GB.
 DEFAULT_DIM_CAP = 4096
 
 
@@ -51,45 +52,47 @@ def _kron_all(mats) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-def _embed_single_atom(op: np.ndarray, atom: int, na: int) -> np.ndarray:
-    dim = op.shape[0]
-    eye = np.eye(dim, dtype=complex)
-    return _kron_all([op if i == atom else eye for i in range(na)])
-
-
 @lru_cache(maxsize=None)
 def _atomic_collective(na: int, two_f: int) -> dict:
     """Collective atomic operators (sums over atoms) on the atomic space."""
     if two_f == 2:  # the symmetric span of {|1>, |-1>}, which H never leaves
         mats = angular_momentum_matrices(na / 2)
     else:
-        ops = build_spin_operators(two_f / 2)
-        mats = [sum(_embed_single_atom(op, i, na) for i in range(na)) for op in (ops.jx, ops.jy, ops.jz)]
+        ops, eye = build_spin_operators(two_f / 2), np.eye(two_f + 1, dtype=complex)
+        mats = [sum(_kron_all([op if i == k else eye for i in range(na)]) for k in range(na))
+                for op in (ops.jx, ops.jy, ops.jz)]
     for total in mats:
         total.setflags(write=False)
     return dict(zip(("jx", "jy", "jz"), mats))
 
 
-def build_heff(na: int, f: float, n_ph: int, g1: float, g2: float) -> np.ndarray:
-    """Pulse-integrated coupling Hamiltonian g1 Sz Jz + g2 (Sx Jx + Sy Jy).
+def build_heff(na: int, f: float, n_ph: int, g1: float, g2: float) -> list:
+    """Pulse-integrated coupling Hamiltonian g1 Sz Jz + g2 (Sx Jx + Sy Jy), block by block.
 
-    Each term is the Kronecker product of a collective atomic operator and a
-    Stokes operator, so H is built on the (atoms x photons) space without
-    joint-space operators or matrix products, and is exactly Hermitian.
-    The joint dimension is checked against the cap before anything is built.
+    H conserves Sz + Jz, diagonal in the joint basis a * (n_ph + 1) + s, so it
+    is one (a, s, h_b) per block of equal Sz + Jz, in ascending order: the
+    atomic and photon indices and the matrix.  Each entry is summed from
+    Kronecker entries jz[a_i, a_j] * sz[s_i, s_j] of the collective atomic and
+    Stokes factors, so blocks are exactly Hermitian and no joint-space matrix
+    exists.  The joint dimension is checked against the cap before anything is built.
     """
     _check_joint_dim(build_spin_operators(f).dim, na, n_ph)
-    stokes = build_stokes_operators(n_ph)
-    atomic = _atomic_collective(na, int(round(2 * f)))
-    return g1 * np.kron(atomic["jz"], stokes.sz) + g2 * (
-        np.kron(atomic["jx"], stokes.sx) + np.kron(atomic["jy"], stokes.sy)
-    )
+    st = build_stokes_operators(n_ph)
+    jx, jy, jz = _atomic_collective(na, int(round(2 * f))).values()
+    # the Sz + Jz values are exact dyadic rationals
+    _, block = np.unique(np.add.outer(jz.diagonal(), st.sz.diagonal()).real, return_inverse=True)
+    blocks = []
+    for b in range(block.max() + 1):
+        a, s = np.divmod(np.flatnonzero(block == b), n_ph + 1)
+        aa, ss = np.ix_(a, a), np.ix_(s, s)
+        blocks.append((a, s, g1 * (jz[aa] * st.sz[ss]) + g2 * (jx[aa] * st.sx[ss] + jy[aa] * st.sy[ss])))
+    return blocks
 
 
-def hermitian_unitary(h: np.ndarray, phase: float = -1.0) -> np.ndarray:
-    """exp(i * phase * h) for Hermitian h via eigendecomposition (the oracle's H one block at a time)."""
+def hermitian_unitary(h: np.ndarray) -> np.ndarray:
+    """exp(-i h) for Hermitian h via eigendecomposition (the oracle's H one block at a time)."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * phase * w)) @ v.conj().T
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def polarized_photon_state(n_ph: int, sign: int) -> np.ndarray:
@@ -163,7 +166,7 @@ def single_atom_css(f: float, tilt: float = 0.0, phase: float = 0.0) -> np.ndarr
     untilted state maximizes <jx> = 1/2.  For f = 1/2 it is the x-polarized
     spin state (|up> + |down>)/sqrt(2) rotated by the same angles.
     """
-    dim = int(round(2 * f + 1))
+    dim = build_spin_operators(f).dim
     alpha = math.pi / 4 + tilt
     psi = np.zeros(dim, dtype=complex)
     psi[0] = math.cos(alpha)
@@ -198,27 +201,20 @@ def _kraus_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 def _kraus_stacks(state: ExactState, g1: float, g2: float) -> dict:
     """Per probe sign, the (n_ph+1)-stacks E_l = <l|U|phi_sign> and F_l = sum_m Sy[l, m] E_m.
 
-    H conserves Sz + Jz, diagonal in this basis, so U is never formed: each
-    block of equal Sz + Jz is exponentiated on its own and written straight
-    into the stacks.  Given (l, a') and a, one photon state s puts (a, s) in
-    the block of (a', l), so E_l[a', a] = U_b[(a', l), (a, s)] phi[s] exactly.
+    U is never formed: each Sz + Jz block of H from ``build_heff`` is
+    exponentiated on its own and written straight into the stacks.  Given
+    (l, a') and a, one photon state s puts (a, s) in the block of (a', l), so
+    E_l[a', a] = U_b[(a', l), (a, s)] phi[s] exactly.
     """
     dim_a, dim_ph = state.rho.shape[0], state.n_ph + 1
-    h = build_heff(state.na, state.f, state.n_ph, g1, g2)
-    jz = _atomic_collective(state.na, int(round(2 * state.f)))["jz"]
-    stokes = build_stokes_operators(state.n_ph)
-    # joint index a * dim_ph + s; the Sz + Jz values are exact dyadic rationals
-    total_z = np.add.outer(jz.diagonal(), stokes.sz.diagonal()).real.ravel()
-    _, block = np.unique(total_z, return_inverse=True)
     phis = {sign: polarized_photon_state(state.n_ph, sign) for sign in (1, -1)}
     stacks = {sign: np.zeros((dim_ph, dim_a, dim_a), dtype=complex) for sign in phis}
-    for b in range(block.max() + 1):
-        idx = np.flatnonzero(block == b)
-        u_b = hermitian_unitary(h[np.ix_(idx, idx)])
-        a, s = np.divmod(idx, dim_ph)
+    for a, s, h_b in build_heff(state.na, state.f, state.n_ph, g1, g2):
+        u_b = hermitian_unitary(h_b)
         for sign, e in stacks.items():
             e[s[:, None], a[:, None], a] = u_b * phis[sign][s]
-    return {sign: (e, np.tensordot(stokes.sy, e, axes=1)) for sign, e in stacks.items()}
+    sy = build_stokes_operators(state.n_ph).sy
+    return {sign: (e, np.tensordot(sy, e, axes=1)) for sign, e in stacks.items()}
 
 
 @dataclass(frozen=True)
@@ -296,14 +292,18 @@ def check_bangbang_equivalence(
 
     A pi rotation about the collective Jz leaves Jz untouched and inverts
     Jx, Jy, so U_b^dag U_H U_b must equal evolution under the Hamiltonian
-    with Sx -> -Sx, Sy -> -Sy.
+    with Sx -> -Sx, Sy -> -Sy.  Both evolutions keep the Sz + Jz blocks, and
+    U_b = exp(i pi Jz) x 1 is diagonal, so the check runs block by block and
+    conjugating by U_b is one phase per row and one per column.
     """
-    u_h = hermitian_unitary(build_heff(na, f, n_ph, g1, g2))
-    u_flip = hermitian_unitary(build_heff(na, f, n_ph, g1, -g2))
-    jz = _atomic_collective(na, int(round(2 * f)))["jz"]
-    u_b = np.kron(hermitian_unitary(jz, phase=math.pi), np.eye(n_ph + 1))
-    diff = u_b.conj().T @ u_h @ u_b - u_flip
-    return float(np.max(np.abs(diff)))
+    m = _atomic_collective(na, int(round(2 * f)))["jz"].diagonal().real
+    flipped = build_heff(na, f, n_ph, g1, -g2)
+    deviation = 0.0
+    for (a, _, h_b), (_, _, h_flip) in zip(build_heff(na, f, n_ph, g1, g2), flipped):
+        p = np.exp(1j * math.pi * m[a])
+        diff = p.conj()[:, None] * hermitian_unitary(h_b) * p - hermitian_unitary(h_flip)
+        deviation = max(deviation, float(np.max(np.abs(diff))))
+    return deviation
 
 
 @dataclass(frozen=True)

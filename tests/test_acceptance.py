@@ -30,10 +30,10 @@ from qndprobe.gaussian import JZ, PulseSchedule, init_css, run_schedule
 from qndprobe.operators import build_spin_operators, build_stokes_operators, commutator
 from qndprobe.oracle import (
     _atomic_collective,
-    build_heff,
     check_bangbang_equivalence,
     oracle_vs_gaussian,
 )
+from test_oracle import dense_heff
 
 
 def report(criterion, ok, detail):
@@ -76,7 +76,7 @@ def test_criterion_2_symmetry_and_bangbang():
     for f in (0.5, 1.0):
         for na in (1, 2, 3):
             for n_ph in (2, 4, 6):
-                h = build_heff(na, f, n_ph, 0.05, 0.05)
+                h = dense_heff(na, f, n_ph, 0.05, 0.05)
                 jz = _atomic_collective(na, int(round(2 * f)))["jz"]
                 sz = build_stokes_operators(n_ph).sz
                 total_z = np.kron(jz, np.eye(n_ph + 1)) + np.kron(np.eye(jz.shape[0]), sz)

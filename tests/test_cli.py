@@ -89,6 +89,8 @@ def test_validation_failures_exit_2(tmp_path):
     ["sweep", "--na-max", "inf"],
     ["impact", "--na", "nan"],
     ["impact", "--nl", "inf"],
+    ["oracle-compare", "--f", "-0.5"],               # spins that are not positive half-integers
+    ["oracle-compare", "--f", "0"],
 ])
 def test_rejected_subcommand_input_exits_2_without_output(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"

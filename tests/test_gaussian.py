@@ -125,6 +125,13 @@ def test_sweep_refuses_an_empty_grid():
         css_meter_variance(params, sched, [])
 
 
+@pytest.mark.parametrize("na", [float("nan"), -1e4, float("inf"), 0.0])
+def test_sweep_refuses_atom_numbers_that_are_not_positive_and_finite(na):
+    params, sched = paper_params("decoupled", p=1)
+    with pytest.raises(ValueError, match="positive and finite"):
+        css_meter_variance(params, sched, [1e4, na, 2e6])
+
+
 # ------------------------------------------------------------------ init_css
 
 def test_init_css_projection_noise():

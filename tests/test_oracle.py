@@ -24,6 +24,18 @@ from qndprobe.oracle import (
 
 # ------------------------------------------------------- joint space and factors
 
+def kron_heff(jx, jy, jz, n_ph, g1, g2):
+    """Dense reference H = g1 Jz x Sz + g2 (Jx x Sx + Jy x Sy) on the (atoms x photons) space."""
+    stokes = build_stokes_operators(n_ph)
+    return g1 * np.kron(jz, stokes.sz) + g2 * (np.kron(jx, stokes.sx) + np.kron(jy, stokes.sy))
+
+
+def dense_heff(na, f, n_ph, g1, g2):
+    """The dense reference on the oracle's atomic space (spin na/2 for f = 1)."""
+    atomic = _atomic_collective(na, int(round(2 * f)))
+    return kron_heff(atomic["jx"], atomic["jy"], atomic["jz"], n_ph, g1, g2)
+
+
 def total_z(na, f, n_ph):
     """Sz + Jz on the (atoms x photons) space, built from the factors H is built from."""
     jz = _atomic_collective(na, int(round(2 * f)))["jz"]
@@ -32,15 +44,15 @@ def total_z(na, f, n_ph):
 
 
 def test_joint_dimension_two_atoms():
-    h = build_heff(2, 1.0, 2, 0.3, 0.2)  # spin-1 atoms are one spin 1: 3 * 3
+    h = dense_heff(2, 1.0, 2, 0.3, 0.2)  # spin-1 atoms are one spin 1: 3 * 3
     assert h.shape[0] == 9
     assert h.shape == (9, 9)
-    assert build_heff(2, 1.5, 2, 0.3, 0.2).shape == (48, 48)  # other spins keep 4^2 * 3
+    assert dense_heff(2, 1.5, 2, 0.3, 0.2).shape == (48, 48)  # other spins keep 4^2 * 3
 
 
 def test_single_atom_jz_spectrum():
     # at g1 = 1, g2 = 0, H = Jz (x) Sz, and Sz at n_ph = 2 has spectrum {-1, 0, 1}
-    eig = np.unique(np.round(np.linalg.eigvalsh(build_heff(1, 1.0, 2, 1.0, 0.0)), 12))
+    eig = np.unique(np.round(np.linalg.eigvalsh(dense_heff(1, 1.0, 2, 1.0, 0.0)), 12))
     assert np.allclose(eig, [-0.5, 0.0, 0.5])
 
 
@@ -96,9 +108,9 @@ def test_heff_refused_before_any_operator_is_built():
 
 
 def test_exact_run_peaks_below_six_joint_matrices():
-    # H is summed from Kronecker products, so no joint operator set exists before
-    # the eigendecomposition; four spin-1 atoms are one spin 2, so D = 5 * 5, far
-    # below the bound of six complex D x D matrices at the tensor-space D = 81 * 5
+    # H is built and exponentiated one Sz + Jz block at a time, so no joint-space
+    # matrix exists; four spin-1 atoms are one spin 2, so D = 5 * 5, far below the
+    # bound of six complex D x D matrices at the tensor-space D = 81 * 5
     state = ExactState.from_product_state(single_atom_css(1.0), 4, 1.0, 4)
     _atomic_collective(4, 2)  # the cached atomic factors, built outside the traced window
     tracemalloc.start()
@@ -110,16 +122,46 @@ def test_exact_run_peaks_below_six_joint_matrices():
     assert peak < 6 * 16 * 405 ** 2
 
 
+def test_one_pulse_peaks_below_one_dense_joint_matrix():
+    # D = 101 * 17 = 1717, so one complex D x D matrix takes 47.2 MB, while the
+    # four Kraus stacks of 17 atomic 101 x 101 matrices take 11 MB together
+    state = ExactState.from_product_state(single_atom_css(1.0), 100, 1.0, 16)
+    _atomic_collective(100, 2)  # the cached atomic factors, built outside the traced window
+    tracemalloc.start()
+    try:
+        run_schedule_exact(state, PulseSchedule.naive(1), 1e-3, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * (101 * 17) ** 2
+
+
 # ----------------------------------------------------------------- Hamiltonian
 
+@pytest.mark.parametrize("f", [0.5, 1.0, 1.5, 2.0])
+def test_heff_blocks_partition_the_joint_space_and_equal_the_dense_blocks(f):
+    na, n_ph = 2, 3
+    h = dense_heff(na, f, n_ph, 0.11, 0.07)
+    z = np.diag(total_z(na, f, n_ph)).real
+    blocks = build_heff(na, f, n_ph, 0.11, 0.07)
+    assert isinstance(blocks, list)
+    joint = [a * (n_ph + 1) + s for a, s, _ in blocks]
+    assert np.array_equal(np.sort(np.concatenate(joint)), np.arange(h.shape[0]))
+    # one Sz + Jz value per block, ascending and distinct across blocks
+    assert [len(set(z[idx])) for idx in joint] == [1] * len(blocks)
+    assert np.all(np.diff([z[idx[0]] for idx in joint]) > 0)
+    for idx, (_, _, h_b) in zip(joint, blocks):
+        assert np.array_equal(h_b, h[np.ix_(idx, idx)])
+
+
 def test_heff_diagonal_when_g2_zero():
-    h = build_heff(2, 1.0, 2, 0.3, 0.0)
+    h = dense_heff(2, 1.0, 2, 0.3, 0.0)
     assert np.max(np.abs(h - np.diag(np.diag(h)))) == 0.0
 
 
 @pytest.mark.parametrize("na,f,n_ph", [(1, 0.5, 2), (2, 1.0, 3), (3, 1.0, 2), (2, 0.5, 6)])
 def test_heff_commutes_with_total_z(na, f, n_ph):
-    h = build_heff(na, f, n_ph, 0.11, 0.07)
+    h = dense_heff(na, f, n_ph, 0.11, 0.07)
     z = total_z(na, f, n_ph)
     assert np.max(np.abs(h @ z - z @ h)) < 1e-10
     assert np.array_equal(h, h.conj().T)  # every Kronecker factor is exactly Hermitian
@@ -127,7 +169,7 @@ def test_heff_commutes_with_total_z(na, f, n_ph):
 
 @pytest.mark.parametrize("na,f,n_ph", [(2, 0.5, 3), (5, 1.0, 4), (2, 1.5, 3), (2, 2.0, 2)])
 def test_heff_vanishes_off_the_total_z_blocks(na, f, n_ph):
-    h = build_heff(na, f, n_ph, 0.11, 0.07)
+    h = dense_heff(na, f, n_ph, 0.11, 0.07)
     z = np.diag(total_z(na, f, n_ph)).real
     assert np.count_nonzero(h[z[:, None] != z[None, :]]) == 0
     assert np.count_nonzero(h[z[:, None] == z[None, :]]) > 0
@@ -138,14 +180,14 @@ def test_block_kraus_stacks_match_dense_propagator(na, f, n_ph):
     g1, g2 = 0.11, 0.07
     state = ExactState.from_product_state(single_atom_css(f), na, f, n_ph)
     dim_a, dim_ph = state.rho.shape[0], n_ph + 1
-    u = hermitian_unitary(build_heff(na, f, n_ph, g1, g2)).reshape(dim_a, dim_ph, dim_a, dim_ph)
+    u = hermitian_unitary(dense_heff(na, f, n_ph, g1, g2)).reshape(dim_a, dim_ph, dim_a, dim_ph)
     for sign, (e, _) in _kraus_stacks(state, g1, g2).items():
         dense = np.moveaxis(u @ polarized_photon_state(n_ph, sign), 1, 0)
         assert np.max(np.abs(e - dense)) < 1e-13
 
 
 def test_heff_g2_irrelevant_for_spin_half():
-    assert np.max(np.abs(build_heff(2, 0.5, 3, 0.2, 5.0) - build_heff(2, 0.5, 3, 0.2, 0.0))) == 0.0
+    assert np.max(np.abs(dense_heff(2, 0.5, 3, 0.2, 5.0) - dense_heff(2, 0.5, 3, 0.2, 0.0))) == 0.0
 
 
 # --------------------------------------------------------------- photon states
@@ -244,7 +286,8 @@ def test_spin_half_jz_exactly_conserved_despite_g2():
 
 # ------------------------------------------------------------------- bang-bang
 
-@pytest.mark.parametrize("na,f,n_ph", [(2, 1.0, 2), (1, 1.0, 4), (2, 0.5, 3), (3, 1.0, 2)])
+@pytest.mark.parametrize("na,f,n_ph", [(2, 1.0, 2), (1, 1.0, 4), (2, 0.5, 3), (3, 1.0, 2),
+                                       (200, 1.0, 16)])
 def test_bangbang_equivalence(na, f, n_ph):
     assert check_bangbang_equivalence(na, f, n_ph, 0.05, 0.05) < 1e-10
 
@@ -269,7 +312,7 @@ def brute_force_meter(na, f, n_ph, g1, g2, schedule, tilt, phase):
         return sum(reduce(np.kron, [single if i == k else eye for i in range(na)]) for k in range(na))
 
     jx, jy, jz = collective(ops.jx), collective(ops.jy), collective(ops.jz)
-    h = g1 * np.kron(jz, stokes.sz) + g2 * (np.kron(jx, stokes.sx) + np.kron(jy, stokes.sy))
+    h = kron_heff(jx, jy, jz, n_ph, g1, g2)
     single = single_atom_css(f, tilt, phase)
     psi_a = reduce(np.kron, [single] * na)
     u = hermitian_unitary(h)
