@@ -13,9 +13,12 @@ the probe has Sx = s n_L/2 and its polarimeter output enters the meter as s Sy.
 One kernel propagates every train.  Because A does not depend on the atom
 number and B is affine in jx, the covariance after each pulse is exactly
 C0 + NA C1 + NA^2 C2 for a CSS start, so the kernel carries the three
-coefficient matrices through the train in one pass (a given initial state
-is the same polynomial taken at 1).  Its pulses, like the Monte Carlo's,
-are ``pulse_channel``'s.  ``run_schedule`` evaluates it at its atom number;
+coefficient matrices through the train (a given initial state is the same
+polynomial taken at 1).  It cuts a train of n pulses into about sqrt(n)
+chunks of about sqrt(n) pulses and steps all chunks at once, carrying the
+state across chunk boundaries one step per chunk, so a train takes
+O(sqrt(n)) Python steps.  Its pulses, like the Monte Carlo's, are
+``pulse_channel``'s.  ``run_schedule`` evaluates it at its atom number;
 ``css_meter_variance`` evaluates one train at every atom number of a sweep
 and returns the final var(M) coefficients too.  Every pulse's covariance is
 PSD-checked, in a sweep at every atom number.
@@ -23,6 +26,7 @@ PSD-checked, in a sweep at every atom number.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -35,10 +39,11 @@ JY, JZ, JXY, M = 0, 1, 2, 3
 MIXED_VARIANCE = 1.0 / 6.0
 
 # Memory a run may hold, shared with the Monte Carlo.  A run holds 8-byte
-# arrays of one value per pulse (the signs, the operator index, jx and the
-# recorded var(M) and PSD margin) and of four (the recorded means).
+# arrays of one value per pulse (the signs and the recorded var(M) and PSD
+# margin), of four (the recorded means) and of six (the weights of the
+# pulse's noise terms); the chunked scan holds a few states per chunk.
 MEMORY_CAP_BYTES = 2 * 1024 ** 3
-TRAIN_BYTES_PER_PULSE = 8 * (1 + 1 + 1 + 4 + 1 + 1)
+TRAIN_BYTES_PER_PULSE = 8 * (1 + 1 + 1 + 4 + 6)
 
 
 @dataclass(frozen=True)
@@ -306,6 +311,76 @@ def _covariances(coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return (powers @ coeffs).reshape(len(coeffs), len(powers), 4, 4)
 
 
+def _chunking(n: int) -> tuple[int, int]:
+    """(length, count) of the chunks an n-pulse train is scanned in.
+
+    The length is the smallest even number not below sqrt(n), so that the
+    period-2 sign pattern of a decoupled train (and the constant one of a
+    naive train) is the same in every chunk.  The last chunk may run past
+    the end of the train.
+    """
+    length = 2 * math.ceil(math.sqrt(n) / 2)
+    return length, -(-n // length)
+
+
+def _scan(ops: np.ndarray, start: np.ndarray, chunks: int, drive=None):
+    """Every state of the recurrence x <- x @ ops[t] + drive(t) along ``chunks`` equal chunks.
+
+    Position t of every chunk applies the (d, d) operator ops[t] and then
+    adds drive(t), a (chunks * r, d) stack of one (r, d) term per chunk
+    (nothing when ``drive`` is None); ``start`` (r, d) is the state before
+    the first pulse.  A first pass over the positions finds every chunk's
+    map from the state entering it to the state leaving it, x @ W + end[j],
+    where W is the product of ``ops`` and end[j] the chunk's own state when
+    entered at zero.  One step per chunk then carries the entering states
+    along the train, and a second pass over the positions, started from
+    them, yields after each position t the (chunks, r, d) states of every
+    chunk.  Each pass steps the states of all chunks at once, as one
+    (chunks * r, d) @ (d, d) product, so a train takes 2 len(ops) + chunks
+    Python steps and holds a few states per chunk.
+    """
+    r, d = start.shape
+    whole, end = functools.reduce(np.matmul, ops), np.zeros((chunks * r, d))
+    if drive is not None:
+        for t, op in enumerate(ops):
+            end = end @ op + drive(t)
+    end = end.reshape(chunks, r, d)
+    entry = np.empty((chunks, r, d))
+    entry[0] = start
+    for j in range(1, chunks):
+        entry[j] = entry[j - 1] @ whole + end[j - 1]
+    state = entry.reshape(chunks * r, d)
+    for t, op in enumerate(ops):
+        state = state @ op
+        if drive is not None:
+            state += drive(t)
+        yield state.reshape(chunks, r, d)
+
+
+def _blocks(states, length: int, n: int, block: int):
+    """Regroup ``_scan``'s per-position states into (pulses, states) blocks in pulse order.
+
+    Pulse j * length + t is position t of chunk j.  Each block holds at most
+    ``block`` pulses of the train, with their ascending indices; positions
+    past the end of the train are dropped, so the block that holds the last
+    pulse ends with it.
+    """
+    chunks = -(-n // length)
+    positions = max(1, block // chunks)  # held at a time, each of every chunk
+    for t, state in enumerate(states):
+        i = t % positions
+        if i == 0:
+            held = np.empty((chunks, min(positions, length - t), *state.shape[1:]))
+        held[:, i] = state
+        if i < held.shape[1] - 1:
+            continue
+        pulses = (length * np.arange(chunks)[:, None] + np.arange(t - i, t + 1)).ravel()
+        inside = pulses < n
+        pulses, held = pulses[inside], held.reshape(-1, *state.shape[1:])[inside]
+        for first in range(0, len(pulses), block):
+            yield pulses[first:first + block], held[first:first + block]
+
+
 def _train(params: CouplingParams, schedule: PulseSchedule, unit: GaussianState, nu: float, block: int):
     """Moments of the state lambda * ``unit`` after every pulse, as polynomials in lambda.
 
@@ -316,56 +391,72 @@ def _train(params: CouplingParams, schedule: PulseSchedule, unit: GaussianState,
     covariance after every pulse is exactly C0 + lambda C1 + lambda^2 C2.
     Each pulse sign becomes one 16x16 operator on vec(cov): the symmetrized
     (D A) (x) (D A) plus the meter product's q^2 var(Jy) -> var(M).  The
-    per-pulse noise (the channel's shot noise, with the meter product's mean
-    loading q <Jy> of Sz_in into M, and its depolarization noise for
-    nu lambda atoms) is built in array operations, so the loop body is one
-    (3, 16) @ (16, 16) product and one add.
+    pulse's noise (the channel's shot noise, with the meter product's mean
+    loading y = q <Jy> of Sz_in into M, and its depolarization noise for
+    nu lambda atoms) is a sum of per-sign constant outer products of D B0,
+    D B1 and the loading, weighted by 1, jx, jx^2, y, jx y and y^2.  The
+    means (with the 4x4 D A) and the coefficients (3 rows of vec(cov)) are
+    both propagated by ``_scan`` over the chunks of ``_chunking``, so a
+    train of n pulses takes O(sqrt(n)) Python steps.
 
-    Yields, per block of at most ``block`` pulses, the index of its first
-    pulse, the means per unit lambda (pulses, 4), the coefficients
-    (pulses, 3, 16) and the jx per unit lambda after each of them.
+    Returns the means per unit lambda after every pulse (n, 4), the jx per
+    unit lambda after the train, and a generator of (pulses, coefficients)
+    blocks of at most ``block`` pulses (see ``_blocks``), with coefficients
+    (pulses, 3, 16).
     """
     n = len(schedule)
+    length, chunks = _chunking(n)
     da, db0, db1, q, depol, jx_decay = pulse_channel(params)
+    # operator index at each position of a chunk: 0 for sign +1, 1 for sign -1
+    kind = (schedule.signs[:2] < 0).astype(int)
+    kind = kind[np.arange(length) % len(kind)]
 
-    # operator index of each pulse: 0 for sign +1, 1 for sign -1
-    kind = (schedule.signs < 0).astype(int)
-    ops = []
-    for k in range(2):
-        op = _SYMMETRIZE @ np.kron(da[k], da[k])
-        op[_VEC_M_M, _VEC_JY_JY] += q[k] * q[k]
-        ops.append(op.T)  # transposed, to act on the rows of the coefficient stack
-    b0_noise = np.einsum("kia,kja->kij", db0, db0).reshape(-1, 16)
-    jx = unit.jx_mean * jx_decay ** np.arange(n + 1)
+    means = np.zeros((n, 4))
+    if unit.mean.any():
+        grid = np.empty((chunks, length, 4))
+        for t, state in enumerate(_scan(da[kind].swapaxes(1, 2), unit.mean[None], chunks)):
+            grid[:, t] = state[:, 0]
+        means = grid.reshape(-1, 4)[:n]
 
-    mean = unit.mean
-    c = np.zeros((3, 16))
-    c[1] = unit.cov.ravel()
-    for start in range(0, n, block):
-        ks = kind[start:start + block]
-        means = np.zeros((len(ks), 4))
-        pre_jy = np.full(len(ks), mean[JY])
-        if mean.any():
-            for i, k in enumerate(ks):
-                pre_jy[i] = mean[JY]
-                mean = da[k] @ mean
-                means[i] = mean
+    # per pulse, the weights 1, jx, jx^2, y, jx y and y^2 of the noise terms
+    weights = np.zeros((chunks * length, 6))
+    by_position = weights.reshape(chunks, length, 6)
+    weights[:, 0] = 1.0
+    np.multiply.outer(unit.jx_mean * jx_decay ** (length * np.arange(chunks)), jx_decay ** np.arange(length),
+                      out=by_position[..., 1])
+    np.square(weights[:, 1], out=weights[:, 2])
+    weights[0, 3] = unit.mean[JY]
+    weights[1:n, 3] = means[:-1, JY]
+    by_position[..., 3] *= q[kind]
+    np.multiply(weights[:, 1], weights[:, 3], out=weights[:, 4])
+    np.square(weights[:, 3], out=weights[:, 5])
 
-        # the noise root is db0 + lambda lin: lin = u db1 plus the loading q <Jy> of Sz_in into M
-        lin = jx[start:start + len(ks), None, None] * db1[ks]
-        lin[:, M, 1] += pre_jy * q[ks]
-        cross = np.einsum("nia,nja->nij", db0[ks], lin)
-        noise = np.empty((len(ks), 3, 16))
-        noise[:, 0] = b0_noise[ks]
-        noise[:, 1] = (cross + cross.swapaxes(1, 2)).reshape(-1, 16)
-        noise[:, 2] = np.einsum("nia,nja->nij", lin, lin).reshape(-1, 16)
-        noise[:, 1, _VEC_DIAG] += nu * depol
+    # the noise root is db0 + lambda (jx db1 + y load), where y loads Sz_in into M;
+    # the outer products of its parts, per sign, weighted as above
+    load = np.zeros_like(db0)
+    load[:, M, 1] = 1.0
+    parts = np.stack([db0, db1, load], axis=1)
+    outer = (parts[:, :, None] @ parts[:, None].swapaxes(-1, -2)).reshape(2, 3, 3, 16)
+    terms = np.zeros((2, 6, 3, 16))
+    terms[:, 0, 0] = outer[:, 0, 0]
+    terms[:, 0, 1, _VEC_DIAG] = nu * depol
+    terms[:, 1, 1] = outer[:, 0, 1] + outer[:, 1, 0]
+    terms[:, 2, 2] = outer[:, 1, 1]
+    terms[:, 3, 1] = outer[:, 0, 2] + outer[:, 2, 0]
+    terms[:, 4, 2] = outer[:, 1, 2] + outer[:, 2, 1]
+    terms[:, 5, 2] = outer[:, 2, 2]
+    terms = terms.reshape(2, 6, 48)
 
-        coeffs = np.empty((len(ks), 3, 16))
-        for i, k in enumerate(ks):
-            c = c @ ops[k] + noise[i]
-            coeffs[i] = c
-        yield start, means, coeffs, jx[start + 1:start + 1 + len(ks)]
+    def drive(t):
+        return (by_position[:, t] @ terms[kind[t]]).reshape(3 * chunks, 16)
+
+    # per sign, (D A) (x) (D A), symmetrized, transposed to act on the rows of the coefficient stack
+    ops = _SYMMETRIZE @ (da[:, :, None, :, None] * da[:, None, :, None, :]).reshape(2, 16, 16)
+    ops[:, _VEC_M_M, _VEC_JY_JY] += q * q
+    start = np.zeros((3, 16))
+    start[1] = unit.cov.ravel()
+    states = _scan(ops.swapaxes(1, 2)[kind], start, chunks, drive)
+    return means, unit.jx_mean * jx_decay ** n, _blocks(states, length, n, block)
 
 
 def _start(params: CouplingParams, initial: GaussianState | None) -> tuple[GaussianState, float, float]:
@@ -402,20 +493,22 @@ def run_schedule(
     Each pulse is ``pulse_channel``'s, applied to the means and
     covariances, which follow the affine-Gaussian transport exactly; the
     dropped-term meter product enters through its mean (the Sz_in loading
-    q <Jy> of M) and its Gaussian-factorized variance q^2 var(Jy).  One pass
-    of the covariance kernel; every pulse's covariance is PSD-checked
+    q <Jy> of M) and its Gaussian-factorized variance q^2 var(Jy).  One run
+    of the chunked kernel; every pulse's covariance is PSD-checked
     (ArithmeticError on a violation).
     """
     unit, nu, lam = _start(params, initial)
     n = len(schedule)
-    means, meter_var, margins = np.empty((n, 4)), np.empty(n), np.empty(n)
-    for start, block_means, coeffs, jx in _train(params, schedule, unit, nu, EVAL_BATCH):
-        block = slice(start, start + len(coeffs))
+    means, jx, blocks = _train(params, schedule, unit, nu, EVAL_BATCH)
+    meter_var, margins = np.empty(n), np.empty(n)
+    for pulses, coeffs in blocks:
         covs = _covariances(coeffs, [lam])[:, 0]
-        margins[block] = _psd_margins(covs)
-        means[block] = lam * block_means
-        meter_var[block] = covs[:, M, M]
-    final = GaussianState(mean=means[-1].copy(), cov=covs[-1].copy(), jx_mean=lam * jx[-1])
+        margins[pulses] = _psd_margins(covs)
+        meter_var[pulses] = covs[:, M, M]
+        if pulses[-1] == n - 1:
+            cov = covs[-1].copy()
+    means *= lam
+    final = GaussianState(mean=means[-1].copy(), cov=cov, jx_mean=lam * jx)
     return ScheduleResult(
         meter_mean=float(final.mean[M]),
         meter_var=float(final.cov[M, M]),
@@ -442,7 +535,10 @@ def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_num
     if not np.all(np.isfinite(lam) & (lam > 0)):
         raise ValueError("atom numbers must be positive and finite")
     unit, nu, _ = _start(params, None)
-    for _, _, coeffs, _ in _train(params, schedule, unit, nu, EVAL_BATCH // len(lam)):
+    _, _, blocks = _train(params, schedule, unit, nu, EVAL_BATCH // len(lam))
+    for pulses, coeffs in blocks:
         covs = _covariances(coeffs, lam)
         _check_psd(covs)
-    return covs[-1, :, M, M], coeffs[-1, :, _VEC_M_M]
+        if pulses[-1] == len(schedule) - 1:
+            final = covs[-1, :, M, M], coeffs[-1, :, _VEC_M_M]
+    return final

@@ -193,9 +193,18 @@ def single_atom_moments(single: np.ndarray, f: float) -> dict:
             "cov": cov, "mean_jx": ev(ops.jx)}
 
 
-def _kraus_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_l left_l right_l^dag over two (n_ph+1)-stacks of atomic matrices."""
-    return np.tensordot(left, right.conj(), axes=([0, 2], [0, 2]))
+def _adjoint_rows(stack: np.ndarray) -> np.ndarray:
+    """An (n_ph+1)-stack R_l as ``_kraus_sum``'s right factor, with rows [(l, b), c] = conj(R_l[c, b])."""
+    return stack.conj().transpose(0, 2, 1).reshape(-1, stack.shape[1])
+
+
+def _kraus_sum(left: np.ndarray, right_rows: np.ndarray) -> np.ndarray:
+    """sum_l left_l right_l^dag for an (n_ph+1)-stack ``left`` and ``right_rows`` = ``_adjoint_rows(right)``.
+
+    The same single product as ``np.tensordot(left, right.conj(), axes=([0, 2], [0, 2]))``,
+    with the fixed right factor conjugated and laid out once per run.
+    """
+    return np.dot(left.transpose(1, 0, 2).reshape(left.shape[1], -1), right_rows)
 
 
 def _kraus_stacks(state: ExactState, g1: float, g2: float) -> dict:
@@ -250,6 +259,7 @@ def run_schedule_exact(
     state = initial
     atomic = _atomic_collective(state.na, int(round(2 * state.f)))
     kraus = _kraus_stacks(state, g1, g2)
+    rows = {sign: (_adjoint_rows(e), _adjoint_rows(sy_e)) for sign, (e, sy_e) in kraus.items()}
 
     k_corr = np.zeros_like(state.rho)
     m_mean = 0.0
@@ -258,9 +268,10 @@ def run_schedule_exact(
 
     for sign in schedule.signs.tolist():
         e, sy_e = kraus[sign]
+        e_rows, sy_e_rows = rows[sign]
         e_rho, e_k = e @ state.rho, e @ k_corr
-        rho_out = _kraus_sum(e_rho, e)
-        corr = _kraus_sum(e_rho, sy_e)
+        rho_out = _kraus_sum(e_rho, e_rows)
+        corr = _kraus_sum(e_rho, sy_e_rows)
         sy_mean = float(np.trace(corr).real)
         sy_var = float(np.vdot(sy_e, sy_e @ state.rho).real) - sy_mean ** 2
 
@@ -270,7 +281,7 @@ def run_schedule_exact(
         m_mean += sign * sy_mean
         m_var += sy_var + 2.0 * sign * cross
 
-        k_corr = _kraus_sum(e_k, e) + sign * (corr - sy_mean * rho_out)
+        k_corr = _kraus_sum(e_k, e_rows) + sign * (corr - sy_mean * rho_out)
 
         state = ExactState(na=state.na, f=state.f, n_ph=state.n_ph, rho=rho_out)
         state.check_normalization()

@@ -293,16 +293,18 @@ def test_monte_carlo_draws_only_the_independent_noise(monkeypatch):
     params, sched = paper_scale_params(mode="decoupled", p=5, scattering_eps=1e-4)
     counted = []
 
+    generator = np.random.Generator
+
     class CountingGenerator:
-        def __init__(self, seed):
-            self._rng = np.random.Generator(np.random.PCG64(seed))
+        def __init__(self, bit_generator):
+            self._rng = generator(bit_generator)
 
         def standard_normal(self, size=None, out=None):
             draw = self._rng.standard_normal(size, out=out)
             counted.append(draw.size)
             return draw
 
-    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
     monte_carlo_sample(params, sched, trials=1_000, seed=5)
     assert sum(counted) == (2 + 3 * len(sched) + 1) * 1_000 == 33 * 1_000
 

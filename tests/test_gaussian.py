@@ -422,18 +422,23 @@ def tilted_state(na):
     return state_from_atomic_moments(0.03 * na, 0.05 * na, 0.04 * na, cov, 0.45 * na)
 
 
-# naive(10), decoupled(5) and decoupled(50), each plain and with eps = 1e-3 plus the dropped terms
+# naive(10), decoupled(5), decoupled(50), decoupled(1000) and an odd naive(37), each
+# plain and with eps = 1e-3 plus the dropped terms; an id names a train by its order p
+# (2p pulses).  The kernel's sqrt(n) chunks then run several and can end on a ragged
+# one (37 = 4 x 8 + 5, 2000 = 43 x 46 + 22).
 KERNEL_CASES = [
-    (mode, p, eps, dropped)
-    for mode, p in [("naive", 5), ("decoupled", 5), ("decoupled", 50)]
+    pytest.param(mode, n, eps, dropped, id=f"{mode}-{name}-{eps}-{dropped}")
+    for mode, n, name in [("naive", 10, "5"), ("decoupled", 10, "5"), ("decoupled", 100, "50"),
+                          ("decoupled", 2000, "1000"), ("naive", 37, "37pulses")]
     for eps, dropped in [(0.0, False), (1e-3, True)]
 ]
 
 
 @pytest.mark.parametrize("start", ["css", "tilted"])
-@pytest.mark.parametrize("mode,p,eps,dropped", KERNEL_CASES)
-def test_run_schedule_matches_per_pulse_fold(mode, p, eps, dropped, start):
-    params, sched = paper_params(mode, p=p, scattering_eps=eps, include_dropped_terms=dropped)
+@pytest.mark.parametrize("mode,n,eps,dropped", KERNEL_CASES)
+def test_run_schedule_matches_per_pulse_fold(mode, n, eps, dropped, start):
+    params, sched = paper_params(mode, p=n // 2, num_pulses=n, scattering_eps=eps, include_dropped_terms=dropped)
+    assert len(sched) == n
     initial = None if start == "css" else tilted_state(params.atom_number)
     result = run_schedule(params, sched, initial=initial)
     mean, cov, jx, means, meter_var = reference_fold(
@@ -497,6 +502,27 @@ def test_every_pulse_checked_at_every_point(monkeypatch, batch):
     assert sum(shape[0] for shape in checked["_psd_margins"]) == len(sched)
     assert np.array_equal(result.pulse_meter_var, whole_run.pulse_meter_var)
     assert np.array_equal(result.final_state.cov, whole_run.final_state.cov)
+
+
+@pytest.mark.parametrize("batch", [2, 8, 26, 1 << 20])
+def test_results_do_not_depend_on_the_evaluation_block(monkeypatch, batch):
+    # the 37-pulse train is scanned as 5 chunks of 8 pulses whatever EVAL_BATCH is;
+    # blocks of 1, 2, 4, 5, 8, 13 and 26 pulses cut through them
+    import qndprobe.gaussian as gaussian
+    params, sched = paper_params("naive", num_pulses=37, scattering_eps=1e-3, include_dropped_terms=True)
+    grid = [1e4, 2e6]
+    initial = tilted_state(params.atom_number)
+    whole_sweep = css_meter_variance(params, sched, grid)
+    whole_run = run_schedule(params, sched, initial=initial)
+    monkeypatch.setattr(gaussian, "EVAL_BATCH", batch)
+    for got, want in zip(css_meter_variance(params, sched, grid), whole_sweep):
+        assert np.array_equal(got, want)
+    run = run_schedule(params, sched, initial=initial)
+    for got, want in [(run.pulse_means, whole_run.pulse_means), (run.pulse_meter_var, whole_run.pulse_meter_var),
+                      (run.pulse_min_cov_eig, whole_run.pulse_min_cov_eig),
+                      (run.final_state.cov, whole_run.final_state.cov)]:
+        assert np.array_equal(got, want)
+    assert run.final_state.jx_mean == whole_run.final_state.jx_mean
 
 
 def test_run_schedule_raises_on_indefinite_covariance():
