@@ -21,7 +21,8 @@ O(sqrt(n)) Python steps.  Its pulses, like the Monte Carlo's, are
 ``pulse_channel``'s.  ``run_schedule`` evaluates it at its atom number;
 ``css_meter_variance`` evaluates one train at every atom number of a sweep
 and returns the final var(M) coefficients too.  Every pulse's covariance is
-PSD-checked, in a sweep at every atom number.
+PSD-checked, in a sweep at every atom number, by ``_check_psd``: one batched
+Cholesky factorization, with eigenvalues computed only to word a refusal.
 """
 
 from __future__ import annotations
@@ -37,13 +38,16 @@ import numpy as np
 JY, JZ, JXY, M = 0, 1, 2, 3
 # variance of jy, jz and jxy in the maximally mixed spin-1 state, tr(op^2)/3
 MIXED_VARIANCE = 1.0 / 6.0
+# a covariance is PSD when no eigenvalue lies below -PSD_TOL * max(1, trace)
+PSD_TOL = 1e-9
 
 # Memory a run may hold, shared with the Monte Carlo.  A run holds 8-byte
-# arrays of one value per pulse (the signs and the recorded var(M) and PSD
-# margin), of four (the recorded means) and of six (the weights of the
-# pulse's noise terms); the chunked scan holds a few states per chunk.
+# arrays of one value per pulse (the signs and the recorded var(M)), of four
+# (the recorded means) and of six (the weights of the pulse's noise terms);
+# the chunked scan holds a few states per chunk.  The traced peak of a tilted
+# run with the dropped terms grows by about 90 B per pulse (2e5 to 8e5 pulses).
 MEMORY_CAP_BYTES = 2 * 1024 ** 3
-TRAIN_BYTES_PER_PULSE = 8 * (1 + 1 + 1 + 4 + 6)
+TRAIN_BYTES_PER_PULSE = 8 * (1 + 1 + 4 + 6)
 
 
 @dataclass(frozen=True)
@@ -141,9 +145,9 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    def check_psd(self, tol: float = 1e-9):
-        """Raise if the covariance has an eigenvalue below -tol (scale-relative)."""
-        _psd_margins(self.cov[None], tol)
+    def check_psd(self):
+        """Raise ArithmeticError unless the covariance is finite and PSD (see ``_check_psd``)."""
+        _check_psd(self.cov[None])
 
 
 def init_css(params: CouplingParams) -> GaussianState:
@@ -263,46 +267,34 @@ _VEC_DIAG = 5 * np.arange(4)
 EVAL_BATCH = 1 << 14
 
 
-def _psd_margins(covs: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Smallest eigenvalue of every symmetrized covariance in a (..., 4, 4) stack.
+def _check_psd(covs: np.ndarray) -> None:
+    """Raise ArithmeticError unless every covariance of a (..., 4, 4) stack is finite and PSD.
 
-    Raises ArithmeticError if a covariance is not finite (eigvalsh would
-    return arbitrary values or fail to converge) or if any eigenvalue falls
-    below -tol * max(1, trace).
+    A covariance passes when the smallest eigenvalue of its symmetrized form
+    lies at or above -PSD_TOL * max(1, trace).  A non-finite stack is refused
+    first, since the factorization need not detect it.  The passing path is
+    one batched Cholesky factorization of sym(C) + PSD_TOL * max(1, tr C) I,
+    which succeeds exactly then up to rounding (about 1e-16 |C|); only a
+    stack that fails it has its eigenvalues computed, which settles that gap
+    and names the first failing index and its smallest eigenvalue.
     """
-    bad = ~np.isfinite(covs).all(axis=(-2, -1))
-    if bad.any():
+    if not np.isfinite(covs).all():
+        bad = ~np.isfinite(covs).all(axis=(-2, -1))
         raise ArithmeticError(f"non-finite covariance at index {tuple(map(int, np.argwhere(bad)[0]))}")
-    low = np.linalg.eigvalsh((covs + covs.swapaxes(-1, -2)) / 2)[..., 0]
-    bad = low < -tol * np.maximum(1.0, np.trace(covs, axis1=-2, axis2=-1))
+    sym = (covs + covs.swapaxes(-1, -2)) / 2
+    floor = PSD_TOL * np.maximum(1.0, np.trace(covs, axis1=-2, axis2=-1))
+    try:
+        np.linalg.cholesky(sym + floor[..., None, None] * np.eye(4))
+        return
+    except np.linalg.LinAlgError:
+        pass
+    low = np.linalg.eigvalsh(sym)[..., 0]
+    bad = low < -floor
     if bad.any():
         where = tuple(map(int, np.argwhere(bad)[0]))
         raise ArithmeticError(
             f"covariance lost positive semidefiniteness at index {where} (min eigenvalue {low[where]:.3e})"
         )
-    return low
-
-
-def _check_psd(covs: np.ndarray, tol: float = 1e-9) -> None:
-    """Raise where ``_psd_margins`` raises, without computing eigenvalues on the passing path.
-
-    One batched Cholesky factorization of sym(C) + tol * max(1, tr C) I
-    succeeds when every smallest eigenvalue lies above -tol * max(1, tr C),
-    which is the margins' criterion up to rounding (about 1e-16 |C|).  A
-    stack that is not finite (which the factorization need not detect) or
-    fails it is handed to ``_psd_margins`` for the verdict and the error
-    message.
-    """
-    if np.isfinite(covs).all():
-        shifted = (covs + covs.swapaxes(-1, -2)) / 2
-        diag = np.arange(4)
-        shifted[..., diag, diag] += tol * np.maximum(1.0, np.trace(covs, axis1=-2, axis2=-1))[..., None]
-        try:
-            np.linalg.cholesky(shifted)
-            return
-        except np.linalg.LinAlgError:
-            pass
-    _psd_margins(covs, tol)
 
 
 def _covariances(coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -470,9 +462,8 @@ def _start(params: CouplingParams, initial: GaussianState | None) -> tuple[Gauss
 class ScheduleResult:
     """Final meter statistics plus the per-pulse trace of the run.
 
-    ``pulse_means[i]`` holds the means of (Jy, Jz, Jxy, M), ``pulse_meter_var[i]``
-    var(M) and ``pulse_min_cov_eig[i]`` the smallest covariance eigenvalue
-    (the PSD margin) after pulse i.
+    ``pulse_means[i]`` holds the means of (Jy, Jz, Jxy, M) and
+    ``pulse_meter_var[i]`` var(M) after pulse i.
     """
 
     meter_mean: float
@@ -480,7 +471,6 @@ class ScheduleResult:
     final_state: GaussianState
     pulse_means: np.ndarray
     pulse_meter_var: np.ndarray
-    pulse_min_cov_eig: np.ndarray
 
 
 def run_schedule(
@@ -494,16 +484,16 @@ def run_schedule(
     covariances, which follow the affine-Gaussian transport exactly; the
     dropped-term meter product enters through its mean (the Sz_in loading
     q <Jy> of M) and its Gaussian-factorized variance q^2 var(Jy).  One run
-    of the chunked kernel; every pulse's covariance is PSD-checked
-    (ArithmeticError on a violation).
+    of the chunked kernel; every pulse's covariance is PSD-checked by
+    ``_check_psd`` (ArithmeticError on a violation).
     """
     unit, nu, lam = _start(params, initial)
     n = len(schedule)
     means, jx, blocks = _train(params, schedule, unit, nu, EVAL_BATCH)
-    meter_var, margins = np.empty(n), np.empty(n)
+    meter_var = np.empty(n)
     for pulses, coeffs in blocks:
         covs = _covariances(coeffs, [lam])[:, 0]
-        margins[pulses] = _psd_margins(covs)
+        _check_psd(covs)
         meter_var[pulses] = covs[:, M, M]
         if pulses[-1] == n - 1:
             cov = covs[-1].copy()
@@ -515,7 +505,6 @@ def run_schedule(
         final_state=final,
         pulse_means=means,
         pulse_meter_var=meter_var,
-        pulse_min_cov_eig=margins,
     )
 
 
@@ -524,10 +513,9 @@ def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_num
 
     The covariance is exactly quadratic in NA, so the train is propagated once
     and evaluated at every atom number; ``params.atom_number`` is not used.
-    Every pulse is PSD-checked at every atom number by ``_check_psd``, whose
-    passing path is one batched Cholesky factorization; no PSD margin is
-    recorded.  From 1 to ``EVAL_BATCH`` atom numbers are accepted, so one
-    block holds at least one pulse.
+    Every pulse is PSD-checked at every atom number by ``_check_psd``, as in
+    ``run_schedule``.  From 1 to ``EVAL_BATCH`` atom numbers are accepted, so
+    one block holds at least one pulse.
     """
     lam = np.asarray(atom_numbers, dtype=float)
     if not 0 < len(lam) <= EVAL_BATCH:

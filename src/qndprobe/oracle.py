@@ -27,11 +27,16 @@ import numpy as np
 from .gaussian import CouplingParams, PulseSchedule, run_schedule, state_from_atomic_moments
 from .operators import angular_momentum_matrices, build_spin_operators, build_stokes_operators
 
-# No joint-space matrix is built; the largest arrays are the four Kraus stacks of
-# n_ph + 1 atomic matrices, 64 D dim_a bytes, at most about 537 MB at D = 4096
-# (n_ph = 1).  The cap admits na = 818 spin-1 atoms at n_ph = 4 (D = 4095) but
-# only na = 4 spin-2 atoms: at na = 5 (D = 15625) the stacks would take 3.1 GB.
+# No joint-space matrix is built.  A run holds the four Kraus stacks of n_ph + 1
+# atomic matrices (64 D dim_a bytes), their conjugated copies and the per-pulse
+# products: the traced peak of a decoupled(1) run is 192 D dim_a + 96 dim_a^2
+# bytes within 0.01% at (na, n_ph) = (200, 16), (300, 8), (500, 3) and (1000, 1)
+# (136, 165, 217 and 481 MB).  So the cap admits na = 818 spin-1 atoms at n_ph = 4
+# (D = 4095, about 0.71 GB) and na = 2047 at n_ph = 1 (D = 4096, about 2.0 GB),
+# but only na = 4 spin-2 atoms: at na = 5 (D = 15625) a run would need about 10 GB.
 DEFAULT_DIM_CAP = 4096
+# largest |tr rho - 1| a pulse may leave before the run is refused
+NORMALIZATION_TOL = 1e-10
 
 
 def _atomic_dim(dim: int, na: int) -> int:
@@ -150,8 +155,8 @@ class ExactState:
             psi = _kron_all([single] * na)
         return cls(na=na, f=float(f), n_ph=n_ph, rho=np.outer(psi, psi.conj()))
 
-    def check_normalization(self, tol: float = 1e-10):
-        if abs(np.trace(self.rho).real - 1.0) > tol:
+    def check_normalization(self):
+        if abs(np.trace(self.rho).real - 1.0) > NORMALIZATION_TOL:
             raise ArithmeticError("atomic state lost normalization")
 
     def expect(self, atomic_op: np.ndarray) -> float:

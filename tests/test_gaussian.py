@@ -15,7 +15,6 @@ from qndprobe.gaussian import (
     CouplingParams,
     PulseSchedule,
     _check_psd,
-    _psd_margins,
     css_meter_variance,
     init_css,
     pulse_channel,
@@ -295,8 +294,7 @@ def paper_params(mode, p=5, na=1.0e6, **kw):
 @pytest.mark.parametrize("mode,p", [("decoupled", 5), ("naive", 5), ("decoupled", 1)])
 def test_covariance_stays_psd_through_schedule(mode, p):
     params, sched = paper_params(mode, p=p)
-    result = run_schedule(params, sched)  # raises on violation
-    assert result.pulse_min_cov_eig.shape == (len(sched),)
+    run_schedule(params, sched)  # raises on violation
 
 
 def test_qnd_conservation_residual_shrinks_with_p():
@@ -449,7 +447,6 @@ def test_run_schedule_matches_per_pulse_fold(mode, n, eps, dropped, start):
     np.testing.assert_allclose(result.pulse_means, means, rtol=1e-12, atol=1e-12 * np.abs(means).max())
     np.testing.assert_allclose(result.final_state.mean, mean, rtol=1e-12, atol=1e-12 * np.abs(means).max())
     assert result.final_state.jx_mean == pytest.approx(jx, rel=1e-12)
-    assert result.pulse_min_cov_eig.shape == (len(sched),)
     if start == "tilted" and dropped:
         assert np.abs(means[:, JY]).max() > 0  # the mean loading is exercised
 
@@ -477,31 +474,31 @@ def test_every_pulse_checked_at_every_point(monkeypatch, batch):
     grid = list(np.geomspace(1e4, 2e6, 6))
     whole_sweep = css_meter_variance(params, sched, grid)[0]
     whole_run = run_schedule(params, sched)
-    checked = {"_check_psd": [], "_psd_margins": []}
+    checked = []
+    real = gaussian._check_psd
 
-    def spy(name):
-        real = getattr(gaussian, name)
+    def spy(covs):
+        checked.append(covs.shape[:-2])
+        return real(covs)
 
-        def check(covs, tol=1e-9):
-            checked[name].append(covs.shape[:-2])
-            return real(covs, tol)
-        return check
-
-    for name in checked:
-        monkeypatch.setattr(gaussian, name, spy(name))
+    monkeypatch.setattr(gaussian, "_check_psd", spy)
     if batch is not None:
         monkeypatch.setattr(gaussian, "EVAL_BATCH", batch)
-    # the sweep checks by Cholesky and computes no margin on the passing path
     assert np.array_equal(css_meter_variance(params, sched, grid)[0], whole_sweep)
-    swept = checked["_check_psd"]
-    assert sum(n for n, _ in swept) == len(sched) and {k for _, k in swept} == {6}
-    assert checked["_psd_margins"] == []
-    swept.clear()
+    assert sum(n for n, _ in checked) == len(sched) and {k for _, k in checked} == {6}
+    checked.clear()
     result = run_schedule(params, sched)
-    assert swept == []
-    assert sum(shape[0] for shape in checked["_psd_margins"]) == len(sched)
+    assert sum(n for n, in checked) == len(sched)  # one (pulses,) stack per block
     assert np.array_equal(result.pulse_meter_var, whole_run.pulse_meter_var)
     assert np.array_equal(result.final_state.cov, whole_run.final_state.cov)
+
+    def no_eigenvalues(*args, **kwargs):
+        raise AssertionError("eigenvalues computed on the passing path")
+
+    # both check by Cholesky and compute no eigenvalue on the passing path
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigenvalues)
+    assert np.array_equal(run_schedule(params, sched).final_state.cov, whole_run.final_state.cov)
+    assert np.array_equal(css_meter_variance(params, sched, grid)[0], whole_sweep)
 
 
 @pytest.mark.parametrize("batch", [2, 8, 26, 1 << 20])
@@ -519,7 +516,6 @@ def test_results_do_not_depend_on_the_evaluation_block(monkeypatch, batch):
         assert np.array_equal(got, want)
     run = run_schedule(params, sched, initial=initial)
     for got, want in [(run.pulse_means, whole_run.pulse_means), (run.pulse_meter_var, whole_run.pulse_meter_var),
-                      (run.pulse_min_cov_eig, whole_run.pulse_min_cov_eig),
                       (run.final_state.cov, whole_run.final_state.cov)]:
         assert np.array_equal(got, want)
     assert run.final_state.jx_mean == whole_run.final_state.jx_mean
@@ -538,15 +534,14 @@ def test_batched_psd_check_covers_every_pulse_and_point():
     rng = np.random.default_rng(5)
     roots = rng.standard_normal((5, 3, 4, 4))
     stack = roots @ roots.swapaxes(-1, -2) + 0.1 * np.eye(4)
-    margins = _psd_margins(stack)
-    assert margins.shape == (5, 3)
-    assert np.all(margins > 0)
+    assert np.all(np.linalg.eigvalsh(stack)[..., 0] > 0)
+    _check_psd(stack)
     stack[2, 1] = np.diag([1.0, 2.0, 3.0, -1.0])
     with pytest.raises(ArithmeticError, match=r"semidefiniteness at index \(2, 1\)"):
-        _psd_margins(stack)
+        _check_psd(stack)
     stack[2, 1] = np.diag([np.nan, 1.0, 1.0, 1.0])  # eigvalsh would read [0, -0, 1, 1]
     with pytest.raises(ArithmeticError, match=r"non-finite covariance at index \(2, 1\)"):
-        _psd_margins(stack)
+        _check_psd(stack)
 
 
 def stack_with_min_eigenvalue(scale, k, tol=1e-9):
@@ -563,16 +558,14 @@ def stack_with_min_eigenvalue(scale, k, tol=1e-9):
 
 @pytest.mark.parametrize("scale", [1.0, 1e12])
 def test_cholesky_check_agrees_with_margins(scale, monkeypatch):
-    import qndprobe.gaussian as gaussian
     inside = stack_with_min_eigenvalue(scale, 0.5)
-    assert _psd_margins(inside)[1, 0] < 0  # within tolerance, not PSD
+    assert np.linalg.eigvalsh(inside)[1, 0, 0] < 0  # within tolerance, not PSD
     with monkeypatch.context() as patch:
-        patch.setattr(gaussian, "_psd_margins", None)  # the Cholesky alone passes it
+        patch.setattr(np.linalg, "eigvalsh", None)  # the Cholesky alone passes it
         _check_psd(inside)
     outside = stack_with_min_eigenvalue(scale, 2.0)
-    for check in (_check_psd, _psd_margins):
-        with pytest.raises(ArithmeticError, match=r"semidefiniteness at index \(1, 0\)"):
-            check(outside)
+    with pytest.raises(ArithmeticError, match=r"semidefiniteness at index \(1, 0\)"):
+        _check_psd(outside)
 
 
 def test_cholesky_check_refuses_non_finite():
