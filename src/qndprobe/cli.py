@@ -113,6 +113,8 @@ class RunConfig:
             raise ValueError(f"na_points {self.na_points} exceeds the {EVAL_BATCH} one sweep evaluates")
         if self.trials < 2:
             raise ValueError("trials must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mode in GAUSSIAN_MODES and self.f != 1.0:
             raise ValueError(f"{self.mode} models f = 1 only, got f = {self.f}")
 

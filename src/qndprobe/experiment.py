@@ -9,7 +9,10 @@ Monte Carlo cross-check of the analytic meter variance.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,15 +44,20 @@ DEFAULT_NA_GRID = tuple(np.geomspace(1.0e4, 2.0e6, 20))
 # Peak bytes one Monte Carlo trial holds, counted from monte_carlo_sample's
 # float64 rows: the stacked [x; z] samples (at most 4 + 5, with the dropped
 # terms on: Sy_in, Sz_in and three depolarization draws) and the pulse
-# product's result (4).  With the dropped terms off the stack has at most
-# 4 + 3 rows, and the summed Sy_in draw reuses a row of the product's result.
-# Trial counts needing more than the cap are refused up front.
+# product's result (4).  Each slice works on its own columns of both (its x
+# and moved) for the whole train, so slicing adds no rows.  With the dropped
+# terms off the stack has at most 4 + 3 rows, and the summed Sy_in draw reuses
+# a row of the product's result.  Trial counts needing more than the cap are
+# refused up front.
 MC_BYTES_PER_TRIAL = 8 * (4 + 5 + 4)
 MC_MEMORY_CAP_BYTES = MEMORY_CAP_BYTES
 # eigenvalues below this fraction of the largest are rounding, not noise
 MC_RANK_TOL = 1e-13
 # pulses whose maps one batched eigendecomposition builds
 MC_BLOCK = 1024
+# trials per slice, each with its own stream: a slice's columns of x and
+# moved (at most 13 rows of 64 KiB) stay in one core's cache through a pulse
+MC_SLICE = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -323,6 +331,47 @@ def _monte_carlo_maps(params: CouplingParams, schedule: PulseSchedule, jx: float
             yield w, left_over
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on (the affinity call is Linux only)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _fill_normal(rng, rows):
+    """Standard normals into each row of ``rows`` in turn (a slice's rows are contiguous, its stack is not)."""
+    for row in rows:
+        rng.standard_normal(out=row)
+
+
+def _start_slice(rng, x, moved, root):
+    """Draw one slice's initial (Jy, Jz, Jxy) from the CSS root; its meter starts at 0."""
+    _fill_normal(rng, x[:root.shape[1]])
+    np.matmul(root, x[:root.shape[1]], out=moved[:3])
+    x[:3] = moved[:3]
+    x[M] = 0.0
+
+
+def _advance_slice(rng, x, moved, block):
+    """Move one slice's samples x through a block of (q, [D A | R]) pulse maps."""
+    for q_k, w in block:
+        width = w.shape[1]
+        _fill_normal(rng, x[4:width])
+        np.matmul(w, x[:width], out=moved)
+        if q_k:
+            sz_in = x[5]  # Sz_in / sqrt(shot), overwritten with the meter product
+            sz_in *= q_k
+            sz_in *= x[JY]
+            moved[M] += sz_in
+        x[:4] = moved
+
+
+def _add_sy_draw(rng, x, moved, sy_var):
+    """Add one slice's summed Sy_in draw of variance sy_var to its meter, drawn into a row of moved."""
+    rng.standard_normal(out=moved[0])
+    moved[0] *= math.sqrt(sy_var)
+    x[M] += moved[0]
+
+
 def monte_carlo_sample(
     params: CouplingParams,
     schedule: PulseSchedule,
@@ -334,18 +383,29 @@ def monte_carlo_sample(
     Draws the initial atomic fluctuations from a root of the CSS covariance
     (rank 2, since Jxy = Jz) and, per pulse, the independent noise of
     ``_monte_carlo_maps``: one product [D A | R] @ [x; z] on the stacked
-    (Jy, Jz, Jxy, M) samples x and fresh standard normals z moves all trials
-    at once.  Where ``pulse_channel``'s meter-product loading q is nonzero
-    (the dropped terms on), z holds Sy_in and Sz_in explicitly and the
-    product q Jy z[1] is added as sampled; otherwise the meter's shot noise
-    sum sign Sy_in is one draw per trial, added at the end.  The samples are
-    exact in distribution.  Returns the sample variance of the accumulated
-    meter with the Gaussian standard error var * sqrt(2/(trials-1)).  The
-    normals come from one ``np.random.Generator(np.random.SFC64(seed))``,
-    which draws them faster than numpy's default PCG64; fixed seeds give
-    bit-identical results, and the estimate converges to the analytic var(M).
-    Trial counts whose arrays would exceed ``MC_MEMORY_CAP_BYTES`` raise
-    ValueError before anything is allocated (about 20 million trials).
+    (Jy, Jz, Jxy, M) samples x and fresh standard normals z moves a slice's
+    trials at once.  Where ``pulse_channel``'s meter-product loading q is
+    nonzero (the dropped terms on), z holds Sy_in and Sz_in explicitly and
+    the product q Jy z[1] is added as sampled; otherwise the meter's shot
+    noise sum sign Sy_in is one draw per trial, added at the end.  The
+    samples are exact in distribution.  Returns the sample variance of the
+    accumulated meter with the Gaussian standard error var * sqrt(2/(trials-1)).
+
+    The trials are cut into slices of ``MC_SLICE``.  Slice i owns its
+    columns of the samples and of the product's result, so the meter row is
+    one array with a region per slice.  It draws its normals from
+    ``np.random.Generator(np.random.SFC64(s_i))``, with s_i the i-th of
+    ``np.random.SeedSequence(seed).spawn(slices)``.  The slices run on a
+    thread pool with one worker per CPU the process may use (at most one per
+    slice): numpy's normals, matmul and large in-place ufuncs release the
+    interpreter lock.  Pulse maps are built ``MC_BLOCK`` pulses at a time,
+    and every slice moves through one block before the next is built.
+    Because streams belong to slices, not threads, a fixed seed gives
+    bit-identical results on any number of cores; those streams are not the
+    single ``SFC64(seed)`` stream of earlier releases, so fixed-seed samples
+    differ from theirs.  Trial counts whose arrays would exceed
+    ``MC_MEMORY_CAP_BYTES`` raise ValueError before anything is allocated
+    (about 20 million trials).
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
@@ -354,8 +414,6 @@ def monte_carlo_sample(
             f"{trials} trials need about {trials * MC_BYTES_PER_TRIAL / 1e9:.3g} GB, "
             f"above the {MC_MEMORY_CAP_BYTES / 1e9:.3g} GB Monte Carlo cap"
         )
-    rng = np.random.Generator(np.random.SFC64(seed))
-
     state0 = init_css(params)
     root = _roots(state0.cov[:3, :3])
     q = pulse_channel(params).q
@@ -363,31 +421,28 @@ def monte_carlo_sample(
     # and one per depolarized atomic row, without it at most one per atomic row
     noise_rows = 2 + 3 * (params.scattering_eps > 0.0) if q.any() else 3
     x = np.empty((4 + noise_rows, trials))
-    rng.standard_normal(out=x[:root.shape[1]])
-    x[:3] = root @ x[:root.shape[1]]
-    x[M] = 0.0
     moved = np.empty((4, trials))
+    columns = [slice(a, a + MC_SLICE) for a in range(0, trials, MC_SLICE)]
+    streams = np.random.SeedSequence(seed).spawn(len(columns))
+    rngs = [np.random.Generator(np.random.SFC64(stream)) for stream in streams]
+    xs = [x[:, c] for c in columns]
+    moveds = [moved[:, c] for c in columns]
+    q_ks = q[(schedule.signs < 0).astype(int)].tolist()
+    maps = _monte_carlo_maps(params, schedule, state0.jx_mean)
     sy_var = 0.0
 
-    maps = _monte_carlo_maps(params, schedule, state0.jx_mean)
-    for q_k, (w, left_over) in zip(q[(schedule.signs < 0).astype(int)].tolist(), maps):
-        width = w.shape[1]
-        rng.standard_normal(out=x[4:width])
-        np.matmul(w, x[:width], out=moved)
-        if q_k:
-            sz_in = x[5]  # Sz_in / sqrt(shot), overwritten with the meter product
-            sz_in *= q_k
-            sz_in *= x[JY]
-            moved[M] += sz_in
-        x[:4] = moved
-        sy_var += left_over
-
+    with ThreadPoolExecutor(min(len(columns), _usable_cpus())) as pool:
+        list(pool.map(_start_slice, rngs, xs, moveds, itertools.repeat(root)))
+        for first in range(0, len(q_ks), MC_BLOCK):
+            block = []
+            for q_k, (w, left_over) in zip(q_ks[first:first + MC_BLOCK], itertools.islice(maps, MC_BLOCK)):
+                block.append((q_k, w))
+                sy_var += left_over
+            list(pool.map(_advance_slice, rngs, xs, moveds, itertools.repeat(block)))
+        if sy_var:  # the summed Sy_in draw reuses a row of the product's result
+            list(pool.map(_add_sy_draw, rngs, xs, moveds, itertools.repeat(sy_var)))
+    del moved, moveds  # before np.var's temporary row
     meter = x[M]
-    if sy_var:  # the summed Sy_in draw reuses a row of the product's result
-        rng.standard_normal(out=moved[0])
-        moved[0] *= math.sqrt(sy_var)
-        meter += moved[0]
-    del moved  # before np.var's temporary row
     sample_var = float(np.var(meter, ddof=1))
     stderr = sample_var * math.sqrt(2.0 / (trials - 1))
     return MonteCarloResult(meter_variance=sample_var, stderr=stderr, trials=trials)

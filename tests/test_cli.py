@@ -78,6 +78,7 @@ def test_validation_failures_exit_2(tmp_path):
     ["sweep", "--f", "0.5"],                         # Gaussian subcommands model f = 1 only
     ["oracle-compare", "--oracle-na", "1000"],       # joint dimension 5005 above the cap
     ["montecarlo", "--trials", "1000000000"],        # about 112 GB of samples, above the cap
+    ["montecarlo", "--seed", "-1"],                  # numpy seeds are non-negative
     ["oracle-compare", "--dropped"],                 # flags the subcommand does not read
     ["sweep", "--trials", "5"],
     ["suppression", "--pulses", "3"],
@@ -113,6 +114,11 @@ def test_oversized_input_refused_before_allocating(tmp_path, capsys, argv, reaso
         tracemalloc.stop()
     assert reason in capsys.readouterr().err
     assert peak < 1_000_000
+
+
+def test_negative_seed_refused_before_the_run():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        parse_config(["montecarlo", "--seed", "-1"])
 
 
 def test_cached_parser_does_not_leak_between_parses():

@@ -1,5 +1,7 @@
 import math
+import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ from qndprobe.experiment import (
     DEFAULT_NA_GRID,
     MC_BYTES_PER_TRIAL,
     MC_MEMORY_CAP_BYTES,
+    MC_SLICE,
     G1_REFERENCE,
     NL_REFERENCE,
     PhysicalParams,
@@ -307,6 +310,64 @@ def test_monte_carlo_draws_only_the_independent_noise(monkeypatch):
     monkeypatch.setattr(np.random, "Generator", CountingGenerator)
     monte_carlo_sample(params, sched, trials=1_000, seed=5)
     assert sum(counted) == (2 + 3 * len(sched) + 1) * 1_000 == 33 * 1_000
+
+
+@pytest.mark.parametrize("dropped", [False, True])
+@pytest.mark.parametrize("trials", [2, MC_SLICE + 1, 2 * MC_SLICE + 1])  # 1, 2 and 3 slices
+def test_monte_carlo_is_identical_on_any_number_of_cpus(trials, dropped, monkeypatch):
+    import qndprobe.experiment as experiment
+    params, sched = paper_scale_params(mode="decoupled", p=2, na=1e5, scattering_eps=1e-3,
+                                       include_dropped_terms=dropped)
+    workers = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(experiment, "ThreadPoolExecutor", RecordingPool)
+    results = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+        results.append(monte_carlo_sample(params, sched, trials=trials, seed=17))
+    # without the affinity call (not Linux) the CPU count decides, and an unknown count means one
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count in (3, None):
+        monkeypatch.setattr(os, "cpu_count", lambda n=count: n)
+        results.append(monte_carlo_sample(params, sched, trials=trials, seed=17))
+    slices = -(-trials // MC_SLICE)
+    assert workers == [min(cpus, slices) for cpus in (1, 2, 3, 3, 1)]
+    values = [(mc.meter_variance, mc.stderr) for mc in results]
+    assert all(np.array_equal(v, values[0]) for v in values)
+
+
+def test_monte_carlo_gives_every_slice_its_own_stream(monkeypatch):
+    # slices sharing one seed would repeat each other's samples: the variance
+    # would look right, but the stderr would be too small by sqrt(slices)
+    params, sched = paper_scale_params(mode="decoupled", p=5, scattering_eps=1e-4)
+    generator = np.random.Generator
+    created = []
+
+    class RecordingGenerator:
+        def __init__(self, bit_generator):
+            self._rng = generator(bit_generator)
+            self.draws = []
+            created.append(self)
+
+        def standard_normal(self, size=None, out=None):
+            draw = self._rng.standard_normal(size, out=out)
+            self.draws.append(draw.copy())
+            return draw
+
+    monkeypatch.setattr(np.random, "Generator", RecordingGenerator)
+    monte_carlo_sample(params, sched, trials=3 * MC_SLICE, seed=5)
+    assert len(created) == 3
+    starts = [rng.draws[0] for rng in created]  # each slice's first row of initial normals
+    assert all(s.shape == starts[0].shape for s in starts)
+    for i in range(3):
+        for j in range(i):
+            assert not np.isin(starts[i], starts[j]).any()
+    assert sum(d.size for rng in created for d in rng.draws) == 33 * 3 * MC_SLICE
 
 
 def test_monte_carlo_deterministic_for_fixed_seed():
