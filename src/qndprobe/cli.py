@@ -208,6 +208,11 @@ def parse_config(argv=None) -> RunConfig:
             values[name] = tuple(values[name])
     config = RunConfig(mode=args.mode, **values)
     config.validate()
+    # a decoupled train has 2p pulses, a naive one num_pulses if set and else 2p
+    if config.schedule == "decoupled" and "num_pulses" in flags:
+        raise ValueError(f"{args.mode} does not read --pulses with a decoupled schedule")
+    if config.schedule == "naive" and config.num_pulses is not None and "p" in flags:
+        raise ValueError(f"{args.mode} does not read --p when --pulses sets the naive train's length")
     return config
 
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gaussian import (
+    ATOMIC,
+    DIM,
     JY,
     JZ,
     M,
@@ -42,21 +44,21 @@ NA_REFERENCE = 1.0e6
 DEFAULT_NA_GRID = tuple(np.geomspace(1.0e4, 2.0e6, 20))
 
 # Peak bytes one Monte Carlo trial holds, counted from monte_carlo_sample's
-# float64 rows: the stacked [x; z] samples (at most 4 + 5, with the dropped
-# terms on: Sy_in, Sz_in and three depolarization draws) and the pulse
-# product's result (4).  Each slice works on its own columns of both (its x
-# and moved) for the whole train, so slicing adds no rows.  With the dropped
-# terms off the stack has at most 4 + 3 rows, and the summed Sy_in draw reuses
-# a row of the product's result.  Trial counts needing more than the cap are
-# refused up front.
-MC_BYTES_PER_TRIAL = 8 * (4 + 5 + 4)
+# float64 rows: the stacked [x; z] samples (at most DIM + 2 + len(ATOMIC), with
+# the dropped terms on: Sy_in, Sz_in and one depolarization draw per atomic
+# row) and the pulse product's result (DIM).  Each slice works on its own
+# columns of both (its x and moved) for the whole train, so slicing adds no
+# rows.  With the dropped terms off the stack has at most DIM + len(ATOMIC)
+# rows, and the summed Sy_in draw reuses a row of the product's result.  Trial
+# counts needing more than the cap are refused up front.
+MC_BYTES_PER_TRIAL = 8 * (DIM + 2 + len(ATOMIC) + DIM)
 MC_MEMORY_CAP_BYTES = MEMORY_CAP_BYTES
 # eigenvalues below this fraction of the largest are rounding, not noise
 MC_RANK_TOL = 1e-13
 # pulses whose maps one batched eigendecomposition builds
 MC_BLOCK = 1024
-# trials per slice, each with its own stream: a slice's columns of x and
-# moved (at most 13 rows of 64 KiB) stay in one core's cache through a pulse
+# trials per slice, each with its own stream: a slice's columns of x and moved
+# (MC_BYTES_PER_TRIAL / 8 rows of 64 KiB at most) stay in one core's cache through a pulse
 MC_SLICE = 2 ** 13
 
 
@@ -344,10 +346,10 @@ def _fill_normal(rng, rows):
 
 
 def _start_slice(rng, x, moved, root):
-    """Draw one slice's initial (Jy, Jz, Jxy) from the CSS root; its meter starts at 0."""
+    """Draw one slice's initial atomic rows from the CSS root; its meter starts at 0."""
     _fill_normal(rng, x[:root.shape[1]])
-    np.matmul(root, x[:root.shape[1]], out=moved[:3])
-    x[:3] = moved[:3]
+    np.matmul(root, x[:root.shape[1]], out=moved[:M])
+    x[:M] = moved[:M]
     x[M] = 0.0
 
 
@@ -355,14 +357,14 @@ def _advance_slice(rng, x, moved, block):
     """Move one slice's samples x through a block of (q, [D A | R]) pulse maps."""
     for q_k, w in block:
         width = w.shape[1]
-        _fill_normal(rng, x[4:width])
+        _fill_normal(rng, x[DIM:width])
         np.matmul(w, x[:width], out=moved)
         if q_k:
-            sz_in = x[5]  # Sz_in / sqrt(shot), overwritten with the meter product
+            sz_in = x[DIM + 1]  # Sz_in / sqrt(shot), overwritten with the meter product
             sz_in *= q_k
             sz_in *= x[JY]
             moved[M] += sz_in
-        x[:4] = moved
+        x[:DIM] = moved
 
 
 def _add_sy_draw(rng, x, moved, sy_var):
@@ -383,7 +385,7 @@ def monte_carlo_sample(
     Draws the initial atomic fluctuations from a root of the CSS covariance
     (rank 2, since Jxy = Jz) and, per pulse, the independent noise of
     ``_monte_carlo_maps``: one product [D A | R] @ [x; z] on the stacked
-    (Jy, Jz, Jxy, M) samples x and fresh standard normals z moves a slice's
+    state samples x and fresh standard normals z moves a slice's
     trials at once.  Where ``pulse_channel``'s meter-product loading q is
     nonzero (the dropped terms on), z holds Sy_in and Sz_in explicitly and
     the product q Jy z[1] is added as sampled; otherwise the meter's shot
@@ -415,13 +417,13 @@ def monte_carlo_sample(
             f"above the {MC_MEMORY_CAP_BYTES / 1e9:.3g} GB Monte Carlo cap"
         )
     state0 = init_css(params)
-    root = _roots(state0.cov[:3, :3])
+    root = _roots(state0.cov[:M, :M])
     q = pulse_channel(params).q
-    # rows Jy, Jz, Jxy, M, then the draws z: with the meter product Sy_in, Sz_in
+    # the state's DIM rows, then the draws z: with the meter product Sy_in, Sz_in
     # and one per depolarized atomic row, without it at most one per atomic row
-    noise_rows = 2 + 3 * (params.scattering_eps > 0.0) if q.any() else 3
-    x = np.empty((4 + noise_rows, trials))
-    moved = np.empty((4, trials))
+    noise_rows = 2 + len(ATOMIC) * (params.scattering_eps > 0.0) if q.any() else len(ATOMIC)
+    x = np.empty((DIM + noise_rows, trials))
+    moved = np.empty((DIM, trials))
     columns = [slice(a, a + MC_SLICE) for a in range(0, trials, MC_SLICE)]
     streams = np.random.SeedSequence(seed).spawn(len(columns))
     rngs = [np.random.Generator(np.random.SFC64(stream)) for stream in streams]

@@ -1,9 +1,10 @@
 """Gaussian moment propagation of collective spin-1 variables through pulse trains.
 
-The state tracks means and a 4x4 covariance matrix over (Jy, Jz, Jxy, M):
-the alignment conjugate, the measured alignment component, the commutator
-operator sourced by the tensor coupling, and the accumulated polarimeter
-meter.  Jx and the pulse Sx are treated as classical scalars, each probe
+The state tracks means and a DIM x DIM covariance matrix over the variables
+of ``STATE``, (Jy, Jz, Jxy, M): the alignment conjugate, the measured
+alignment component, the commutator operator sourced by the tensor coupling,
+and the accumulated polarimeter meter; every size and index derives from
+``STATE``.  Jx and the pulse Sx are treated as classical scalars, each probe
 pulse injects fresh shot noise var(Sy_in) = var(Sz_in) = n_L/4, and every
 update is the first-order (commutator-linear) map applied with pre-pulse
 values on all right-hand sides.  Jxy carries no input-output relation of
@@ -34,20 +35,25 @@ from typing import NamedTuple
 
 import numpy as np
 
-# index order of the tracked variables (Jy, Jz, Jxy, meter)
-JY, JZ, JXY, M = 0, 1, 2, 3
-# variance of jy, jz and jxy in the maximally mixed spin-1 state, tr(op^2)/3
+# The tracked variables in index order, named as the spin operators they
+# follow (``operators.SpinOperatorSet``), then the meter.  The ones before the
+# meter are ATOMIC: they depolarize and come from single-atom moments.
+STATE = ("jy", "jz", "jxy", "m")
+JY, JZ, JXY, M = map(STATE.index, ("jy", "jz", "jxy", "m"))
+ATOMIC = STATE[:M]
+DIM = len(STATE)
+# variance of each ATOMIC variable in the maximally mixed spin-1 state, tr(op^2)/3
 MIXED_VARIANCE = 1.0 / 6.0
 # a covariance is PSD when no eigenvalue lies below -PSD_TOL * max(1, trace)
 PSD_TOL = 1e-9
 
 # Memory a run may hold, shared with the Monte Carlo.  A run holds 8-byte
-# arrays of one value per pulse (the signs and the recorded var(M)), of four
+# arrays of one value per pulse (the signs and the recorded var(M)), of DIM
 # (the recorded means) and of six (the weights of the pulse's noise terms);
 # the chunked scan holds a few states per chunk.  The traced peak of a tilted
 # run with the dropped terms grows by about 90 B per pulse (2e5 to 8e5 pulses).
 MEMORY_CAP_BYTES = 2 * 1024 ** 3
-TRAIN_BYTES_PER_PULSE = 8 * (1 + 1 + 4 + 6)
+TRAIN_BYTES_PER_PULSE = 8 * (1 + 1 + DIM + 6)
 
 
 @dataclass(frozen=True)
@@ -131,7 +137,7 @@ class PulseSchedule:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Means and covariance of (Jy, Jz, Jxy, M) plus the classical Jx mean."""
+    """Means and covariance of the ``STATE`` variables plus the classical Jx mean."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -140,8 +146,8 @@ class GaussianState:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
-        if mean.shape != (4,) or cov.shape != (4, 4):
-            raise ValueError("state needs a length-4 mean and a 4x4 covariance")
+        if mean.shape != (DIM,) or cov.shape != (DIM, DIM):
+            raise ValueError(f"state shapes {mean.shape}, {cov.shape} do not fit {STATE}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -159,27 +165,21 @@ def init_css(params: CouplingParams) -> GaussianState:
     its row/column of the covariance.
     """
     na = params.atom_number
-    mean = np.zeros(4)
-    cov = np.zeros((4, 4))
-    cov[JY, JY] = na / 4
-    cov[JZ:JXY + 1, JZ:JXY + 1] = na / 4
-    return GaussianState(mean=mean, cov=cov, jx_mean=na / 2)
+    cov = np.zeros((len(ATOMIC), len(ATOMIC)))
+    cov[JY, JY] = cov[JZ, JZ] = cov[JZ, JXY] = cov[JXY, JZ] = cov[JXY, JXY] = na / 4
+    return state_from_atomic_moments(np.zeros(len(ATOMIC)), cov, na / 2)
 
 
-def state_from_atomic_moments(
-    mean_jy: float,
-    mean_jz: float,
-    mean_jxy: float,
-    atomic_cov: np.ndarray,
-    jx_mean: float,
-) -> GaussianState:
-    """Assemble a fresh state (meter at zero) from atomic first/second moments."""
+def state_from_atomic_moments(atomic_mean, atomic_cov, jx_mean: float) -> GaussianState:
+    """Assemble a fresh state (meter at zero) from the means and covariance of the ``ATOMIC`` variables."""
+    atomic_mean = np.asarray(atomic_mean, dtype=float)
     atomic_cov = np.asarray(atomic_cov, dtype=float)
-    if atomic_cov.shape != (3, 3):
-        raise ValueError("atomic covariance must be 3x3 over (Jy, Jz, Jxy)")
-    mean = np.array([mean_jy, mean_jz, mean_jxy, 0.0])
-    cov = np.zeros((4, 4))
-    cov[:3, :3] = (atomic_cov + atomic_cov.T) / 2
+    if atomic_mean.shape != (len(ATOMIC),) or atomic_cov.shape != (len(ATOMIC), len(ATOMIC)):
+        raise ValueError(f"atomic shapes {atomic_mean.shape}, {atomic_cov.shape} do not fit {ATOMIC}")
+    mean = np.zeros(DIM)
+    mean[:M] = atomic_mean
+    cov = np.zeros((DIM, DIM))
+    cov[:M, :M] = (atomic_cov + atomic_cov.T) / 2
     return GaussianState(mean=mean, cov=cov, jx_mean=float(jx_mean))
 
 
@@ -188,26 +188,26 @@ def pulse_map(sign: int, params: CouplingParams, jx: float) -> tuple[np.ndarray,
 
     With classical Sx = sign * n_L/2, classical Jx = jx and fresh shot
     noise Sy_in, Sz_in (variance n_L/4 each, uncorrelated with everything
-    prior), the first-order map on x = (Jy, Jz, Jxy, M) is
+    prior), the first-order map on the ``STATE`` x = (Jy, Jz, Jxy, M) is
 
         Jz  <- Jz + g2 Sx Jy                  [- g2 Sy_in Jx   if dropped terms on]
         Jy  <- Jy - g1 Sz_in Jx - g2 Sx Jxy
         Jxy <- Jxy                            (frozen)
         M   <- M + sign (Sy_in + g1 Sx Jz)
 
-    with pre-pulse values on all right-hand sides.  A is 4x4 and B the 4x2
-    loadings of (Sy_in, Sz_in).  The one non-linear contribution, the
+    with pre-pulse values on all right-hand sides.  A is DIM x DIM and B the
+    DIM x 2 loadings of (Sy_in, Sz_in).  The one non-linear contribution, the
     dropped-term meter product -sign g2 Sz_in Jy, is left to ``pulse_channel``.
     """
     sx = sign * params.photons_per_pulse / 2.0
     g1, g2 = params.g1, params.g2
 
-    a = np.eye(4)
+    a = np.eye(DIM)
     a[JZ, JY] = g2 * sx
     a[JY, JXY] = -g2 * sx
     a[M, JZ] = sign * g1 * sx
 
-    b = np.zeros((4, 2))
+    b = np.zeros((DIM, 2))
     b[JY, 1] = -g1 * jx
     b[M, 0] = sign
     if params.include_dropped_terms:
@@ -218,11 +218,11 @@ def pulse_map(sign: int, params: CouplingParams, jx: float) -> tuple[np.ndarray,
 class PulseChannel(NamedTuple):
     """The depolarized pulse of each sign, index 0 for +1 and 1 for -1 (see ``pulse_channel``)."""
 
-    da: np.ndarray      # (2, 4, 4) D A
-    db0: np.ndarray     # (2, 4, 2) sqrt(shot) D B0
-    db1: np.ndarray     # (2, 4, 2) sqrt(shot) D B1
+    da: np.ndarray      # (2, DIM, DIM) D A
+    db0: np.ndarray     # (2, DIM, 2) sqrt(shot) D B0
+    db1: np.ndarray     # (2, DIM, 2) sqrt(shot) D B1
     q: np.ndarray       # (2,) meter-product loading -sign g2 sqrt(shot)
-    depol: np.ndarray   # (4,) depolarization variance per atom
+    depol: np.ndarray   # (DIM,) depolarization variance per atom
     jx_decay: float     # 1 - eps
 
 
@@ -231,20 +231,20 @@ def pulse_channel(params: CouplingParams) -> PulseChannel:
 
     With A and B(jx) = B0 + jx B1 from ``pulse_map``, shot = n_L/4 and
     z = (Sy_in, Sz_in) / sqrt(shot) two fresh standard normals, a pulse of
-    sign s maps x = (Jy, Jz, Jxy, M) and the pre-pulse jx of NA atoms to
+    sign s maps the state x and the pre-pulse jx of NA atoms to
 
         x  <- D A x + sqrt(shot) D B(jx) z + q Jy z[1] e_M + w
         jx <- (1 - eps) jx
 
-    where D = diag(1 - eps, 1 - eps, 1 - eps, 1) is the depolarization
-    contraction, q = -s g2 sqrt(shot) loads the dropped-term meter product
+    where D, 1 - eps on every ``ATOMIC`` variable and 1 on M, is the
+    depolarization contraction, q = -s g2 sqrt(shot) loads the dropped-term meter product
     -s g2 Sz_in Jy (q = 0 with the dropped terms off) and w is independent
     noise of variance NA * depol: eps times ``MIXED_VARIANCE`` on every
     atomic variable and 0 on M, so eps = 1 lands on the fully depolarized
     ensemble.  Everything is evaluated with pre-pulse values.
     """
     eps = params.scattering_eps
-    d = np.array([1.0 - eps] * 3 + [1.0])[:, None]
+    d = np.array([1.0 - eps] * len(ATOMIC) + [1.0])[:, None]
     sqrt_shot = math.sqrt(params.photons_per_pulse / 4.0)
     da, db0, db1 = [], [], []
     for sign in (1, -1):
@@ -253,22 +253,20 @@ def pulse_channel(params: CouplingParams) -> PulseChannel:
         db0.append(sqrt_shot * d * b)
         db1.append(sqrt_shot * d * (pulse_map(sign, params, 1.0)[1] - b))
     q = -np.array([1.0, -1.0]) * params.g2 * sqrt_shot if params.include_dropped_terms else np.zeros(2)
-    depol = eps * np.array([MIXED_VARIANCE] * 3 + [0.0])
+    depol = eps * np.array([MIXED_VARIANCE] * len(ATOMIC) + [0.0])
     return PulseChannel(np.array(da), np.array(db0), np.array(db1), q, depol, 1.0 - eps)
 
 
-# vec(cov)[4 i + j] = cov[i, j]; the kernel acts on covariances in this flattened form
-_TRANSPOSE = np.eye(16)[[4 * j + i for i in range(4) for j in range(4)]]
-_SYMMETRIZE = (np.eye(16) + _TRANSPOSE) / 2
-_VEC_JY_JY, _VEC_M_M = 5 * JY, 5 * M
-_VEC_DIAG = 5 * np.arange(4)
-# covariance matrices evaluated per block of the kernel (2 MB of 4x4 floats),
+# vec(cov)[_VEC[i, j]] = cov[i, j]; the kernel acts on covariances in this flattened form
+_VEC = np.arange(DIM * DIM).reshape(DIM, DIM)
+_SYMMETRIZE = (np.eye(DIM * DIM) + np.eye(DIM * DIM)[_VEC.T.ravel()]) / 2
+# covariance matrices evaluated per block of the kernel (2 MB at DIM = 4),
 # so also the most atom numbers one sweep evaluates
 EVAL_BATCH = 1 << 14
 
 
 def _check_psd(covs: np.ndarray) -> None:
-    """Raise ArithmeticError unless every covariance of a (..., 4, 4) stack is finite and PSD.
+    """Raise ArithmeticError unless every covariance of a (..., d, d) stack is finite and PSD.
 
     A covariance passes when the smallest eigenvalue of its symmetrized form
     lies at or above -PSD_TOL * max(1, trace).  A non-finite stack is refused
@@ -284,7 +282,7 @@ def _check_psd(covs: np.ndarray) -> None:
     sym = (covs + covs.swapaxes(-1, -2)) / 2
     floor = PSD_TOL * np.maximum(1.0, np.trace(covs, axis1=-2, axis2=-1))
     try:
-        np.linalg.cholesky(sym + floor[..., None, None] * np.eye(4))
+        np.linalg.cholesky(sym + floor[..., None, None] * np.eye(covs.shape[-1]))
         return
     except np.linalg.LinAlgError:
         pass
@@ -298,9 +296,9 @@ def _check_psd(covs: np.ndarray) -> None:
 
 
 def _covariances(coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """(n, 3, 16) coefficients of lambda^0..2 -> (n, len(lam), 4, 4) covariances."""
+    """(n, 3, DIM^2) coefficients of lambda^0..2 -> (n, len(lam), DIM, DIM) covariances."""
     powers = np.asarray(lam, dtype=float)[:, None] ** np.arange(3)
-    return (powers @ coeffs).reshape(len(coeffs), len(powers), 4, 4)
+    return (powers @ coeffs).reshape(len(coeffs), len(powers), DIM, DIM)
 
 
 def _chunking(n: int) -> tuple[int, int]:
@@ -381,20 +379,20 @@ def _train(params: CouplingParams, schedule: PulseSchedule, unit: GaussianState,
     CSS of lambda = NA atoms).  Each pulse is ``pulse_channel``'s.  Since
     D A does not depend on lambda and D B(jx) is affine in it, the
     covariance after every pulse is exactly C0 + lambda C1 + lambda^2 C2.
-    Each pulse sign becomes one 16x16 operator on vec(cov): the symmetrized
+    Each pulse sign becomes one DIM^2 x DIM^2 operator on vec(cov): the symmetrized
     (D A) (x) (D A) plus the meter product's q^2 var(Jy) -> var(M).  The
     pulse's noise (the channel's shot noise, with the meter product's mean
     loading y = q <Jy> of Sz_in into M, and its depolarization noise for
     nu lambda atoms) is a sum of per-sign constant outer products of D B0,
     D B1 and the loading, weighted by 1, jx, jx^2, y, jx y and y^2.  The
-    means (with the 4x4 D A) and the coefficients (3 rows of vec(cov)) are
+    means (with D A) and the coefficients (3 rows of vec(cov)) are
     both propagated by ``_scan`` over the chunks of ``_chunking``, so a
     train of n pulses takes O(sqrt(n)) Python steps.
 
-    Returns the means per unit lambda after every pulse (n, 4), the jx per
+    Returns the means per unit lambda after every pulse (n, DIM), the jx per
     unit lambda after the train, and a generator of (pulses, coefficients)
     blocks of at most ``block`` pulses (see ``_blocks``), with coefficients
-    (pulses, 3, 16).
+    (pulses, 3, DIM^2).
     """
     n = len(schedule)
     length, chunks = _chunking(n)
@@ -403,12 +401,12 @@ def _train(params: CouplingParams, schedule: PulseSchedule, unit: GaussianState,
     kind = (schedule.signs[:2] < 0).astype(int)
     kind = kind[np.arange(length) % len(kind)]
 
-    means = np.zeros((n, 4))
+    means = np.zeros((n, DIM))
     if unit.mean.any():
-        grid = np.empty((chunks, length, 4))
+        grid = np.empty((chunks, length, DIM))
         for t, state in enumerate(_scan(da[kind].swapaxes(1, 2), unit.mean[None], chunks)):
             grid[:, t] = state[:, 0]
-        means = grid.reshape(-1, 4)[:n]
+        means = grid.reshape(-1, DIM)[:n]
 
     # per pulse, the weights 1, jx, jx^2, y, jx y and y^2 of the noise terms
     weights = np.zeros((chunks * length, 6))
@@ -428,24 +426,24 @@ def _train(params: CouplingParams, schedule: PulseSchedule, unit: GaussianState,
     load = np.zeros_like(db0)
     load[:, M, 1] = 1.0
     parts = np.stack([db0, db1, load], axis=1)
-    outer = (parts[:, :, None] @ parts[:, None].swapaxes(-1, -2)).reshape(2, 3, 3, 16)
-    terms = np.zeros((2, 6, 3, 16))
+    outer = (parts[:, :, None] @ parts[:, None].swapaxes(-1, -2)).reshape(2, 3, 3, DIM * DIM)
+    terms = np.zeros((2, 6, 3, DIM * DIM))
     terms[:, 0, 0] = outer[:, 0, 0]
-    terms[:, 0, 1, _VEC_DIAG] = nu * depol
+    terms[:, 0, 1, _VEC.diagonal()] = nu * depol
     terms[:, 1, 1] = outer[:, 0, 1] + outer[:, 1, 0]
     terms[:, 2, 2] = outer[:, 1, 1]
     terms[:, 3, 1] = outer[:, 0, 2] + outer[:, 2, 0]
     terms[:, 4, 2] = outer[:, 1, 2] + outer[:, 2, 1]
     terms[:, 5, 2] = outer[:, 2, 2]
-    terms = terms.reshape(2, 6, 48)
+    terms = terms.reshape(2, 6, 3 * DIM * DIM)
 
     def drive(t):
-        return (by_position[:, t] @ terms[kind[t]]).reshape(3 * chunks, 16)
+        return (by_position[:, t] @ terms[kind[t]]).reshape(3 * chunks, DIM * DIM)
 
     # per sign, (D A) (x) (D A), symmetrized, transposed to act on the rows of the coefficient stack
-    ops = _SYMMETRIZE @ (da[:, :, None, :, None] * da[:, None, :, None, :]).reshape(2, 16, 16)
-    ops[:, _VEC_M_M, _VEC_JY_JY] += q * q
-    start = np.zeros((3, 16))
+    ops = _SYMMETRIZE @ (da[:, :, None, :, None] * da[:, None, :, None, :]).reshape(2, DIM * DIM, DIM * DIM)
+    ops[:, _VEC[M, M], _VEC[JY, JY]] += q * q
+    start = np.zeros((3, DIM * DIM))
     start[1] = unit.cov.ravel()
     states = _scan(ops.swapaxes(1, 2)[kind], start, chunks, drive)
     return means, unit.jx_mean * jx_decay ** n, _blocks(states, length, n, block)
@@ -462,7 +460,7 @@ def _start(params: CouplingParams, initial: GaussianState | None) -> tuple[Gauss
 class ScheduleResult:
     """Final meter statistics plus the per-pulse trace of the run.
 
-    ``pulse_means[i]`` holds the means of (Jy, Jz, Jxy, M) and
+    ``pulse_means[i]`` holds the means of the ``STATE`` variables and
     ``pulse_meter_var[i]`` var(M) after pulse i.
     """
 
@@ -528,5 +526,5 @@ def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_num
         covs = _covariances(coeffs, lam)
         _check_psd(covs)
         if pulses[-1] == len(schedule) - 1:
-            final = covs[-1, :, M, M], coeffs[-1, :, _VEC_M_M]
+            final = covs[-1, :, M, M], coeffs[-1, :, _VEC[M, M]]
     return final

@@ -24,7 +24,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .gaussian import CouplingParams, PulseSchedule, run_schedule, state_from_atomic_moments
+from .gaussian import ATOMIC, JY, JZ, M, CouplingParams, PulseSchedule, run_schedule, state_from_atomic_moments
 from .operators import angular_momentum_matrices, build_spin_operators, build_stokes_operators
 
 # No joint-space matrix is built.  A run holds the four Kraus stacks of n_ph + 1
@@ -180,22 +180,21 @@ def single_atom_css(f: float, tilt: float = 0.0, phase: float = 0.0) -> np.ndarr
 
 
 def single_atom_moments(single: np.ndarray, f: float) -> dict:
-    """First moments and symmetrized covariances of (jy, jz, jxy) plus <jx>."""
+    """Means ("mean") and symmetrized covariances ("cov") of the engine's ``ATOMIC`` variables, plus <jx>."""
     ops = build_spin_operators(f)
     psi = np.asarray(single, dtype=complex)
 
     def ev(op):
         return float((psi.conj() @ (op @ psi)).real)
 
-    tracked = [ops.jy, ops.jz, ops.jxy]
+    tracked = [getattr(ops, name) for name in ATOMIC]
     means = np.array([ev(op) for op in tracked])
-    cov = np.zeros((3, 3))
+    cov = np.zeros((len(tracked), len(tracked)))
     for i, a in enumerate(tracked):
         for j, b in enumerate(tracked):
             sym = ev(a @ b + b @ a) / 2
             cov[i, j] = sym - means[i] * means[j]
-    return {"mean_jy": means[0], "mean_jz": means[1], "mean_jxy": means[2],
-            "cov": cov, "mean_jx": ev(ops.jx)}
+    return {"mean": means, "cov": cov, "mean_jx": ev(ops.jx)}
 
 
 def _adjoint_rows(stack: np.ndarray) -> np.ndarray:
@@ -371,23 +370,17 @@ def oracle_vs_gaussian(
     oracle_rec = run_schedule_exact(exact0, schedule, g1, g2)
 
     mom = single_atom_moments(single, f)
-    engine_state = state_from_atomic_moments(
-        mean_jy=na * mom["mean_jy"],
-        mean_jz=na * mom["mean_jz"],
-        mean_jxy=na * mom["mean_jxy"],
-        atomic_cov=na * mom["cov"],
-        jx_mean=na * mom["mean_jx"],
-    )
+    engine_state = state_from_atomic_moments(na * mom["mean"], na * mom["cov"], na * mom["mean_jx"])
     params = CouplingParams(g1=g1, g2=g2, photons_per_pulse=n_ph, atom_number=na)
     engine = run_schedule(params, schedule, initial=engine_state)
-    e_jy, e_jz, _, e_mm = engine.pulse_means.T
+    means = engine.pulse_means
 
     def diff(exact, approx):
         return (np.asarray(exact) - approx).tolist()
 
     return ComparisonReport(
-        d_jz=diff(oracle_rec.jz_mean, e_jz),
-        d_jy=diff(oracle_rec.jy_mean, e_jy),
-        d_meter_mean=diff(oracle_rec.meter_mean, e_mm),
+        d_jz=diff(oracle_rec.jz_mean, means[:, JZ]),
+        d_jy=diff(oracle_rec.jy_mean, means[:, JY]),
+        d_meter_mean=diff(oracle_rec.meter_mean, means[:, M]),
         d_meter_var=diff(oracle_rec.meter_var, engine.pulse_meter_var),
     )

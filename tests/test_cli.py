@@ -92,6 +92,9 @@ def test_validation_failures_exit_2(tmp_path):
     ["impact", "--nl", "inf"],
     ["oracle-compare", "--f", "-0.5"],               # spins that are not positive half-integers
     ["oracle-compare", "--f", "0"],
+    ["impact", "--pulses", "7"],                     # schedule flags the train does not read
+    ["sweep", "--pulses", "7"],
+    ["impact", "--mode", "naive", "--p", "3", "--pulses", "4"],
 ])
 def test_rejected_subcommand_input_exits_2_without_output(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
@@ -134,12 +137,18 @@ def test_unread_flag_named_in_the_error(capsys):
         parse_config(argv)
     assert main(argv) == 2
     assert "invalid configuration: oracle-compare does not read --dropped" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="impact does not read --pulses with a decoupled schedule"):
+        parse_config(["impact", "--pulses", "7"])
+    with pytest.raises(ValueError, match="impact does not read --p when --pulses sets"):
+        parse_config(["impact", "--mode", "naive", "--p", "3", "--pulses", "4"])
 
 
 def test_config_file_keys_are_not_checked_against_the_subcommand(tmp_path):
     conf = tmp_path / "c.json"
     conf.write_text(json.dumps({"trials": 5, "na": 3e5, "oracle_na": 3}))
     assert parse_config(["sweep", "--config", str(conf)]).trials == 5
+    conf.write_text(json.dumps({"num_pulses": 7}))  # a decoupled train does not read it
+    assert parse_config(["impact", "--config", str(conf)]).num_pulses == 7
 
 
 def test_readme_examples_parse():

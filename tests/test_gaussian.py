@@ -1,18 +1,22 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from qndprobe.gaussian import (
+    ATOMIC,
     EVAL_BATCH,
     JXY,
     JY,
     JZ,
     M,
     MEMORY_CAP_BYTES,
+    STATE,
     MIXED_VARIANCE,
     TRAIN_BYTES_PER_PULSE,
     CouplingParams,
+    GaussianState,
     PulseSchedule,
     _check_psd,
     css_meter_variance,
@@ -161,7 +165,7 @@ def apply_one_pulse(state, params):
 def test_pulse_meter_gain_pure_qnd():
     # g2 = 0: the meter mean picks up g1 * (nL/2) * <Jz>, var(Jz) untouched
     params = make_params(g2=0.0)
-    state = state_from_atomic_moments(0.0, 30.0, 0.0, np.diag([5.0, 7.0, 3.0]), 500.0)
+    state = state_from_atomic_moments([0.0, 30.0, 0.0], np.diag([5.0, 7.0, 3.0]), 500.0)
     out = apply_one_pulse(state, params)
     assert out.mean[M] == pytest.approx(params.g1 * 50.0 * 30.0)
     assert out.cov[JZ, JZ] == pytest.approx(7.0)
@@ -181,7 +185,7 @@ def test_pulse_naive_jz_variance_gain_matches_affine_transport():
     # independent oracle: var'(Jz) = var(Jz) + g2^2 Sx^2 var(Jy) + 2 g2 Sx cov(Jz, Jy)
     params = make_params(g1=0.0, g2=2e-3)
     cov = np.array([[9.0, 1.5, 0.0], [1.5, 4.0, 0.0], [0.0, 0.0, 2.0]])
-    state = state_from_atomic_moments(0.0, 0.0, 0.0, cov, 500.0)
+    state = state_from_atomic_moments([0.0, 0.0, 0.0], cov, 500.0)
     sx = params.photons_per_pulse / 2
     expected = 4.0 + params.g2 ** 2 * sx ** 2 * 9.0 + 2 * params.g2 * sx * 1.5
     out = apply_one_pulse(state, params)
@@ -324,7 +328,7 @@ def test_meter_gain_independent_of_p():
         )
         cov = np.full((3, 3), 0.0)
         np.fill_diagonal(cov, na / 4)
-        initial = state_from_atomic_moments(0.0, jz0, mean_jxy, cov, na / 2)
+        initial = state_from_atomic_moments([0.0, jz0, mean_jxy], cov, na / 2)
         return run_schedule(params, sched, initial=initial).meter_mean
 
     # with <Jxy> = 0 the identity is exact at every order
@@ -409,6 +413,18 @@ def reference_fold(params, signs, state):
     return mean, cov, jx, np.array(means), np.array(meter_var)
 
 
+@pytest.mark.parametrize("build,layout", [
+    (lambda: state_from_atomic_moments([0.0, 0.0], np.eye(3), 1.0), ATOMIC),        # mean of the wrong length
+    (lambda: state_from_atomic_moments([0.0, 0.0, 0.0], np.eye(4), 1.0), ATOMIC),   # covariance of the wrong shape
+    (lambda: state_from_atomic_moments([0.0, 0.0, 0.0], np.eye(3)[:2], 1.0), ATOMIC),
+    (lambda: GaussianState(mean=np.zeros(3), cov=np.eye(4), jx_mean=1.0), STATE),   # state of the wrong size
+    (lambda: GaussianState(mean=np.zeros(4), cov=np.eye(5), jx_mean=1.0), STATE),
+])
+def test_state_refuses_moments_off_the_declared_layout(build, layout):
+    with pytest.raises(ValueError, match=re.escape(str(layout))):
+        build()
+
+
 def assert_cov_close(cov, ref, rel=1e-12):
     # relative to the scale of each entry: sqrt(var_i var_j)
     scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
@@ -417,7 +433,7 @@ def assert_cov_close(cov, ref, rel=1e-12):
 
 def tilted_state(na):
     cov = np.array([[na / 4, 0.1 * na, 0.02 * na], [0.1 * na, na / 3, na / 4], [0.02 * na, na / 4, na / 4]])
-    return state_from_atomic_moments(0.03 * na, 0.05 * na, 0.04 * na, cov, 0.45 * na)
+    return state_from_atomic_moments([0.03 * na, 0.05 * na, 0.04 * na], cov, 0.45 * na)
 
 
 # naive(10), decoupled(5), decoupled(50), decoupled(1000) and an odd naive(37), each
@@ -525,7 +541,7 @@ def test_run_schedule_raises_on_indefinite_covariance():
     params = make_params(g1=0.0, g2=0.0)
     cov = np.diag([1.0, 1.0, 1.0])
     cov[0, 1] = cov[1, 0] = 5.0  # eigenvalue -4
-    initial = state_from_atomic_moments(0.0, 0.0, 0.0, cov, 10.0)
+    initial = state_from_atomic_moments([0.0, 0.0, 0.0], cov, 10.0)
     with pytest.raises(ArithmeticError, match="positive semidefiniteness"):
         run_schedule(params, PulseSchedule.naive(2), initial=initial)
 

@@ -5,7 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qndprobe.gaussian import PulseSchedule
+from qndprobe.gaussian import JY, M, CouplingParams, PulseSchedule, init_css
 from qndprobe.operators import build_spin_operators, build_stokes_operators
 from qndprobe.oracle import (
     ExactState,
@@ -251,6 +251,17 @@ def test_evolve_pulse_faraday_rotation_formula():
     assert rec.meter_var[0] == pytest.approx((n_ph / 4) * np.cos(g1 * 1.0) ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("na", [2.0, 7.0, 1e6])
+def test_engine_css_is_the_oracle_single_atom_css_times_na(na):
+    # the engine's CSS and the oracle's single-atom moments index the same ATOMIC order
+    state = init_css(CouplingParams(g1=1e-3, g2=1e-3, photons_per_pulse=100.0, atom_number=na))
+    mom = single_atom_moments(single_atom_css(1.0), 1.0)
+    assert np.array_equal(state.cov[:M, :M], na * mom["cov"])
+    assert state.jx_mean == na * mom["mean_jx"]
+    # the oracle's <jz> and <jxy> are rounding, about 1e-16 per atom
+    assert np.all(np.abs(na * mom["mean"] - state.mean[:M]) <= 1e-15 * na)
+
+
 def test_evolve_pulse_jz_drift_matches_linear_prediction():
     # f=1, g1=0, small g2: per-pulse <Jz> drift is g2 Sx <Jy> + O(g2^2)
     g2, n_ph, na = 1e-3, 4, 2
@@ -261,7 +272,7 @@ def test_evolve_pulse_jz_drift_matches_linear_prediction():
     jz_before = state.expect(atomic["jz"])
     rec = run_schedule_exact(state, PulseSchedule.naive(1), 0.0, g2)
     drift = rec.final_state.expect(atomic["jz"]) - jz_before
-    predicted = g2 * (n_ph / 2) * na * mom["mean_jy"]
+    predicted = g2 * (n_ph / 2) * na * mom["mean"][JY]
     assert abs(drift - predicted) < (g2 * n_ph) ** 2
 
 
