@@ -22,8 +22,9 @@ O(sqrt(n)) Python steps.  Its pulses, like the Monte Carlo's, are
 ``pulse_channel``'s.  ``run_schedule`` evaluates it at its atom number;
 ``css_meter_variance`` evaluates one train at every atom number of a sweep
 and returns the final var(M) coefficients too.  Every pulse's covariance is
-PSD-checked, in a sweep at every atom number, by ``_check_psd``: one batched
-Cholesky factorization, with eigenvalues computed only to word a refusal.
+PSD-checked, in a sweep at every atom number, by ``_check_psd``: one LDL^T
+elimination run across the whole stack at once, with eigenvalues computed
+only to word a refusal.
 """
 
 from __future__ import annotations
@@ -240,8 +241,9 @@ def pulse_channel(params: CouplingParams) -> PulseChannel:
     depolarization contraction, q = -s g2 sqrt(shot) loads the dropped-term meter product
     -s g2 Sz_in Jy (q = 0 with the dropped terms off) and w is independent
     noise of variance NA * depol: eps times ``MIXED_VARIANCE`` on every
-    atomic variable and 0 on M, so eps = 1 lands on the fully depolarized
-    ensemble.  Everything is evaluated with pre-pulse values.
+    atomic variable and 0 on M, so eps = 1 gives every atomic variable its
+    fully depolarized variance but zeroes cov(Jz, Jxy), which is NA/6 there
+    for f = 1 (jxy = jz).  Everything is evaluated with pre-pulse values.
     """
     eps = params.scattering_eps
     d = np.array([1.0 - eps] * len(ATOMIC) + [1.0])[:, None]
@@ -270,24 +272,36 @@ def _check_psd(covs: np.ndarray) -> None:
 
     A covariance passes when the smallest eigenvalue of its symmetrized form
     lies at or above -PSD_TOL * max(1, trace).  A non-finite stack is refused
-    first, since the factorization need not detect it.  The passing path is
-    one batched Cholesky factorization of sym(C) + PSD_TOL * max(1, tr C) I,
-    which succeeds exactly then up to rounding (about 1e-16 |C|); only a
-    stack that fails it has its eigenvalues computed, which settles that gap
-    and names the first failing index and its smallest eigenvalue.
+    first, since the elimination need not detect it.  The passing path is an
+    LDL^T elimination without pivoting of sym(C) + PSD_TOL * max(1, tr C) I,
+    run on the whole stack at once with entry (i, j) of every matrix in one
+    contiguous array: step k stops unless every pivot is > 0, then updates
+    the trailing entries with the multipliers.  The pivots are the squared
+    diagonal of the Cholesky factor, so they are all positive exactly when
+    the covariance passes, up to rounding (about 1e-16 |C|); only a stack
+    that fails has its eigenvalues computed, which settles that gap and
+    names the first failing index and its smallest eigenvalue.
     """
     if not np.isfinite(covs).all():
         bad = ~np.isfinite(covs).all(axis=(-2, -1))
         raise ArithmeticError(f"non-finite covariance at index {tuple(map(int, np.argwhere(bad)[0]))}")
-    sym = (covs + covs.swapaxes(-1, -2)) / 2
-    floor = PSD_TOL * np.maximum(1.0, np.trace(covs, axis1=-2, axis2=-1))
-    try:
-        np.linalg.cholesky(sym + floor[..., None, None] * np.eye(covs.shape[-1]))
+    d = covs.shape[-1]
+    flat = covs.reshape(-1, d, d)
+    a = np.empty((d, d, len(flat)))
+    np.add(flat.transpose(1, 2, 0), flat.transpose(2, 1, 0), out=a)
+    a /= 2
+    diagonal = a.reshape(d * d, -1)[::d + 1]  # a view of the d diagonal entries
+    floor = PSD_TOL * np.maximum(1.0, diagonal.sum(axis=0))
+    diagonal += floor
+    for k in range(d):
+        pivot = a[k, k]
+        if not (pivot > 0).all():
+            break
+        a[k + 1:, k + 1:] -= a[k + 1:, k, None] * (a[k, None, k + 1:] / pivot)
+    else:
         return
-    except np.linalg.LinAlgError:
-        pass
-    low = np.linalg.eigvalsh(sym)[..., 0]
-    bad = low < -floor
+    low = np.linalg.eigvalsh((covs + covs.swapaxes(-1, -2)) / 2)[..., 0]
+    bad = low < -floor.reshape(low.shape)
     if bad.any():
         where = tuple(map(int, np.argwhere(bad)[0]))
         raise ArithmeticError(

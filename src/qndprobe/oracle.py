@@ -140,7 +140,7 @@ class ExactState:
     def from_product_state(cls, single: np.ndarray, na: int, f: float, n_ph: int) -> "ExactState":
         single = np.asarray(single, dtype=complex)
         norm = np.linalg.norm(single)
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError("single-atom state must be normalized")
         if single.size == 3 and single[1] != 0:
             raise ValueError("spin-1 state with |m=0> amplitude leaves the spin-na/2 space")
@@ -156,7 +156,7 @@ class ExactState:
         return cls(na=na, f=float(f), n_ph=n_ph, rho=np.outer(psi, psi.conj()))
 
     def check_normalization(self):
-        if abs(np.trace(self.rho).real - 1.0) > NORMALIZATION_TOL:
+        if not abs(np.trace(self.rho).real - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
             raise ArithmeticError("atomic state lost normalization")
 
     def expect(self, atomic_op: np.ndarray) -> float:

@@ -14,6 +14,7 @@ from qndprobe.gaussian import (
     MEMORY_CAP_BYTES,
     STATE,
     MIXED_VARIANCE,
+    PSD_TOL,
     TRAIN_BYTES_PER_PULSE,
     CouplingParams,
     GaussianState,
@@ -243,6 +244,19 @@ def test_decoherence_complete_depolarization():
     assert out.cov[JXY, JXY] == pytest.approx(1e4 * MIXED_VARIANCE)
     # f = 1 isotropic single-atom variance f(f+1)/3 scaled by the 1/2 in jz
     assert MIXED_VARIANCE == pytest.approx(1.0 * 2.0 / 12.0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="depolarization is diagonal: eps = 1 leaves cov(Jz, Jxy) = 0, but jxy = jz for f = 1, "
+    "so the fully depolarized ensemble has cov(Jz, Jxy) = NA/6; ROADMAP item 2 drops Jxy",
+)
+def test_complete_depolarization_keeps_the_jz_jxy_covariance():
+    ops = build_spin_operators(1.0)
+    assert np.trace(ops.jz @ ops.jxy).real / 3 == pytest.approx(MIXED_VARIANCE, abs=1e-15)
+    params = make_params(g1=0.0, g2=0.0, atom_number=1e4, scattering_eps=1.0)
+    out = apply_one_pulse(init_css(params), params)
+    assert out.cov[JZ, JXY] == pytest.approx(1e4 * MIXED_VARIANCE)
 
 
 def test_mixed_variance_is_the_spin_1_trace():
@@ -511,8 +525,13 @@ def test_every_pulse_checked_at_every_point(monkeypatch, batch):
     def no_eigenvalues(*args, **kwargs):
         raise AssertionError("eigenvalues computed on the passing path")
 
-    # both check by Cholesky and compute no eigenvalue on the passing path
+    def no_cholesky(*args, **kwargs):
+        raise AssertionError("Cholesky called on the passing path")
+
+    # both check by one stack-wide elimination, with neither a LAPACK Cholesky
+    # nor an eigenvalue on the passing path
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigenvalues)
+    monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
     assert np.array_equal(run_schedule(params, sched).final_state.cov, whole_run.final_state.cov)
     assert np.array_equal(css_meter_variance(params, sched, grid)[0], whole_sweep)
 
@@ -560,13 +579,13 @@ def test_batched_psd_check_covers_every_pulse_and_point():
         _check_psd(stack)
 
 
-def stack_with_min_eigenvalue(scale, k, tol=1e-9):
-    """(3, 2, 4, 4) PSD stack whose entry (1, 0) has smallest eigenvalue -k tol max(1, trace)."""
-    rng = np.random.default_rng(17)
-    roots = rng.standard_normal((3, 2, 4, 4))
-    stack = scale * (roots @ roots.swapaxes(-1, -2) + 0.1 * np.eye(4))
-    q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-    rest = scale * np.array([0.3, 1.0, 2.5])
+def stack_with_min_eigenvalue(scale, k, tol=1e-9, d=4, seed=17):
+    """(3, 2, d, d) PSD stack, d <= 4, whose entry (1, 0) has smallest eigenvalue -k tol max(1, trace)."""
+    rng = np.random.default_rng(seed)
+    roots = rng.standard_normal((3, 2, d, d))
+    stack = scale * (roots @ roots.swapaxes(-1, -2) + 0.1 * np.eye(d))
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    rest = scale * np.array([0.3, 1.0, 2.5][:d - 1])
     low = -k * tol * max(1.0, rest.sum() / (1.0 + k * tol))  # the trace includes low
     stack[1, 0] = q @ np.diag([low, *rest]) @ q.T
     return stack
@@ -577,11 +596,54 @@ def test_cholesky_check_agrees_with_margins(scale, monkeypatch):
     inside = stack_with_min_eigenvalue(scale, 0.5)
     assert np.linalg.eigvalsh(inside)[1, 0, 0] < 0  # within tolerance, not PSD
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "eigvalsh", None)  # the Cholesky alone passes it
+        patch.setattr(np.linalg, "eigvalsh", None)  # the elimination alone passes it
         _check_psd(inside)
     outside = stack_with_min_eigenvalue(scale, 2.0)
     with pytest.raises(ArithmeticError, match=r"semidefiniteness at index \(1, 0\)"):
         _check_psd(outside)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e12])
+@pytest.mark.parametrize("k", [0.5, 2.0])
+def test_elimination_verdict_is_the_eigenvalue_verdict(d, scale, k, monkeypatch):
+    for seed in range(4):
+        stack = stack_with_min_eigenvalue(scale, k, d=d, seed=seed)
+        low = np.linalg.eigvalsh((stack + stack.swapaxes(-1, -2)) / 2)[..., 0]
+        floor = PSD_TOL * np.maximum(1.0, np.trace(stack, axis1=-2, axis2=-1))
+        if np.all(low >= -floor):
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigvalsh", None)
+                patch.setattr(np.linalg, "cholesky", None)
+                _check_psd(stack)
+        else:
+            first = tuple(map(int, np.argwhere(low < -floor)[0]))
+            assert first == (1, 0)
+            message = f"semidefiniteness at index {first} (min eigenvalue {low[first]:.3e})"
+            with pytest.raises(ArithmeticError, match=re.escape(message)):
+                _check_psd(stack)
+        assert (k < 1) == np.all(low >= -floor)
+
+
+def test_singular_css_covariance_passes(monkeypatch):
+    # the Jz and Jxy rows of a CSS covariance are equal, so it has an exact zero eigenvalue
+    covs = np.array([init_css(make_params(atom_number=na)).cov for na in (1e-3, 1.0, 1e6, 1e12)])
+    assert np.array_equal(covs[:, JZ], covs[:, JXY])
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    monkeypatch.setattr(np.linalg, "cholesky", None)
+    _check_psd(covs)
+    init_css(make_params(atom_number=1e12)).check_psd()
+
+
+def test_asymmetric_covariance_judged_by_its_symmetric_part():
+    spd = np.diag([1.0, 2.0, 3.0, 4.0])
+    skew = np.zeros((4, 4))
+    skew[0, 3], skew[3, 0] = 50.0, -50.0
+    _check_psd((spd + skew)[None])  # sym = spd
+    shear = np.eye(4)
+    shear[0, 1] = 10.0  # every eigenvalue is 1, but sym has 1 - 5 = -4
+    with pytest.raises(ArithmeticError, match=r"index \(1,\) \(min eigenvalue -4.000e\+00\)"):
+        _check_psd(np.array([spd, shear]))
 
 
 def test_cholesky_check_refuses_non_finite():

@@ -286,6 +286,17 @@ def test_evolve_pulse_norm_preserved_and_checked():
         run_schedule_exact(bad, PulseSchedule.naive(1), 0.1, 0.0)
 
 
+def test_nan_density_matrix_fails_normalization():
+    state = ExactState.from_product_state(single_atom_css(1.0), 2, 1.0, 3)
+    with pytest.raises(ArithmeticError, match="normalization"):
+        ExactState(na=2, f=1.0, n_ph=3, rho=state.rho * np.nan).check_normalization()
+
+
+def test_nan_single_atom_state_refused():
+    with pytest.raises(ValueError, match="must be normalized"):
+        ExactState.from_product_state(np.array([np.nan, 0.0, 0.0]), 2, 1.0, 3)
+
+
 def test_spin_half_jz_exactly_conserved_despite_g2():
     single = single_atom_css(0.5, tilt=0.2)
     state = ExactState.from_product_state(single, 2, 0.5, 4)
