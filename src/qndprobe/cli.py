@@ -216,9 +216,13 @@ def parse_config(argv=None) -> RunConfig:
     return config
 
 
+def _naive_pulses(config: RunConfig) -> int | None:
+    return config.num_pulses if config.schedule == "naive" else None
+
+
 def _params_and_schedule(config: RunConfig, na: float) -> tuple[CouplingParams, PulseSchedule]:
     return paper_scale_params(
-        mode=config.schedule, p=config.p, num_pulses=config.num_pulses, na=na,
+        mode=config.schedule, p=config.p, num_pulses=_naive_pulses(config), na=na,
         g1=config.g1, g2=config.g2, nl_total=config.nl_total,
         scattering_eps=config.scattering_eps,
         include_dropped_terms=config.include_dropped_terms,
@@ -276,7 +280,7 @@ def _run_algebra_check(config: RunConfig) -> tuple[list, list, list]:
 
 
 def _run_oracle_compare(config: RunConfig) -> tuple[list, list, list]:
-    _, schedule = paper_scale_params(mode=config.schedule, p=config.p, num_pulses=config.num_pulses)
+    _, schedule = paper_scale_params(mode=config.schedule, p=config.p, num_pulses=_naive_pulses(config))
     g2 = 0.0 if config.g2 is None else config.g2
     report = oracle_vs_gaussian(
         na=config.oracle_na, f=config.f, n_ph=config.n_ph, g1=config.g1, g2=g2,

@@ -3,8 +3,8 @@
 Reproduces the desk-scale quantitative story: normalized polarimeter
 variance versus atom number for naive and decoupled pulse trains with the
 kernel's exact c0 + c1 NA + c2 NA^2 of that curve, the projection-noise line,
-the dB-below-projection metric, physical coupling estimates, and a seeded
-Monte Carlo cross-check of the analytic meter variance.
+the dB-below-projection metric, the calibration of g2 from the impact ratio,
+and a seeded Monte Carlo cross-check of the analytic meter variance.
 """
 
 from __future__ import annotations
@@ -33,12 +33,14 @@ from .gaussian import (
 )
 
 # Reference values used for "paper-scale" runs: the independently measured
-# interaction strength, the probe photon budget, and the order-of-magnitude
-# tensor-to-QND impact ratio G2/(G1^2 Jx) = 8 * Delta_HFS / (d0 * Gamma)
-# evaluated at Delta_HFS/Gamma ~ 30, d0 ~ 50.
+# interaction strength, the probe photon budget, and the detuning-independent
+# tensor-to-QND impact ratio G2/(G1^2 Jx) = 8 * Delta_HFS / (d0 * Gamma) from its
+# order-of-magnitude inputs Delta_HFS/Gamma ~ 30 and optical depth d0 ~ 50.
 G1_REFERENCE = 1.27e-7
 NL_REFERENCE = 8.0e8
-G2_IMPACT_REFERENCE = 4.8
+HFS_SPLITTING_IN_LINEWIDTHS = 30.0
+OPTICAL_DEPTH_REFERENCE = 50.0
+G2_IMPACT_REFERENCE = 8.0 * HFS_SPLITTING_IN_LINEWIDTHS / OPTICAL_DEPTH_REFERENCE
 NA_REFERENCE = 1.0e6
 
 DEFAULT_NA_GRID = tuple(np.geomspace(1.0e4, 2.0e6, 20))
@@ -60,48 +62,6 @@ MC_BLOCK = 1024
 # trials per slice, each with its own stream: a slice's columns of x and moved
 # (MC_BYTES_PER_TRIAL / 8 rows of 64 KiB at most) stay in one core's cache through a pulse
 MC_SLICE = 2 ** 13
-
-
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Beam/atom parameters entering the far-detuned coupling estimates."""
-
-    sigma0: float      # on-resonance scattering cross section (m^2)
-    gamma: float       # natural linewidth (rad/s or any consistent unit)
-    area_a: float      # effective beam area (m^2)
-    delta: float       # probe detuning (same unit as gamma)
-    delta_hfs: float   # excited-state hyperfine splitting (same unit as gamma)
-    na: float          # atom number
-
-    def __post_init__(self):
-        for name in ("sigma0", "gamma", "area_a", "delta_hfs", "na"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.delta == 0:
-            raise ValueError("detuning must be nonzero")
-
-
-@dataclass(frozen=True)
-class CouplingEstimate:
-    g1: float
-    g2: float
-    d0: float
-    g2_impact: float
-
-
-def couplings_from_physics(phys: PhysicalParams) -> CouplingEstimate:
-    """Order-of-magnitude couplings in the far-detuned regime.
-
-    g1 = sigma0*Gamma / (4*A*Delta), g2 = g1 * Delta_HFS/Delta (so they fall
-    off as 1/Delta and 1/Delta^2), on-resonance optical depth
-    d0 = sigma0*NA/A, and the detuning-independent impact ratio
-    g2/(g1^2 Jx) = 8*Delta_HFS/(d0*Gamma).
-    """
-    g1 = phys.sigma0 * phys.gamma / (4.0 * phys.area_a * phys.delta)
-    g2 = g1 * phys.delta_hfs / phys.delta
-    d0 = phys.sigma0 * phys.na / phys.area_a
-    g2_impact = 8.0 * phys.delta_hfs / (d0 * phys.gamma)
-    return CouplingEstimate(g1=g1, g2=g2, d0=d0, g2_impact=g2_impact)
 
 
 def g2_from_impact(
@@ -146,11 +106,13 @@ def paper_scale_params(
     """CouplingParams + schedule at the reference couplings and photon budget.
 
     The photon budget is split equally across pulses: 2p pulses for a
-    decoupled train of order p, ``num_pulses`` (default 2p) for naive mode.
+    decoupled train of order p, ``num_pulses`` (default 2p, refused otherwise) for naive mode.
     """
     if g2 is None:
         g2 = g2_from_impact(g1=g1)
     if mode == "decoupled":
+        if num_pulses is not None:
+            raise ValueError("a decoupled train has 2p pulses; num_pulses sets only a naive train's length")
         schedule = PulseSchedule.decoupled(p)
     elif mode == "naive":
         schedule = PulseSchedule.naive(num_pulses if num_pulses is not None else 2 * p)
@@ -204,42 +166,6 @@ def sweep_atom_number(
     nl_total = params_template.photons_per_pulse * len(schedule)
     c0, c1, c2 = (4.0 * coeffs / nl_total).tolist()
     return Sweep(na=na, normalized_meter_var=4.0 * meter_var / nl_total, c0=c0, c1=c1, c2=c2)
-
-
-@dataclass(frozen=True)
-class FitResult:
-    c0: float
-    c1: float
-    c2: float
-    residual_rms: float
-
-
-def fit_linear_quadratic(data) -> FitResult:
-    """Unweighted least-squares fit v(na) = c0 + c1 na + c2 na^2.
-
-    Accepts a Sweep or an (na, value) array pair.  Columns are rescaled
-    before the orthogonal-decomposition solve so the wide dynamic range of
-    na does not degrade the recovered coefficients.
-    """
-    if isinstance(data, Sweep):
-        data = data.na, data.normalized_meter_var
-    na, values = (np.asarray(x, dtype=float) for x in data)
-    if na.size < 4:
-        raise ValueError("need at least 4 rows for a quadratic fit")
-    scale = na.max()
-    x = na / scale
-    design = np.column_stack([np.ones_like(x), x, x * x])
-    if np.linalg.matrix_rank(design) < 3:
-        raise ValueError("na values are collinear; quadratic fit is rank deficient")
-    coef, _, _, _ = np.linalg.lstsq(design, values, rcond=None)
-    pred = design @ coef
-    rms = float(np.sqrt(np.mean((values - pred) ** 2)))
-    return FitResult(
-        c0=float(coef[0]),
-        c1=float(coef[1] / scale),
-        c2=float(coef[2] / scale ** 2),
-        residual_rms=rms,
-    )
 
 
 @dataclass(frozen=True)

@@ -267,7 +267,7 @@ _SYMMETRIZE = (np.eye(DIM * DIM) + np.eye(DIM * DIM)[_VEC.T.ravel()]) / 2
 EVAL_BATCH = 1 << 14
 
 
-def _check_psd(covs: np.ndarray) -> None:
+def _check_psd(covs: np.ndarray, name=lambda index: f"index {index}") -> None:
     """Raise ArithmeticError unless every covariance of a (..., d, d) stack is finite and PSD.
 
     A covariance passes when the smallest eigenvalue of its symmetrized form
@@ -280,11 +280,11 @@ def _check_psd(covs: np.ndarray) -> None:
     diagonal of the Cholesky factor, so they are all positive exactly when
     the covariance passes, up to rounding (about 1e-16 |C|); only a stack
     that fails has its eigenvalues computed, which settles that gap and
-    names the first failing index and its smallest eigenvalue.
+    names the first failing index, worded ``name(index)``, and its smallest eigenvalue.
     """
     if not np.isfinite(covs).all():
         bad = ~np.isfinite(covs).all(axis=(-2, -1))
-        raise ArithmeticError(f"non-finite covariance at index {tuple(map(int, np.argwhere(bad)[0]))}")
+        raise ArithmeticError(f"non-finite covariance at {name(tuple(map(int, np.argwhere(bad)[0])))}")
     d = covs.shape[-1]
     flat = covs.reshape(-1, d, d)
     a = np.empty((d, d, len(flat)))
@@ -305,7 +305,7 @@ def _check_psd(covs: np.ndarray) -> None:
     if bad.any():
         where = tuple(map(int, np.argwhere(bad)[0]))
         raise ArithmeticError(
-            f"covariance lost positive semidefiniteness at index {where} (min eigenvalue {low[where]:.3e})"
+            f"covariance lost positive semidefiniteness at {name(where)} (min eigenvalue {low[where]:.3e})"
         )
 
 
@@ -497,7 +497,7 @@ def run_schedule(
     dropped-term meter product enters through its mean (the Sz_in loading
     q <Jy> of M) and its Gaussian-factorized variance q^2 var(Jy).  One run
     of the chunked kernel; every pulse's covariance is PSD-checked by
-    ``_check_psd`` (ArithmeticError on a violation).
+    ``_check_psd`` (ArithmeticError naming the pulse on a violation).
     """
     unit, nu, lam = _start(params, initial)
     n = len(schedule)
@@ -505,7 +505,7 @@ def run_schedule(
     meter_var = np.empty(n)
     for pulses, coeffs in blocks:
         covs = _covariances(coeffs, [lam])[:, 0]
-        _check_psd(covs)
+        _check_psd(covs, lambda i: f"pulse {pulses[i[0]]} (atom number {params.atom_number:.6g})")
         meter_var[pulses] = covs[:, M, M]
         if pulses[-1] == n - 1:
             cov = covs[-1].copy()
@@ -525,9 +525,9 @@ def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_num
 
     The covariance is exactly quadratic in NA, so the train is propagated once
     and evaluated at every atom number; ``params.atom_number`` is not used.
-    Every pulse is PSD-checked at every atom number by ``_check_psd``, as in
-    ``run_schedule``.  From 1 to ``EVAL_BATCH`` atom numbers are accepted, so
-    one block holds at least one pulse.
+    Every pulse is PSD-checked at every atom number by ``_check_psd``, which
+    names a refused pulse and atom number.  From 1 to ``EVAL_BATCH`` atom
+    numbers are accepted, so one block holds at least one pulse.
     """
     lam = np.asarray(atom_numbers, dtype=float)
     if not 0 < len(lam) <= EVAL_BATCH:
@@ -538,7 +538,7 @@ def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_num
     _, _, blocks = _train(params, schedule, unit, nu, EVAL_BATCH // len(lam))
     for pulses, coeffs in blocks:
         covs = _covariances(coeffs, lam)
-        _check_psd(covs)
+        _check_psd(covs, lambda i: f"pulse {pulses[i[0]]}, atom number {lam[i[1]]:.6g} (index {i[1]})")
         if pulses[-1] == len(schedule) - 1:
             final = covs[-1, :, M, M], coeffs[-1, :, _VEC[M, M]]
     return final

@@ -3,9 +3,8 @@
 Validates the linearized covariance engine.  The coupling Hamiltonian
 g1 Sz Jz + g2 (Sx Jx + Sy Jy) on the (atoms x photons) space conserves
 Sz + Jz and is written only block by block, from collective atomic and Stokes
-factors; each block is evolved by one Hermitian eigendecomposition and checked
-for the bang-bang rotation / polarization-flip equivalence, so no joint-space
-matrix is formed.  Spin-1 atoms are one collective spin na/2 (dimension
+factors; each block is evolved by one Hermitian eigendecomposition, so no
+joint-space matrix is formed.  Spin-1 atoms are one collective spin na/2 (dimension
 na + 1), exact because jx, jy, jz act as sigma/2 on {|1>, |-1>} and vanish on
 |0>; other spins keep the (2f+1)^na tensor space.  Between pulses the reduced
 atomic density matrix is carried (unconditional dynamics): each probe pulse
@@ -298,27 +297,6 @@ def run_schedule_exact(
         jz_mean=rec_jz, jy_mean=rec_jy, meter_mean=rec_mm, meter_var=rec_mv,
         final_state=state,
     )
-
-
-def check_bangbang_equivalence(
-    na: int, f: float, n_ph: int, g1: float, g2: float
-) -> float:
-    """Max-norm deviation between conjugated and polarization-flipped evolutions.
-
-    A pi rotation about the collective Jz leaves Jz untouched and inverts
-    Jx, Jy, so U_b^dag U_H U_b must equal evolution under the Hamiltonian
-    with Sx -> -Sx, Sy -> -Sy.  Both evolutions keep the Sz + Jz blocks, and
-    U_b = exp(i pi Jz) x 1 is diagonal, so the check runs block by block and
-    conjugating by U_b is one phase per row and one per column.
-    """
-    m = _atomic_collective(na, int(round(2 * f)))["jz"].diagonal().real
-    flipped = build_heff(na, f, n_ph, g1, -g2)
-    deviation = 0.0
-    for (a, _, h_b), (_, _, h_flip) in zip(build_heff(na, f, n_ph, g1, g2), flipped):
-        p = np.exp(1j * math.pi * m[a])
-        diff = p.conj()[:, None] * hermitian_unitary(h_b) * p - hermitian_unitary(h_flip)
-        deviation = max(deviation, float(np.max(np.abs(diff))))
-    return deviation
 
 
 @dataclass(frozen=True)

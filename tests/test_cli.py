@@ -151,6 +151,16 @@ def test_config_file_keys_are_not_checked_against_the_subcommand(tmp_path):
     assert parse_config(["impact", "--config", str(conf)]).num_pulses == 7
 
 
+def test_config_file_pulse_count_runs_a_decoupled_train(tmp_path):
+    # the library refuses num_pulses with a decoupled train, so the CLI passes it only to naive ones
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"num_pulses": 7, "p": 1}))
+    for mode in ("impact", "oracle-compare"):
+        out = tmp_path / f"{mode}.csv"
+        assert main([mode, "--config", str(conf), "--out", str(out)]) == 0
+    assert len(read_csv_rows(out)[1]) == 2  # oracle-compare's decoupled(1) train: two pulses
+
+
 def test_readme_examples_parse():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     commands = [shlex.split(line)[1:] for line in readme.read_text().splitlines()

@@ -13,12 +13,10 @@ from qndprobe.experiment import (
     MC_MEMORY_CAP_BYTES,
     MC_SLICE,
     G1_REFERENCE,
+    G2_IMPACT_REFERENCE,
     NL_REFERENCE,
-    PhysicalParams,
-    couplings_from_physics,
     db_below_projection,
     dropped_terms_impact,
-    fit_linear_quadratic,
     monte_carlo_sample,
     paper_scale_params,
     projection_noise_line,
@@ -29,39 +27,18 @@ from qndprobe.experiment import _monte_carlo_maps, _roots
 from qndprobe.gaussian import MIXED_VARIANCE, M, pulse_map, run_schedule
 
 
-# --------------------------------------------------------- physical couplings
+# ------------------------------------------------------------------ calibration
 
-def rb_physics(delta_scale=1.0):
-    gamma = 2 * math.pi * 6.07e6
-    return PhysicalParams(
-        sigma0=2.9e-13, gamma=gamma, area_a=5.8e-9,
-        delta=delta_scale * 2 * math.pi * 400e6,
-        delta_hfs=30 * gamma, na=1.0e6,
-    )
+def test_impact_reference_is_the_calibrated_value():
+    # 8 * Delta_HFS / (d0 * Gamma) at Delta_HFS/Gamma = 30 and d0 = 50, bit for bit
+    assert G2_IMPACT_REFERENCE == 4.8
 
 
-def test_impact_ratio_example():
-    # Delta_HFS/Gamma = 30 and d0 = 50 give the impact parameter 4.8
-    phys = PhysicalParams(sigma0=1.0, gamma=1.0, area_a=1.0, delta=7.0,
-                          delta_hfs=30.0, na=50.0)
-    est = couplings_from_physics(phys)
-    assert est.d0 == pytest.approx(50.0)
-    assert est.g2_impact == pytest.approx(4.8)
-
-
-def test_detuning_scaling():
-    base = couplings_from_physics(rb_physics(1.0))
-    far = couplings_from_physics(rb_physics(2.0))
-    assert far.g1 == pytest.approx(base.g1 / 2, rel=1e-12)
-    assert far.g2 == pytest.approx(base.g2 / 4, rel=1e-12)
-    assert far.g2_impact == pytest.approx(base.g2_impact, rel=1e-12)
-
-
-def test_physics_validation():
-    with pytest.raises(ValueError):
-        PhysicalParams(sigma0=0.0, gamma=1.0, area_a=1.0, delta=1.0, delta_hfs=1.0, na=1.0)
-    with pytest.raises(ValueError):
-        PhysicalParams(sigma0=1.0, gamma=1.0, area_a=1.0, delta=0.0, delta_hfs=1.0, na=1.0)
+def test_decoupled_train_refuses_a_pulse_count():
+    with pytest.raises(ValueError, match="num_pulses sets only a naive train's length"):
+        paper_scale_params(mode="decoupled", p=5, num_pulses=7)
+    assert len(paper_scale_params(mode="naive", p=5, num_pulses=7)[1]) == 7
+    assert len(paper_scale_params(mode="decoupled", p=5)[1]) == 10
 
 
 # ------------------------------------------------------------ projection line
@@ -128,32 +105,26 @@ def test_sweep_single_row_and_validation():
         sweep_atom_number(params, [2e5, 1e5], sched)
 
 
-# ------------------------------------------------------------------------- fit
+# ------------------------------------------------------------ exact coefficients
 
-def test_fit_recovers_exact_quadratic():
-    na = np.geomspace(1e4, 2e6, 12)
-    c0, c1, c2 = 0.7, 3.1e-6, 4.2e-13
-    fit = fit_linear_quadratic((na, c0 + c1 * na + c2 * na ** 2))
-    assert fit.c0 == pytest.approx(c0, rel=1e-9)
-    assert fit.c1 == pytest.approx(c1, rel=1e-9)
-    assert fit.c2 == pytest.approx(c2, rel=1e-9)
-    assert fit.residual_rms < 1e-9
+def lstsq_coefficients(sweep):
+    """Unweighted least-squares c0, c1, c2 of a sweep's rows, as a reader re-fitting its CSV gets them.
+
+    The atom numbers are scaled to at most 1, so that the wide range of NA
+    does not degrade the solve.
+    """
+    scale = sweep.na.max()
+    x = sweep.na / scale
+    design = np.column_stack([np.ones_like(x), x, x * x])
+    coef = np.linalg.lstsq(design, sweep.normalized_meter_var, rcond=None)[0]
+    return coef / scale ** np.arange(3)
 
 
 def test_fit_of_ideal_decoupled_sweep_is_linear():
     params, sched = paper_scale_params(mode="decoupled", p=5, g2=0.0)
-    fit = fit_linear_quadratic(sweep_atom_number(params, list(DEFAULT_NA_GRID), sched))
+    sweep = sweep_atom_number(params, list(DEFAULT_NA_GRID), sched)
     na_max = max(DEFAULT_NA_GRID)
-    assert abs(fit.c2) * na_max ** 2 < 1e-6 * fit.c1 * na_max
-
-
-def test_fit_validation():
-    na = np.array([1e4, 1e5, 1e6])
-    with pytest.raises(ValueError):
-        fit_linear_quadratic((na, np.ones(3)))
-    same = np.full(5, 2e5)
-    with pytest.raises(ValueError):
-        fit_linear_quadratic((same, np.ones(5)))
+    assert abs(sweep.c2) * na_max ** 2 < 1e-6 * sweep.c1 * na_max
 
 
 # naive(10), decoupled(5) and decoupled(1000), each plain and at eps = 1e-6 with the
@@ -169,19 +140,19 @@ EXACT_CASES = [
 def test_sweep_coefficients_match_the_fit(mode, p, g2, eps, dropped):
     params, sched = paper_scale_params(mode=mode, p=p, g2=g2, scattering_eps=eps, include_dropped_terms=dropped)
     sweep = sweep_atom_number(params, list(DEFAULT_NA_GRID), sched)
-    fit = fit_linear_quadratic(sweep)
+    fit = lstsq_coefficients(sweep)
     vanishes = g2 == 0.0 or sched.num_pulses == 2
     assert (sweep.c2 == 0.0) == vanishes
-    pairs = [(sweep.c0, fit.c0), (sweep.c1, fit.c1)] + ([] if vanishes else [(sweep.c2, fit.c2)])
+    pairs = [(sweep.c0, fit[0]), (sweep.c1, fit[1])] + ([] if vanishes else [(sweep.c2, fit[2])])
     for exact, fitted in pairs:
         assert exact != 0.0 and abs(exact - fitted) <= 1e-10 * abs(exact)
 
 
 def test_naive_fit_has_positive_quadratic_component():
     params, sched = paper_scale_params(mode="naive", p=5)
-    fit = fit_linear_quadratic(sweep_atom_number(params, list(DEFAULT_NA_GRID), sched))
-    assert fit.c2 > 0
-    assert fit.c2 * max(DEFAULT_NA_GRID) ** 2 > 100  # far above fit noise
+    sweep = sweep_atom_number(params, list(DEFAULT_NA_GRID), sched)
+    assert sweep.c2 > 0
+    assert sweep.c2 * max(DEFAULT_NA_GRID) ** 2 > 100  # far above fit noise
 
 
 # ------------------------------------------------------------------ suppression

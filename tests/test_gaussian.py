@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -366,12 +367,12 @@ def test_backaction_growth_identical_in_both_modes(mode):
 
 
 def test_naive_quadratic_exceeds_decoupled_tenfold():
-    from qndprobe.experiment import DEFAULT_NA_GRID, fit_linear_quadratic, sweep_atom_number
+    from qndprobe.experiment import DEFAULT_NA_GRID, sweep_atom_number
     na_grid = list(DEFAULT_NA_GRID)
     params_n, sched_n = paper_params("naive", p=5)
     params_d, sched_d = paper_params("decoupled", p=5)
-    c2_naive = fit_linear_quadratic(sweep_atom_number(params_n, na_grid, sched_n)).c2
-    c2_dec = fit_linear_quadratic(sweep_atom_number(params_d, na_grid, sched_d)).c2
+    c2_naive = sweep_atom_number(params_n, na_grid, sched_n).c2
+    c2_dec = sweep_atom_number(params_d, na_grid, sched_d).c2
     assert c2_naive > 0
     assert c2_naive >= 10 * c2_dec
 
@@ -465,7 +466,8 @@ KERNEL_CASES = [
 @pytest.mark.parametrize("start", ["css", "tilted"])
 @pytest.mark.parametrize("mode,n,eps,dropped", KERNEL_CASES)
 def test_run_schedule_matches_per_pulse_fold(mode, n, eps, dropped, start):
-    params, sched = paper_params(mode, p=n // 2, num_pulses=n, scattering_eps=eps, include_dropped_terms=dropped)
+    params, sched = paper_params(mode, p=n // 2, num_pulses=n if mode == "naive" else None,
+                                 scattering_eps=eps, include_dropped_terms=dropped)
     assert len(sched) == n
     initial = None if start == "css" else tilted_state(params.atom_number)
     result = run_schedule(params, sched, initial=initial)
@@ -483,7 +485,6 @@ def test_run_schedule_matches_per_pulse_fold(mode, n, eps, dropped, start):
 
 @pytest.mark.parametrize("mode,dropped", [("naive", False), ("decoupled", True)])
 def test_sweep_matches_per_point_fold(mode, dropped):
-    from dataclasses import replace
     from qndprobe.experiment import sweep_atom_number
     params, sched = paper_params(mode, p=5, scattering_eps=1e-3, include_dropped_terms=dropped)
     grid = list(np.geomspace(1e4, 2e6, 6))
@@ -507,9 +508,9 @@ def test_every_pulse_checked_at_every_point(monkeypatch, batch):
     checked = []
     real = gaussian._check_psd
 
-    def spy(covs):
+    def spy(covs, *name):
         checked.append(covs.shape[:-2])
-        return real(covs)
+        return real(covs, *name)
 
     monkeypatch.setattr(gaussian, "_check_psd", spy)
     if batch is not None:
@@ -651,6 +652,30 @@ def test_cholesky_check_refuses_non_finite():
     stack[2, 1, 0, 3] = np.nan
     with pytest.raises(ArithmeticError, match=r"non-finite covariance at index \(2, 1\)"):
         _check_psd(stack)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("batch", [16, 400])
+def test_refusal_names_the_failing_pulse_and_atom_number(monkeypatch, batch):
+    # a naive train whose covariance overflows late; blocks of a few chunk
+    # positions list the pulses chunk-major, so a block index is not a pulse
+    import qndprobe.gaussian as gaussian
+    monkeypatch.setattr(gaussian, "EVAL_BATCH", batch)
+    params, sched = paper_params("naive", num_pulses=2000, g1=1e-3, g2=1e71, nl_total=2e6, na=900.0)
+    grid = np.linspace(900.0, 1100.0, 4)
+    refusals = []
+    with pytest.raises(ArithmeticError) as sweep_refusal:
+        css_meter_variance(params, sched, grid)
+    found = re.search(r"at pulse (\d+), atom number \S+ \(index (\d)\)", str(sweep_refusal.value))
+    refusals.append((int(found[1]), grid[int(found[2])]))
+    with pytest.raises(ArithmeticError) as run_refusal:
+        run_schedule(params, sched)
+    found = re.search(r"at pulse (\d+) \(atom number 900\)", str(run_refusal.value))
+    refusals.append((int(found[1]), 900.0))
+    for pulse, na in refusals:
+        # the named pulse fails on its own: the train cut just after it is refused
+        with pytest.raises(ArithmeticError):
+            run_schedule(replace(params, atom_number=na), PulseSchedule.naive(pulse + 1))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")

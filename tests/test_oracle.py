@@ -10,7 +10,6 @@ from qndprobe.operators import build_spin_operators, build_stokes_operators
 from qndprobe.oracle import (
     ExactState,
     build_heff,
-    check_bangbang_equivalence,
     hermitian_unitary,
     oracle_vs_gaussian,
     polarized_photon_state,
@@ -41,6 +40,25 @@ def total_z(na, f, n_ph):
     jz = _atomic_collective(na, int(round(2 * f)))["jz"]
     sz = build_stokes_operators(n_ph).sz
     return np.kron(jz, np.eye(n_ph + 1)) + np.kron(np.eye(jz.shape[0]), sz)
+
+
+def check_bangbang_equivalence(na, f, n_ph, g1, g2):
+    """Max-norm deviation between conjugated and polarization-flipped evolutions.
+
+    A pi rotation about the collective Jz leaves Jz untouched and inverts
+    Jx, Jy, so U_b^dag U_H U_b must equal evolution under the Hamiltonian
+    with Sx -> -Sx, Sy -> -Sy.  Both evolutions keep the Sz + Jz blocks, and
+    U_b = exp(i pi Jz) x 1 is diagonal, so the check runs block by block and
+    conjugating by U_b is one phase per row and one per column.
+    """
+    m = _atomic_collective(na, int(round(2 * f)))["jz"].diagonal().real
+    flipped = build_heff(na, f, n_ph, g1, -g2)
+    deviation = 0.0
+    for (a, _, h_b), (_, _, h_flip) in zip(build_heff(na, f, n_ph, g1, g2), flipped):
+        p = np.exp(1j * math.pi * m[a])
+        diff = p.conj()[:, None] * hermitian_unitary(h_b) * p - hermitian_unitary(h_flip)
+        deviation = max(deviation, float(np.max(np.abs(diff))))
+    return deviation
 
 
 def test_joint_dimension_two_atoms():
