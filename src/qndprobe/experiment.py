@@ -46,21 +46,22 @@ NA_REFERENCE = 1.0e6
 DEFAULT_NA_GRID = tuple(np.geomspace(1.0e4, 2.0e6, 20))
 
 # Peak bytes one Monte Carlo trial holds, counted from monte_carlo_sample's
-# float64 rows: the stacked [x; z] samples (at most DIM + 2 + len(ATOMIC), with
-# the dropped terms on: Sy_in, Sz_in and one depolarization draw per atomic
-# row) and the pulse product's result (DIM).  Each slice works on its own
-# columns of both (its x and moved) for the whole train, so slicing adds no
-# rows.  With the dropped terms off the stack has at most DIM + len(ATOMIC)
-# rows, and the summed Sy_in draw reuses a row of the product's result.  Trial
+# float64 rows: the stacked [x; z] samples and the step's result (DIM).  With
+# the dropped terms on, z holds Sy_in, Sz_in and one depolarization draw per
+# atomic row, DIM + 2 + len(ATOMIC) + DIM rows in all (104 B), which sets the
+# cap; with them off, z holds at most DIM draws of a block's composed noise,
+# DIM + DIM + DIM rows (96 B).  Each slice works on its own columns of both
+# (its x and moved) for the whole train, so slicing adds no rows.  Trial
 # counts needing more than the cap are refused up front.
 MC_BYTES_PER_TRIAL = 8 * (DIM + 2 + len(ATOMIC) + DIM)
 MC_MEMORY_CAP_BYTES = MEMORY_CAP_BYTES
 # eigenvalues below this fraction of the largest are rounding, not noise
 MC_RANK_TOL = 1e-13
-# pulses whose maps one batched eigendecomposition builds
+# pulses one composed step covers (with the dropped terms on, pulses whose
+# per-pulse maps are built at once)
 MC_BLOCK = 1024
 # trials per slice, each with its own stream: a slice's columns of x and moved
-# (MC_BYTES_PER_TRIAL / 8 rows of 64 KiB at most) stay in one core's cache through a pulse
+# (MC_BYTES_PER_TRIAL / 8 rows of 64 KiB at most) stay in one core's cache through a step
 MC_SLICE = 2 ** 13
 
 
@@ -226,37 +227,38 @@ def _roots(covs: np.ndarray) -> np.ndarray:
 
 
 def _monte_carlo_maps(params: CouplingParams, schedule: PulseSchedule, jx: float):
-    """Per pulse, the Monte Carlo's map [D A | R] and the Sy_in variance it leaves to one summed draw.
+    """Per block of ``MC_BLOCK`` pulses, the list of (q, [W | R]) steps that moves the samples through it.
 
     D A, the shot-noise root sqrt(shot) D B(jx) at the pre-pulse jx, the
     meter product's q and the depolarization are ``pulse_channel``'s.  Where
-    q is nonzero, R holds sqrt(shot) D B as its first two columns, so that
-    Sy_in and Sz_in are the first two draws (the meter product reads Sz_in),
-    then the depolarization root, and nothing is left over.  Otherwise Sy_in
-    enters only M, with loading sign, and M feeds back into nothing, so the
-    pulse leaves its variance shot to one N(0, n shot) draw of sum sign Sy_in
-    per trial; R is a rank-revealing root of the rest of the noise, which
-    merges Sz_in with the Jy depolarization draw.  The maps are built
-    ``MC_BLOCK`` pulses at a time.
+    q is nonzero the meter product q Jy Sz_in is not Gaussian, so a block
+    holds one step per pulse: W = D A, and R holds sqrt(shot) D B as its
+    first two columns, so that Sy_in and Sz_in are the first two draws (the
+    meter product reads Sz_in), then the depolarization root.  Otherwise
+    every pulse is linear-Gaussian, x <- D A x + noise, and a block is one
+    composed step (0, [W | R]): W is the ordered product of its pulses'
+    D A, and R a rank-revealing root of the covariance their noise adds by
+    the block's end, accumulated as S <- (D A) S (D A)^T + shot + depol over
+    the block.  The samples at every block end keep their distribution.
     """
     channel = pulse_channel(params)
     depol = np.diag(params.atom_number * channel.depol)
     depol_root = _roots(depol)
-    explicit = channel.q.any()
     kind = (schedule.signs < 0).astype(int)
-    # the Sy_in column's M entry is sqrt(shot) sign
-    left_over = 0.0 if explicit else channel.db0[0, M, 0] ** 2
 
     for start in range(0, len(kind), MC_BLOCK):
         ks = kind[start:start + MC_BLOCK]
         jxs = jx * channel.jx_decay ** np.arange(start, start + len(ks))
         db = channel.db0[ks] + jxs[:, None, None] * channel.db1[ks]
-        if explicit:
-            r = np.concatenate([db, np.broadcast_to(depol_root, (len(ks), *depol_root.shape))], axis=2)
+        if channel.q.any():
+            roots = np.broadcast_to(depol_root, (len(ks), *depol_root.shape))
+            maps = np.concatenate([channel.da[ks], db, roots], axis=2)
+            yield list(zip(channel.q[ks].tolist(), maps))
         else:
-            r = _roots(db[..., 1:] @ db[..., 1:].swapaxes(1, 2) + depol)
-        for w in np.concatenate([channel.da[ks], r], axis=2):
-            yield w, left_over
+            whole, added = np.eye(DIM), np.zeros((DIM, DIM))
+            for da, noise in zip(channel.da[ks], db @ db.swapaxes(1, 2) + depol):
+                whole, added = da @ whole, da @ added @ da.T + noise
+            yield [(0.0, np.concatenate([whole, _roots(added)], axis=1))]
 
 
 def _usable_cpus() -> int:
@@ -265,25 +267,12 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _fill_normal(rng, rows):
-    """Standard normals into each row of ``rows`` in turn (a slice's rows are contiguous, its stack is not)."""
-    for row in rows:
-        rng.standard_normal(out=row)
-
-
-def _start_slice(rng, x, moved, root):
-    """Draw one slice's initial atomic rows from the CSS root; its meter starts at 0."""
-    _fill_normal(rng, x[:root.shape[1]])
-    np.matmul(root, x[:root.shape[1]], out=moved[:M])
-    x[:M] = moved[:M]
-    x[M] = 0.0
-
-
 def _advance_slice(rng, x, moved, block):
-    """Move one slice's samples x through a block of (q, [D A | R]) pulse maps."""
+    """Move one slice's samples x through a block's (q, [W | R]) steps."""
     for q_k, w in block:
         width = w.shape[1]
-        _fill_normal(rng, x[DIM:width])
+        for row in x[DIM:width]:  # a slice's rows are contiguous, its stack is not
+            rng.standard_normal(out=row)
         np.matmul(w, x[:width], out=moved)
         if q_k:
             sz_in = x[DIM + 1]  # Sz_in / sqrt(shot), overwritten with the meter product
@@ -291,13 +280,6 @@ def _advance_slice(rng, x, moved, block):
             sz_in *= x[JY]
             moved[M] += sz_in
         x[:DIM] = moved
-
-
-def _add_sy_draw(rng, x, moved, sy_var):
-    """Add one slice's summed Sy_in draw of variance sy_var to its meter, drawn into a row of moved."""
-    rng.standard_normal(out=moved[0])
-    moved[0] *= math.sqrt(sy_var)
-    x[M] += moved[0]
 
 
 def monte_carlo_sample(
@@ -309,15 +291,16 @@ def monte_carlo_sample(
     """Sampled meter variance from simulated pulse trains.
 
     Draws the initial atomic fluctuations from a root of the CSS covariance
-    (rank 2, since Jxy = Jz) and, per pulse, the independent noise of
-    ``_monte_carlo_maps``: one product [D A | R] @ [x; z] on the stacked
-    state samples x and fresh standard normals z moves a slice's
-    trials at once.  Where ``pulse_channel``'s meter-product loading q is
-    nonzero (the dropped terms on), z holds Sy_in and Sz_in explicitly and
-    the product q Jy z[1] is added as sampled; otherwise the meter's shot
-    noise sum sign Sy_in is one draw per trial, added at the end.  The
-    samples are exact in distribution.  Returns the sample variance of the
-    accumulated meter with the Gaussian standard error var * sqrt(2/(trials-1)).
+    (rank 2, since Jxy = Jz) as one step from x = 0 and then takes the steps
+    of ``_monte_carlo_maps``: each step is one product [W | R] @ [x; z] on the
+    stacked state samples x and fresh standard normals z, which moves a
+    slice's trials at once.  Where ``pulse_channel``'s meter-product loading
+    q is nonzero (the dropped terms on), every pulse is a step, z holds
+    Sy_in and Sz_in explicitly and the product q Jy z[1] is added as
+    sampled; otherwise every block of ``MC_BLOCK`` pulses is one composed
+    step with at most DIM draws per trial.  The samples are exact in
+    distribution.  Returns the sample variance of the accumulated meter with
+    the Gaussian standard error var * sqrt(2/(trials-1)).
 
     The trials are cut into slices of ``MC_SLICE``.  Slice i owns its
     columns of the samples and of the product's result, so the meter row is
@@ -326,8 +309,8 @@ def monte_carlo_sample(
     ``np.random.SeedSequence(seed).spawn(slices)``.  The slices run on a
     thread pool with one worker per CPU the process may use (at most one per
     slice): numpy's normals, matmul and large in-place ufuncs release the
-    interpreter lock.  Pulse maps are built ``MC_BLOCK`` pulses at a time,
-    and every slice moves through one block before the next is built.
+    interpreter lock.  The steps are built one block at a time, and every
+    slice moves through one block before the next is built.
     Because streams belong to slices, not threads, a fixed seed gives
     bit-identical results on any number of cores; those streams are not the
     single ``SFC64(seed)`` stream of earlier releases, so fixed-seed samples
@@ -343,34 +326,23 @@ def monte_carlo_sample(
             f"above the {MC_MEMORY_CAP_BYTES / 1e9:.3g} GB Monte Carlo cap"
         )
     state0 = init_css(params)
-    root = _roots(state0.cov[:M, :M])
-    q = pulse_channel(params).q
+    # the first step draws the CSS start from x = 0, rank 2 since Jxy = Jz
+    start = [(0.0, np.concatenate([np.zeros((DIM, DIM)), _roots(state0.cov)], axis=1))]
     # the state's DIM rows, then the draws z: with the meter product Sy_in, Sz_in
-    # and one per depolarized atomic row, without it at most one per atomic row
-    noise_rows = 2 + len(ATOMIC) * (params.scattering_eps > 0.0) if q.any() else len(ATOMIC)
-    x = np.empty((DIM + noise_rows, trials))
+    # and one per depolarized atomic row, without it at most DIM per composed step
+    noise_rows = 2 + len(ATOMIC) * (params.scattering_eps > 0.0) if pulse_channel(params).q.any() else DIM
+    x = np.zeros((DIM + noise_rows, trials))
     moved = np.empty((DIM, trials))
     columns = [slice(a, a + MC_SLICE) for a in range(0, trials, MC_SLICE)]
     streams = np.random.SeedSequence(seed).spawn(len(columns))
     rngs = [np.random.Generator(np.random.SFC64(stream)) for stream in streams]
     xs = [x[:, c] for c in columns]
     moveds = [moved[:, c] for c in columns]
-    q_ks = q[(schedule.signs < 0).astype(int)].tolist()
-    maps = _monte_carlo_maps(params, schedule, state0.jx_mean)
-    sy_var = 0.0
 
     with ThreadPoolExecutor(min(len(columns), _usable_cpus())) as pool:
-        list(pool.map(_start_slice, rngs, xs, moveds, itertools.repeat(root)))
-        for first in range(0, len(q_ks), MC_BLOCK):
-            block = []
-            for q_k, (w, left_over) in zip(q_ks[first:first + MC_BLOCK], itertools.islice(maps, MC_BLOCK)):
-                block.append((q_k, w))
-                sy_var += left_over
+        for block in itertools.chain([start], _monte_carlo_maps(params, schedule, state0.jx_mean)):
             list(pool.map(_advance_slice, rngs, xs, moveds, itertools.repeat(block)))
-        if sy_var:  # the summed Sy_in draw reuses a row of the product's result
-            list(pool.map(_add_sy_draw, rngs, xs, moveds, itertools.repeat(sy_var)))
     del moved, moveds  # before np.var's temporary row
-    meter = x[M]
-    sample_var = float(np.var(meter, ddof=1))
+    sample_var = float(np.var(x[M], ddof=1))
     stderr = sample_var * math.sqrt(2.0 / (trials - 1))
     return MonteCarloResult(meter_variance=sample_var, stderr=stderr, trials=trials)

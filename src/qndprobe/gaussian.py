@@ -24,7 +24,7 @@ O(sqrt(n)) Python steps.  Its pulses, like the Monte Carlo's, are
 and returns the final var(M) coefficients too.  Every pulse's covariance is
 PSD-checked, in a sweep at every atom number, by ``_check_psd``: one LDL^T
 elimination run across the whole stack at once, with eigenvalues computed
-only to word a refusal.
+only to word a refusal, which names the earliest failing pulse.
 """
 
 from __future__ import annotations
@@ -270,43 +270,45 @@ EVAL_BATCH = 1 << 14
 def _check_psd(covs: np.ndarray, name=lambda index: f"index {index}") -> None:
     """Raise ArithmeticError unless every covariance of a (..., d, d) stack is finite and PSD.
 
-    A covariance passes when the smallest eigenvalue of its symmetrized form
-    lies at or above -PSD_TOL * max(1, trace).  A non-finite stack is refused
-    first, since the elimination need not detect it.  The passing path is an
-    LDL^T elimination without pivoting of sym(C) + PSD_TOL * max(1, tr C) I,
-    run on the whole stack at once with entry (i, j) of every matrix in one
-    contiguous array: step k stops unless every pivot is > 0, then updates
-    the trailing entries with the multipliers.  The pivots are the squared
-    diagonal of the Cholesky factor, so they are all positive exactly when
-    the covariance passes, up to rounding (about 1e-16 |C|); only a stack
-    that fails has its eigenvalues computed, which settles that gap and
-    names the first failing index, worded ``name(index)``, and its smallest eigenvalue.
+    A covariance passes when it is finite and the smallest eigenvalue of its
+    symmetrized form lies at or above -PSD_TOL * max(1, trace).  The passing
+    path is an LDL^T elimination without pivoting of sym(C) + PSD_TOL *
+    max(1, tr C) I, run on the whole stack at once with entry (i, j) of every
+    matrix in one contiguous array; its pivots, the squared diagonal of the
+    Cholesky factor, are all > 0 exactly when the covariance passes, up to
+    rounding (about 1e-16 |C|).  Only a stack that is not finite or fails the
+    elimination has its eigenvalues computed, which settles that gap; the
+    refusal names the first failing index, worded ``name(index)`` and kept as
+    its ``index``, and the smallest eigenvalue of a finite covariance.
     """
-    if not np.isfinite(covs).all():
-        bad = ~np.isfinite(covs).all(axis=(-2, -1))
-        raise ArithmeticError(f"non-finite covariance at {name(tuple(map(int, np.argwhere(bad)[0])))}")
-    d = covs.shape[-1]
-    flat = covs.reshape(-1, d, d)
-    a = np.empty((d, d, len(flat)))
-    np.add(flat.transpose(1, 2, 0), flat.transpose(2, 1, 0), out=a)
-    a /= 2
-    diagonal = a.reshape(d * d, -1)[::d + 1]  # a view of the d diagonal entries
-    floor = PSD_TOL * np.maximum(1.0, diagonal.sum(axis=0))
-    diagonal += floor
-    for k in range(d):
-        pivot = a[k, k]
-        if not (pivot > 0).all():
-            break
-        a[k + 1:, k + 1:] -= a[k + 1:, k, None] * (a[k, None, k + 1:] / pivot)
-    else:
-        return
-    low = np.linalg.eigvalsh((covs + covs.swapaxes(-1, -2)) / 2)[..., 0]
-    bad = low < -floor.reshape(low.shape)
+    if np.isfinite(covs).all():
+        d = covs.shape[-1]
+        flat = covs.reshape(-1, d, d)
+        a = np.empty((d, d, len(flat)))
+        np.add(flat.transpose(1, 2, 0), flat.transpose(2, 1, 0), out=a)
+        a /= 2
+        diagonal = a.reshape(d * d, -1)[::d + 1]  # a view of the d diagonal entries
+        diagonal += PSD_TOL * np.maximum(1.0, diagonal.sum(axis=0))
+        for k in range(d):
+            pivot = a[k, k]
+            if not (pivot > 0).all():
+                break
+            a[k + 1:, k + 1:] -= a[k + 1:, k, None] * (a[k, None, k + 1:] / pivot)
+        else:
+            return
+    finite = np.isfinite(covs).all(axis=(-2, -1))
+    sym = np.where(finite[..., None, None], covs, 0.0) / 2
+    sym += sym.swapaxes(-1, -2)  # halved first, so a finite sym(C) cannot overflow
+    low = np.linalg.eigvalsh(sym)[..., 0]
+    bad = ~finite | (low < -PSD_TOL * np.maximum(1.0, np.trace(sym, axis1=-2, axis2=-1)))
     if bad.any():
         where = tuple(map(int, np.argwhere(bad)[0]))
-        raise ArithmeticError(
+        refusal = ArithmeticError(
             f"covariance lost positive semidefiniteness at {name(where)} (min eigenvalue {low[where]:.3e})"
+            if finite[where] else f"non-finite covariance at {name(where)}"
         )
+        refusal.index = where
+        raise refusal
 
 
 def _covariances(coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -463,6 +465,29 @@ def _train(params: CouplingParams, schedule: PulseSchedule, unit: GaussianState,
     return means, unit.jx_mean * jx_decay ** n, _blocks(states, length, n, block)
 
 
+def _checked(blocks, evaluate, name):
+    """(pulses, coefficients, covariances) of ``_blocks``' blocks, each ``evaluate(coefficients)`` passing ``_check_psd``.
+
+    Blocks hold chunk positions, not consecutive pulses, so a later block can
+    hold a pulse before a refused one.  After a refusal nothing is yielded,
+    the later blocks' earlier pulses are still checked, and the refusal of
+    the smallest failing pulse is raised, its index worded ``name(pulse, index)``.
+    """
+    refusal = None
+    for pulses, coeffs in blocks:
+        if refusal is not None:
+            pulses, coeffs = pulses[pulses < first], coeffs[pulses < first]
+        covs = evaluate(coeffs)
+        try:
+            _check_psd(covs, lambda i: name(pulses[i[0]], i))
+        except ArithmeticError as exc:
+            refusal, first = exc, pulses[exc.index[0]]
+        if refusal is None:
+            yield pulses, coeffs, covs
+    if refusal is not None:
+        raise refusal
+
+
 def _start(params: CouplingParams, initial: GaussianState | None) -> tuple[GaussianState, float, float]:
     """(unit, nu, lambda): a CSS start scales with lambda = NA, a given state is taken at lambda = 1."""
     if initial is None:
@@ -497,15 +522,15 @@ def run_schedule(
     dropped-term meter product enters through its mean (the Sz_in loading
     q <Jy> of M) and its Gaussian-factorized variance q^2 var(Jy).  One run
     of the chunked kernel; every pulse's covariance is PSD-checked by
-    ``_check_psd`` (ArithmeticError naming the pulse on a violation).
+    ``_check_psd`` (ArithmeticError naming the earliest failing pulse).
     """
     unit, nu, lam = _start(params, initial)
     n = len(schedule)
     means, jx, blocks = _train(params, schedule, unit, nu, EVAL_BATCH)
     meter_var = np.empty(n)
-    for pulses, coeffs in blocks:
-        covs = _covariances(coeffs, [lam])[:, 0]
-        _check_psd(covs, lambda i: f"pulse {pulses[i[0]]} (atom number {params.atom_number:.6g})")
+    checked = _checked(blocks, lambda coeffs: _covariances(coeffs, [lam])[:, 0],
+                       lambda pulse, i: f"pulse {pulse} (atom number {params.atom_number:.6g})")
+    for pulses, _, covs in checked:
         meter_var[pulses] = covs[:, M, M]
         if pulses[-1] == n - 1:
             cov = covs[-1].copy()
@@ -525,9 +550,10 @@ def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_num
 
     The covariance is exactly quadratic in NA, so the train is propagated once
     and evaluated at every atom number; ``params.atom_number`` is not used.
-    Every pulse is PSD-checked at every atom number by ``_check_psd``, which
-    names a refused pulse and atom number.  From 1 to ``EVAL_BATCH`` atom
-    numbers are accepted, so one block holds at least one pulse.
+    Every pulse is PSD-checked at every atom number by ``_check_psd``; a
+    refusal names the earliest failing pulse and its first failing atom
+    number.  From 1 to ``EVAL_BATCH`` atom numbers are accepted, so one
+    block holds at least one pulse.
     """
     lam = np.asarray(atom_numbers, dtype=float)
     if not 0 < len(lam) <= EVAL_BATCH:
@@ -536,9 +562,9 @@ def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_num
         raise ValueError("atom numbers must be positive and finite")
     unit, nu, _ = _start(params, None)
     _, _, blocks = _train(params, schedule, unit, nu, EVAL_BATCH // len(lam))
-    for pulses, coeffs in blocks:
-        covs = _covariances(coeffs, lam)
-        _check_psd(covs, lambda i: f"pulse {pulses[i[0]]}, atom number {lam[i[1]]:.6g} (index {i[1]})")
+    checked = _checked(blocks, lambda coeffs: _covariances(coeffs, lam),
+                       lambda pulse, i: f"pulse {pulse}, atom number {lam[i[1]]:.6g} (index {i[1]})")
+    for pulses, coeffs, covs in checked:
         if pulses[-1] == len(schedule) - 1:
             final = covs[-1, :, M, M], coeffs[-1, :, _VEC[M, M]]
     return final

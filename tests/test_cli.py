@@ -264,6 +264,18 @@ def test_overflowing_covariance_exits_1(tmp_path, mode):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_montecarlo_refused_train_exits_1_before_sampling(tmp_path, monkeypatch, capsys):
+    sampled = []
+    monkeypatch.setattr(cli, "monte_carlo_sample", lambda *args, **kwargs: sampled.append(args))
+    out = tmp_path / "mc.csv"
+    args = ["montecarlo", "--mode", "naive", "--pulses", "2000", "--g2", "1e71", "--trials", "1000"]
+    assert main(args + ["--out", str(out)]) == 1
+    assert sampled == []
+    assert not out.exists()
+    assert "numerical failure: non-finite covariance at pulse 1 (atom number 1e+06)\n" in capsys.readouterr().err
+
+
 def test_unwritable_output_path(tmp_path):
     out = tmp_path / "no_such_dir" / "x.csv"
     assert main(["algebra-check", "--out", str(out)]) == 2

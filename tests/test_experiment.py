@@ -24,7 +24,7 @@ from qndprobe.experiment import (
     sweep_atom_number,
 )
 from qndprobe.experiment import _monte_carlo_maps, _roots
-from qndprobe.gaussian import MIXED_VARIANCE, M, pulse_map, run_schedule
+from qndprobe.gaussian import MIXED_VARIANCE, pulse_map, run_schedule
 
 
 # ------------------------------------------------------------------ calibration
@@ -226,6 +226,18 @@ def test_monte_carlo_with_tensor_terms_and_dropped_terms(eps):
     assert abs(mc.meter_variance - analytic) <= 3 * mc.stderr
 
 
+# blocks of 1 pulse are per-pulse steps; blocks of 3, 3, 3 and 1 on decoupled(5)
+# compose pulses of both signs, and a lone last pulse
+@pytest.mark.parametrize("block", [1, 3])
+def test_monte_carlo_composed_steps_match_analytic_within_three_stderr(block, monkeypatch):
+    import qndprobe.experiment as experiment
+    monkeypatch.setattr(experiment, "MC_BLOCK", block)
+    params, sched = paper_scale_params(mode="decoupled", p=5, g2=0.0, na=1e6, scattering_eps=0.2)
+    analytic = run_schedule(params, sched).meter_var
+    mc = monte_carlo_sample(params, sched, trials=100_000, seed=2024)
+    assert abs(mc.meter_variance - analytic) <= 3 * mc.stderr
+
+
 @pytest.mark.parametrize("dropped", [False, True])
 @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.2])
 def test_monte_carlo_keeps_the_kernel_noise(eps, dropped, monkeypatch):
@@ -234,21 +246,41 @@ def test_monte_carlo_keeps_the_kernel_noise(eps, dropped, monkeypatch):
     params, sched = paper_scale_params(mode="decoupled", p=2, na=3e5, scattering_eps=eps,
                                        include_dropped_terms=dropped)
     jx = params.atom_number / 2
-    maps = list(_monte_carlo_maps(params, sched, jx))
+    blocks = list(_monte_carlo_maps(params, sched, jx))
     shot = params.photons_per_pulse / 4
     d = np.array([1 - eps, 1 - eps, 1 - eps, 1.0])
     depol = np.diag([eps * params.atom_number * MIXED_VARIANCE] * 3 + [0.0])
-    assert len(maps) == len(sched)
-    for k, (sign, (w, left_over)) in enumerate(zip(sched.signs.tolist(), maps)):
+    signs = sched.signs.tolist()
+    steps = []  # per block, (d a, noise) of each of its pulses
+    for k, sign in enumerate(signs):
+        if k % 3 == 0:
+            steps.append([])
         a, b = pulse_map(sign, params, jx * (1 - eps) ** k)
-        noise = shot * (d[:, None] * b) @ (d[:, None] * b).T + depol
+        steps[-1].append((d[:, None] * a, shot * (d[:, None] * b) @ (d[:, None] * b).T + depol))
+    assert len(blocks) == len(steps) == 2
+    if not dropped:  # each block is one composed step
+        for block, pulses in zip(blocks, steps):
+            assert len(block) == 1
+            (q_k, w), = block
+            whole, noise = np.eye(4), np.zeros((4, 4))
+            for da, shot_k in pulses:
+                whole, noise = da @ whole, da @ noise @ da.T + shot_k
+            root = w[:, 4:]
+            assert q_k == 0.0
+            assert np.array_equal(w[:, :4], whole)
+            assert np.abs(root @ root.T - noise).max() <= 1e-12 * np.abs(noise).max()
+        return
+    assert [len(block) for block in blocks] == [3, 1]
+    maps = [step for block in blocks for step in block]
+    for k, (sign, (q_k, w), (da, noise)) in enumerate(zip(signs, maps, sum(steps, []))):
+        b = pulse_map(sign, params, jx * (1 - eps) ** k)[1]
         root = w[:, 4:]
         sampled = root @ root.T
-        sampled[M, M] += left_over  # the summed Sy_in draw's share
-        assert np.array_equal(w[:, :4], d[:, None] * a)
+        assert q_k == -sign * params.g2 * np.sqrt(shot)
+        assert np.array_equal(w[:, :4], da)
         assert np.abs(sampled - noise).max() <= 1e-12 * np.abs(noise).max()
-        if dropped:  # Sy_in and Sz_in are the first two draws, as the meter product needs
-            np.testing.assert_allclose(root[:, :2], np.sqrt(shot) * d[:, None] * b, rtol=1e-14, atol=0)
+        # Sy_in and Sz_in are the first two draws, as the meter product needs
+        np.testing.assert_allclose(root[:, :2], np.sqrt(shot) * d[:, None] * b, rtol=1e-14, atol=0)
 
 
 def test_roots_pad_lower_ranks_with_zero_columns():
@@ -262,8 +294,8 @@ def test_roots_pad_lower_ranks_with_zero_columns():
 
 
 def test_monte_carlo_draws_only_the_independent_noise(monkeypatch):
-    # bench configuration: rank-2 CSS start, per pulse Sz_in merged with the
-    # Jy depolarization plus Jz and Jxy depolarization, one summed Sy_in draw
+    # bench configuration: rank-2 CSS start, then the 10 pulses as one composed
+    # step whose noise covariance has full rank DIM = 4
     params, sched = paper_scale_params(mode="decoupled", p=5, scattering_eps=1e-4)
     counted = []
 
@@ -280,7 +312,7 @@ def test_monte_carlo_draws_only_the_independent_noise(monkeypatch):
 
     monkeypatch.setattr(np.random, "Generator", CountingGenerator)
     monte_carlo_sample(params, sched, trials=1_000, seed=5)
-    assert sum(counted) == (2 + 3 * len(sched) + 1) * 1_000 == 33 * 1_000
+    assert sum(counted) == (2 + 4) * 1_000
 
 
 @pytest.mark.parametrize("dropped", [False, True])
@@ -338,7 +370,7 @@ def test_monte_carlo_gives_every_slice_its_own_stream(monkeypatch):
     for i in range(3):
         for j in range(i):
             assert not np.isin(starts[i], starts[j]).any()
-    assert sum(d.size for rng in created for d in rng.draws) == 33 * 3 * MC_SLICE
+    assert sum(d.size for rng in created for d in rng.draws) == (2 + 4) * 3 * MC_SLICE
 
 
 def test_monte_carlo_deterministic_for_fixed_seed():

@@ -578,6 +578,11 @@ def test_batched_psd_check_covers_every_pulse_and_point():
     stack[2, 1] = np.diag([np.nan, 1.0, 1.0, 1.0])  # eigvalsh would read [0, -0, 1, 1]
     with pytest.raises(ArithmeticError, match=r"non-finite covariance at index \(2, 1\)"):
         _check_psd(stack)
+    # the first failing index is named, whichever way it fails
+    stack[1, 0] = stack_with_min_eigenvalue(1.0, 2.0)[1, 0]
+    with pytest.raises(ArithmeticError, match=r"semidefiniteness at index \(1, 0\)") as refusal:
+        _check_psd(stack)
+    assert refusal.value.index == (1, 0)
 
 
 def stack_with_min_eigenvalue(scale, k, tol=1e-9, d=4, seed=17):
@@ -652,27 +657,55 @@ def test_cholesky_check_refuses_non_finite():
     stack[2, 1, 0, 3] = np.nan
     with pytest.raises(ArithmeticError, match=r"non-finite covariance at index \(2, 1\)"):
         _check_psd(stack)
+    # the first failing index is named, whichever way it fails
+    stack[1, 0] = stack_with_min_eigenvalue(1.0, 2.0)[1, 0]
+    with pytest.raises(ArithmeticError, match=r"semidefiniteness at index \(1, 0\)") as refusal:
+        _check_psd(stack)
+    assert refusal.value.index == (1, 0)
+
+
+def earliest_refusal(params, sched, grid):
+    """(pulse, index into grid) of the first kernel covariance, in pulse order, that is non-finite or not PSD."""
+    from qndprobe.gaussian import _covariances, _train
+    coeffs = np.empty((len(sched), 3, len(STATE) ** 2))
+    for pulses, block in _train(params, sched, init_css(replace(params, atom_number=1.0)), 1.0, len(sched))[2]:
+        coeffs[pulses] = block
+    for pulse in range(len(sched)):
+        covs = _covariances(coeffs[pulse, None], grid)[0]
+        finite = np.isfinite(covs).all(axis=(1, 2))
+        sym = np.where(finite[:, None, None], covs, 0.0) / 2
+        sym += sym.swapaxes(1, 2)
+        low = np.linalg.eigvalsh(sym)[:, 0]
+        bad = ~finite | (low < -PSD_TOL * np.maximum(1.0, np.trace(sym, axis1=1, axis2=2)))
+        if bad.any():
+            return pulse, int(np.argmax(bad))
+    return None
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("batch", [16, 400])
-def test_refusal_names_the_failing_pulse_and_atom_number(monkeypatch, batch):
+@pytest.mark.parametrize("batch,points", [(16, 4), (400, 4), (EVAL_BATCH, 1000)],
+                         ids=["16", "400", "1000-points"])
+def test_refusal_names_the_failing_pulse_and_atom_number(monkeypatch, batch, points):
     # a naive train whose covariance overflows late; blocks of a few chunk
-    # positions list the pulses chunk-major, so a block index is not a pulse
+    # positions (of one, with 1000 points) list the pulses chunk-major, so a
+    # block index is not a pulse, and a later block can hold an earlier pulse
     import qndprobe.gaussian as gaussian
     monkeypatch.setattr(gaussian, "EVAL_BATCH", batch)
     params, sched = paper_params("naive", num_pulses=2000, g1=1e-3, g2=1e71, nl_total=2e6, na=900.0)
-    grid = np.linspace(900.0, 1100.0, 4)
+    grid = np.linspace(900.0, 1100.0, points)
+    expected = [earliest_refusal(params, sched, grid), earliest_refusal(params, sched, [900.0])]
+    assert expected[0][0] == 158  # the earliest failing pulse, on any grid of this range
     refusals = []
     with pytest.raises(ArithmeticError) as sweep_refusal:
         css_meter_variance(params, sched, grid)
-    found = re.search(r"at pulse (\d+), atom number \S+ \(index (\d)\)", str(sweep_refusal.value))
-    refusals.append((int(found[1]), grid[int(found[2])]))
+    found = re.search(r"at pulse (\d+), atom number \S+ \(index (\d+)\)", str(sweep_refusal.value))
+    refusals.append((int(found[1]), int(found[2])))
     with pytest.raises(ArithmeticError) as run_refusal:
         run_schedule(params, sched)
     found = re.search(r"at pulse (\d+) \(atom number 900\)", str(run_refusal.value))
-    refusals.append((int(found[1]), 900.0))
-    for pulse, na in refusals:
+    refusals.append((int(found[1]), 0))
+    assert refusals == expected
+    for (pulse, _), na in zip(refusals, [grid[refusals[0][1]], 900.0]):
         # the named pulse fails on its own: the train cut just after it is refused
         with pytest.raises(ArithmeticError):
             run_schedule(replace(params, atom_number=na), PulseSchedule.naive(pulse + 1))
