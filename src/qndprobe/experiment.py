@@ -45,20 +45,17 @@ NA_REFERENCE = 1.0e6
 
 DEFAULT_NA_GRID = tuple(np.geomspace(1.0e4, 2.0e6, 20))
 
-# Peak bytes one Monte Carlo trial holds, counted from monte_carlo_sample's
-# float64 rows: the stacked [x; z] samples and the step's result (DIM).  With
-# the dropped terms on, z holds Sy_in, Sz_in and one depolarization draw per
-# atomic row, DIM + 2 + len(ATOMIC) + DIM rows in all (104 B), which sets the
-# cap; with them off, z holds at most DIM draws of a block's composed noise,
-# DIM + DIM + DIM rows (96 B).  Each slice works on its own columns of both
-# (its x and moved) for the whole train, so slicing adds no rows.  Trial
-# counts needing more than the cap are refused up front.
+# Peak bytes one Monte Carlo trial holds in monte_carlo_sample's float64
+# rows: the stacked [x; z] samples and the step's result (DIM).  With the
+# dropped terms on, z holds Sy_in, Sz_in and one depolarization draw per
+# atomic row, DIM + 2 + len(ATOMIC) + DIM rows (104 B), which sets the cap;
+# with them off, at most DIM draws (96 B).  Slices own their columns of x
+# and moved, so slicing adds no rows.  Trial counts above the cap are refused.
 MC_BYTES_PER_TRIAL = 8 * (DIM + 2 + len(ATOMIC) + DIM)
 MC_MEMORY_CAP_BYTES = MEMORY_CAP_BYTES
 # eigenvalues below this fraction of the largest are rounding, not noise
 MC_RANK_TOL = 1e-13
-# pulses one composed step covers (with the dropped terms on, pulses whose
-# per-pulse maps are built at once)
+# pulses whose maps (with the dropped terms on) or noise (off) are built at once
 MC_BLOCK = 1024
 # trials per slice, each with its own stream: a slice's columns of x and moved
 # (MC_BYTES_PER_TRIAL / 8 rows of 64 KiB at most) stay in one core's cache through a step
@@ -226,39 +223,40 @@ def _roots(covs: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :])[..., w.shape[-1] - rank:]
 
 
-def _monte_carlo_maps(params: CouplingParams, schedule: PulseSchedule, jx: float):
-    """Per block of ``MC_BLOCK`` pulses, the list of (q, [W | R]) steps that moves the samples through it.
+def _monte_carlo_maps(params: CouplingParams, schedule: PulseSchedule):
+    """The lists of (q, [W | R]) steps that draw the CSS start from x = 0 and move it through the train.
 
-    D A, the shot-noise root sqrt(shot) D B(jx) at the pre-pulse jx, the
-    meter product's q and the depolarization are ``pulse_channel``'s.  Where
-    q is nonzero the meter product q Jy Sz_in is not Gaussian, so a block
-    holds one step per pulse: W = D A, and R holds sqrt(shot) D B as its
-    first two columns, so that Sy_in and Sz_in are the first two draws (the
-    meter product reads Sz_in), then the depolarization root.  Otherwise
-    every pulse is linear-Gaussian, x <- D A x + noise, and a block is one
-    composed step (0, [W | R]): W is the ordered product of its pulses'
-    D A, and R a rank-revealing root of the covariance their noise adds by
-    the block's end, accumulated as S <- (D A) S (D A)^T + shot + depol over
-    the block.  The samples at every block end keep their distribution.
+    D A, the shot-noise root sqrt(shot) D B(jx) at the pre-pulse jx, q and
+    the depolarization are ``pulse_channel``'s, built ``MC_BLOCK`` pulses at
+    a time.  Where q is nonzero the meter product q Jy Sz_in is not
+    Gaussian, so the start (W = 0, R a root of ``init_css``'s covariance)
+    and every pulse are steps, one list per block: W = D A, and R holds
+    sqrt(shot) D B as its first two columns (Sy_in and Sz_in are the first
+    two draws; the meter product reads Sz_in), then the depolarization root.
+    Otherwise the start and the train are one step (0, [0 | R]) of at most
+    DIM = 4 draws, R a rank-revealing root of S accumulated from the CSS
+    covariance as S <- (D A) S (D A)^T + shot + depol over every pulse.
     """
     channel = pulse_channel(params)
+    linear = not channel.q.any()
     depol = np.diag(params.atom_number * channel.depol)
-    depol_root = _roots(depol)
-    kind = (schedule.signs < 0).astype(int)
-
-    for start in range(0, len(kind), MC_BLOCK):
-        ks = kind[start:start + MC_BLOCK]
-        jxs = jx * channel.jx_decay ** np.arange(start, start + len(ks))
+    css = init_css(params)
+    # a step from x = 0: W = 0, DIM zero columns left of the root
+    cov, head = css.cov, [] if linear else [(0.0, np.pad(_roots(css.cov), ((0, 0), (DIM, 0))))]
+    for start in range(0, len(schedule), MC_BLOCK):
+        ks = schedule.kinds(start, min(start + MC_BLOCK, len(schedule)))
+        jxs = css.jx_mean * channel.jx_decay ** np.arange(start, start + len(ks))
         db = channel.db0[ks] + jxs[:, None, None] * channel.db1[ks]
-        if channel.q.any():
-            roots = np.broadcast_to(depol_root, (len(ks), *depol_root.shape))
-            maps = np.concatenate([channel.da[ks], db, roots], axis=2)
-            yield list(zip(channel.q[ks].tolist(), maps))
-        else:
-            whole, added = np.eye(DIM), np.zeros((DIM, DIM))
+        if linear:
             for da, noise in zip(channel.da[ks], db @ db.swapaxes(1, 2) + depol):
-                whole, added = da @ whole, da @ added @ da.T + noise
-            yield [(0.0, np.concatenate([whole, _roots(added)], axis=1))]
+                cov = da @ cov @ da.T + noise
+        else:
+            roots = np.repeat(_roots(depol)[None], len(ks), axis=0)
+            maps = np.concatenate([channel.da[ks], db, roots], axis=2)
+            yield head + list(zip(channel.q[ks].tolist(), maps))
+            head = []
+    if linear:
+        yield [(0.0, np.pad(_roots(cov), ((0, 0), (DIM, 0))))]
 
 
 def _usable_cpus() -> int:
@@ -290,31 +288,27 @@ def monte_carlo_sample(
 ) -> MonteCarloResult:
     """Sampled meter variance from simulated pulse trains.
 
-    Draws the initial atomic fluctuations from a root of the CSS covariance
-    (rank 2, since Jxy = Jz) as one step from x = 0 and then takes the steps
-    of ``_monte_carlo_maps``: each step is one product [W | R] @ [x; z] on the
-    stacked state samples x and fresh standard normals z, which moves a
-    slice's trials at once.  Where ``pulse_channel``'s meter-product loading
-    q is nonzero (the dropped terms on), every pulse is a step, z holds
-    Sy_in and Sz_in explicitly and the product q Jy z[1] is added as
-    sampled; otherwise every block of ``MC_BLOCK`` pulses is one composed
-    step with at most DIM draws per trial.  The samples are exact in
-    distribution.  Returns the sample variance of the accumulated meter with
-    the Gaussian standard error var * sqrt(2/(trials-1)).
+    Takes the steps of ``_monte_carlo_maps`` from x = 0: each is one product
+    [W | R] @ [x; z] on the stacked state samples x and fresh standard
+    normals z, which moves a slice's trials at once.  Where
+    ``pulse_channel``'s meter-product loading q is nonzero (the dropped
+    terms on), the CSS start (rank 2, since Jxy = Jz) and every pulse are
+    steps, z holds Sy_in and Sz_in explicitly and the product q Jy z[1] is
+    added as sampled; otherwise the CSS start and the train are one step, 4
+    normals per trial at most, whatever the train's length.  The samples
+    are exact in distribution.  Returns the sample variance of the
+    accumulated meter with the Gaussian standard error var * sqrt(2/(trials-1)).
 
-    The trials are cut into slices of ``MC_SLICE``.  Slice i owns its
-    columns of the samples and of the product's result, so the meter row is
-    one array with a region per slice.  It draws its normals from
-    ``np.random.Generator(np.random.SFC64(s_i))``, with s_i the i-th of
+    The trials are cut into slices of ``MC_SLICE``; slice i owns its columns
+    of the samples and of the product's result and draws its normals from
+    ``np.random.Generator(np.random.SFC64(s_i))``, s_i the i-th of
     ``np.random.SeedSequence(seed).spawn(slices)``.  The slices run on a
     thread pool with one worker per CPU the process may use (at most one per
     slice): numpy's normals, matmul and large in-place ufuncs release the
-    interpreter lock.  The steps are built one block at a time, and every
-    slice moves through one block before the next is built.
-    Because streams belong to slices, not threads, a fixed seed gives
-    bit-identical results on any number of cores; those streams are not the
-    single ``SFC64(seed)`` stream of earlier releases, so fixed-seed samples
-    differ from theirs.  Trial counts whose arrays would exceed
+    interpreter lock.  Every slice takes one list of steps before the next
+    is built.  Because streams belong to slices, not threads, a fixed seed
+    gives bit-identical results on any number of cores, though not the
+    samples of earlier releases.  Trial counts whose arrays would exceed
     ``MC_MEMORY_CAP_BYTES`` raise ValueError before anything is allocated
     (about 20 million trials).
     """
@@ -325,11 +319,7 @@ def monte_carlo_sample(
             f"{trials} trials need about {trials * MC_BYTES_PER_TRIAL / 1e9:.3g} GB, "
             f"above the {MC_MEMORY_CAP_BYTES / 1e9:.3g} GB Monte Carlo cap"
         )
-    state0 = init_css(params)
-    # the first step draws the CSS start from x = 0, rank 2 since Jxy = Jz
-    start = [(0.0, np.concatenate([np.zeros((DIM, DIM)), _roots(state0.cov)], axis=1))]
-    # the state's DIM rows, then the draws z: with the meter product Sy_in, Sz_in
-    # and one per depolarized atomic row, without it at most DIM per composed step
+    # the state's DIM rows, then the draws z (counted at MC_BYTES_PER_TRIAL)
     noise_rows = 2 + len(ATOMIC) * (params.scattering_eps > 0.0) if pulse_channel(params).q.any() else DIM
     x = np.zeros((DIM + noise_rows, trials))
     moved = np.empty((DIM, trials))
@@ -340,7 +330,7 @@ def monte_carlo_sample(
     moveds = [moved[:, c] for c in columns]
 
     with ThreadPoolExecutor(min(len(columns), _usable_cpus())) as pool:
-        for block in itertools.chain([start], _monte_carlo_maps(params, schedule, state0.jx_mean)):
+        for block in _monte_carlo_maps(params, schedule):
             list(pool.map(_advance_slice, rngs, xs, moveds, itertools.repeat(block)))
     del moved, moveds  # before np.var's temporary row
     sample_var = float(np.var(x[M], ddof=1))

@@ -123,9 +123,13 @@ class PulseSchedule:
     @property
     def signs(self) -> np.ndarray:
         """Read-only +1/-1 integer array, one sign per pulse."""
-        signs = np.resize([1, -1] if self.mode == "decoupled" else [1], self.num_pulses)
+        signs = 1 - 2 * self.kinds(0, self.num_pulses)
         signs.setflags(write=False)
         return signs
+
+    def kinds(self, start: int, stop: int) -> np.ndarray:
+        """``pulse_channel``'s sign index (0 for +1, 1 for -1) of pulses start..stop-1, continued past the end."""
+        return np.arange(start, stop) & (self.mode == "decoupled")
 
     @classmethod
     def naive(cls, num_pulses: int) -> "PulseSchedule":
@@ -267,19 +271,21 @@ _SYMMETRIZE = (np.eye(DIM * DIM) + np.eye(DIM * DIM)[_VEC.T.ravel()]) / 2
 EVAL_BATCH = 1 << 14
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is what this check refuses
 def _check_psd(covs: np.ndarray, name=lambda index: f"index {index}") -> None:
     """Raise ArithmeticError unless every covariance of a (..., d, d) stack is finite and PSD.
 
-    A covariance passes when it is finite and the smallest eigenvalue of its
-    symmetrized form lies at or above -PSD_TOL * max(1, trace).  The passing
-    path is an LDL^T elimination without pivoting of sym(C) + PSD_TOL *
-    max(1, tr C) I, run on the whole stack at once with entry (i, j) of every
-    matrix in one contiguous array; its pivots, the squared diagonal of the
-    Cholesky factor, are all > 0 exactly when the covariance passes, up to
-    rounding (about 1e-16 |C|).  Only a stack that is not finite or fails the
-    elimination has its eigenvalues computed, which settles that gap; the
-    refusal names the first failing index, worded ``name(index)`` and kept as
-    its ``index``, and the smallest eigenvalue of a finite covariance.
+    A covariance passes when it and its trace are finite and the smallest
+    eigenvalue of its symmetrized form lies at or above -PSD_TOL * max(1,
+    trace).  The passing path is an LDL^T elimination without pivoting of
+    sym(C) + PSD_TOL * max(1, tr C) I, run on the whole stack at once with
+    entry (i, j) of every matrix in one contiguous array; its pivots, the
+    squared diagonal of the Cholesky factor, are all > 0 exactly when the
+    covariance passes, up to rounding (about 1e-16 |C|).  Only a stack that
+    is not finite or fails the elimination has its eigenvalues computed,
+    which settles that gap; the refusal names the first failing index,
+    worded ``name(index)`` and kept as its ``index``, and the smallest
+    eigenvalue of a finite covariance.
     """
     if np.isfinite(covs).all():
         d = covs.shape[-1]
@@ -288,19 +294,23 @@ def _check_psd(covs: np.ndarray, name=lambda index: f"index {index}") -> None:
         np.add(flat.transpose(1, 2, 0), flat.transpose(2, 1, 0), out=a)
         a /= 2
         diagonal = a.reshape(d * d, -1)[::d + 1]  # a view of the d diagonal entries
-        diagonal += PSD_TOL * np.maximum(1.0, diagonal.sum(axis=0))
+        floor = PSD_TOL * np.maximum(1.0, diagonal.sum(axis=0))
+        diagonal += floor
         for k in range(d):
             pivot = a[k, k]
             if not (pivot > 0).all():
                 break
             a[k + 1:, k + 1:] -= a[k + 1:, k, None] * (a[k, None, k + 1:] / pivot)
         else:
-            return
+            if np.isfinite(floor).all():  # so every pivot was finite too
+                return
     finite = np.isfinite(covs).all(axis=(-2, -1))
     sym = np.where(finite[..., None, None], covs, 0.0) / 2
     sym += sym.swapaxes(-1, -2)  # halved first, so a finite sym(C) cannot overflow
     low = np.linalg.eigvalsh(sym)[..., 0]
-    bad = ~finite | (low < -PSD_TOL * np.maximum(1.0, np.trace(sym, axis1=-2, axis2=-1)))
+    floor = PSD_TOL * np.maximum(1.0, np.trace(sym, axis1=-2, axis2=-1))
+    finite &= np.isfinite(floor)  # a trace that overflows leaves no floor
+    bad = ~finite | (low < -floor)
     if bad.any():
         where = tuple(map(int, np.argwhere(bad)[0]))
         refusal = ArithmeticError(
@@ -413,9 +423,7 @@ def _train(params: CouplingParams, schedule: PulseSchedule, unit: GaussianState,
     n = len(schedule)
     length, chunks = _chunking(n)
     da, db0, db1, q, depol, jx_decay = pulse_channel(params)
-    # operator index at each position of a chunk: 0 for sign +1, 1 for sign -1
-    kind = (schedule.signs[:2] < 0).astype(int)
-    kind = kind[np.arange(length) % len(kind)]
+    kind = schedule.kinds(0, length)  # operator index at each chunk position, the same in every chunk
 
     means = np.zeros((n, DIM))
     if unit.mean.any():
@@ -510,6 +518,7 @@ class ScheduleResult:
     pulse_meter_var: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite covariance is refused
 def run_schedule(
     params: CouplingParams,
     schedule: PulseSchedule,
@@ -545,6 +554,7 @@ def run_schedule(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite covariance is refused
 def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_numbers) -> tuple:
     """Final var(M) of the x-polarized CSS at each atom number, and its c0, c1, c2 in NA.
 

@@ -256,7 +256,6 @@ def test_non_finite_output_aborts_with_exit_1(tmp_path, monkeypatch):
     assert not (tmp_path / "bad.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("mode", ["sweep", "impact"])
 def test_overflowing_covariance_exits_1(tmp_path, mode):
     out = tmp_path / "x.csv"
@@ -264,7 +263,6 @@ def test_overflowing_covariance_exits_1(tmp_path, mode):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_montecarlo_refused_train_exits_1_before_sampling(tmp_path, monkeypatch, capsys):
     sampled = []
     monkeypatch.setattr(cli, "monte_carlo_sample", lambda *args, **kwargs: sampled.append(args))
@@ -274,6 +272,17 @@ def test_montecarlo_refused_train_exits_1_before_sampling(tmp_path, monkeypatch,
     assert sampled == []
     assert not out.exists()
     assert "numerical failure: non-finite covariance at pulse 1 (atom number 1e+06)\n" in capsys.readouterr().err
+
+
+def test_refused_run_prints_only_its_refusal_line(tmp_path, capsys):
+    # numpy's overflow warnings would print before the refusal, or raise under -W error
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--mode", "naive", "--pulses", "2000", "--g2", "1e71", "--na-points", "4",
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: non-finite covariance at pulse 1, atom number 10000 (index 0)\n"
 
 
 def test_unwritable_output_path(tmp_path):

@@ -24,7 +24,7 @@ from qndprobe.experiment import (
     sweep_atom_number,
 )
 from qndprobe.experiment import _monte_carlo_maps, _roots
-from qndprobe.gaussian import MIXED_VARIANCE, pulse_map, run_schedule
+from qndprobe.gaussian import MIXED_VARIANCE, init_css, pulse_map, run_schedule
 
 
 # ------------------------------------------------------------------ calibration
@@ -226,8 +226,8 @@ def test_monte_carlo_with_tensor_terms_and_dropped_terms(eps):
     assert abs(mc.meter_variance - analytic) <= 3 * mc.stderr
 
 
-# blocks of 1 pulse are per-pulse steps; blocks of 3, 3, 3 and 1 on decoupled(5)
-# compose pulses of both signs, and a lone last pulse
+# the linear train's noise accumulated in blocks of 1 pulse, and of 3, 3, 3 and 1
+# on decoupled(5): pulses of both signs, and a lone last pulse
 @pytest.mark.parametrize("block", [1, 3])
 def test_monte_carlo_composed_steps_match_analytic_within_three_stderr(block, monkeypatch):
     import qndprobe.experiment as experiment
@@ -245,34 +245,34 @@ def test_monte_carlo_keeps_the_kernel_noise(eps, dropped, monkeypatch):
     monkeypatch.setattr(experiment, "MC_BLOCK", 3)  # blocks of 3 and 1 pulses
     params, sched = paper_scale_params(mode="decoupled", p=2, na=3e5, scattering_eps=eps,
                                        include_dropped_terms=dropped)
+    css = init_css(params).cov
     jx = params.atom_number / 2
-    blocks = list(_monte_carlo_maps(params, sched, jx))
+    blocks = list(_monte_carlo_maps(params, sched))
     shot = params.photons_per_pulse / 4
     d = np.array([1 - eps, 1 - eps, 1 - eps, 1.0])
     depol = np.diag([eps * params.atom_number * MIXED_VARIANCE] * 3 + [0.0])
     signs = sched.signs.tolist()
-    steps = []  # per block, (d a, noise) of each of its pulses
+    pulses = []  # (d a, noise) of each pulse
     for k, sign in enumerate(signs):
-        if k % 3 == 0:
-            steps.append([])
         a, b = pulse_map(sign, params, jx * (1 - eps) ** k)
-        steps[-1].append((d[:, None] * a, shot * (d[:, None] * b) @ (d[:, None] * b).T + depol))
-    assert len(blocks) == len(steps) == 2
-    if not dropped:  # each block is one composed step
-        for block, pulses in zip(blocks, steps):
-            assert len(block) == 1
-            (q_k, w), = block
-            whole, noise = np.eye(4), np.zeros((4, 4))
-            for da, shot_k in pulses:
-                whole, noise = da @ whole, da @ noise @ da.T + shot_k
-            root = w[:, 4:]
-            assert q_k == 0.0
-            assert np.array_equal(w[:, :4], whole)
-            assert np.abs(root @ root.T - noise).max() <= 1e-12 * np.abs(noise).max()
+        pulses.append((d[:, None] * a, shot * (d[:, None] * b) @ (d[:, None] * b).T + depol))
+    if not dropped:  # the CSS start and the whole train are one step from zero
+        (q_k, w), = sum(blocks, [])
+        cov = css
+        for da, noise in pulses:
+            cov = da @ cov @ da.T + noise
+        root = w[:, 4:]
+        assert q_k == 0.0
+        assert not w[:, :4].any()
+        assert np.abs(root @ root.T - cov).max() <= 1e-12 * np.abs(cov).max()
         return
-    assert [len(block) for block in blocks] == [3, 1]
-    maps = [step for block in blocks for step in block]
-    for k, (sign, (q_k, w), (da, noise)) in enumerate(zip(signs, maps, sum(steps, []))):
+    assert [len(block) for block in blocks] == [1 + 3, 1]
+    (q_0, start), *maps = [step for block in blocks for step in block]
+    root = start[:, 4:]
+    assert q_0 == 0.0  # the first step draws the CSS start
+    assert not start[:, :4].any()
+    assert np.abs(root @ root.T - css).max() <= 1e-12 * np.abs(css).max()
+    for k, (sign, (q_k, w), (da, noise)) in enumerate(zip(signs, maps, pulses)):
         b = pulse_map(sign, params, jx * (1 - eps) ** k)[1]
         root = w[:, 4:]
         sampled = root @ root.T
@@ -293,12 +293,9 @@ def test_roots_pad_lower_ranks_with_zero_columns():
     assert _roots(np.zeros((3, 3))).shape == (3, 0)
 
 
-def test_monte_carlo_draws_only_the_independent_noise(monkeypatch):
-    # bench configuration: rank-2 CSS start, then the 10 pulses as one composed
-    # step whose noise covariance has full rank DIM = 4
-    params, sched = paper_scale_params(mode="decoupled", p=5, scattering_eps=1e-4)
+def count_normals(monkeypatch, params, sched, trials):
+    """The number of standard normals monte_carlo_sample draws for a fixed seed."""
     counted = []
-
     generator = np.random.Generator
 
     class CountingGenerator:
@@ -311,8 +308,34 @@ def test_monte_carlo_draws_only_the_independent_noise(monkeypatch):
             return draw
 
     monkeypatch.setattr(np.random, "Generator", CountingGenerator)
-    monte_carlo_sample(params, sched, trials=1_000, seed=5)
-    assert sum(counted) == (2 + 4) * 1_000
+    monte_carlo_sample(params, sched, trials=trials, seed=5)
+    return sum(counted)
+
+
+def test_monte_carlo_draws_only_the_independent_noise(monkeypatch):
+    # bench configuration: the rank-2 CSS start and the 10 pulses are one
+    # step whose covariance has full rank DIM = 4
+    params, sched = paper_scale_params(mode="decoupled", p=5, scattering_eps=1e-4)
+    assert count_normals(monkeypatch, params, sched, 1_000) == 4 * 1_000
+
+
+def test_monte_carlo_draws_the_same_normals_for_any_train_length(monkeypatch):
+    # 2000 pulses span two MC_BLOCKs, which once drew 2 + 4 + 4 normals per trial
+    params, sched = paper_scale_params(mode="decoupled", p=1000, scattering_eps=1e-6)
+    assert count_normals(monkeypatch, params, sched, 1_000) == 4 * 1_000
+
+
+@pytest.mark.parametrize("p,eps", [(5, 0.2), (1000, 1e-6)])  # 10 pulses, and 2000 in two blocks of 1024
+def test_monte_carlo_blocks_do_not_change_the_linear_samples(p, eps, monkeypatch):
+    # MC_BLOCK only bounds memory: the one step, and so every sample, is the same
+    import qndprobe.experiment as experiment
+    params, sched = paper_scale_params(mode="decoupled", p=p, scattering_eps=eps)
+    results = []
+    for block in (1, 3, 1024):
+        monkeypatch.setattr(experiment, "MC_BLOCK", block)
+        mc = monte_carlo_sample(params, sched, trials=20_000, seed=2024)
+        results.append((mc.meter_variance, mc.stderr))
+    assert results[0] == results[1] == results[2]
 
 
 @pytest.mark.parametrize("dropped", [False, True])
@@ -365,12 +388,12 @@ def test_monte_carlo_gives_every_slice_its_own_stream(monkeypatch):
     monkeypatch.setattr(np.random, "Generator", RecordingGenerator)
     monte_carlo_sample(params, sched, trials=3 * MC_SLICE, seed=5)
     assert len(created) == 3
-    starts = [rng.draws[0] for rng in created]  # each slice's first row of initial normals
+    starts = [rng.draws[0] for rng in created]  # each slice's first row of normals
     assert all(s.shape == starts[0].shape for s in starts)
     for i in range(3):
         for j in range(i):
             assert not np.isin(starts[i], starts[j]).any()
-    assert sum(d.size for rng in created for d in rng.draws) == (2 + 4) * 3 * MC_SLICE
+    assert sum(d.size for rng in created for d in rng.draws) == 4 * 3 * MC_SLICE
 
 
 def test_monte_carlo_deterministic_for_fixed_seed():

@@ -76,6 +76,23 @@ def test_decoupled_schedule_structure():
     assert not sched.signs.flags.writeable
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 2000])
+def test_signs_follow_the_explicit_pattern(n):
+    trains = [(PulseSchedule.naive(n), [1] * n)]
+    if n % 2 == 0:
+        trains.append((PulseSchedule("decoupled", n), [1, -1] * (n // 2)))
+    else:
+        with pytest.raises(ValueError, match="even number"):
+            PulseSchedule("decoupled", n)
+    for sched, pattern in trains:
+        signs = sched.signs
+        assert signs.tolist() == pattern
+        assert np.issubdtype(signs.dtype, np.integer)
+        assert not signs.flags.writeable
+        # pulse_channel's index of each sign, continued past the train's end
+        assert sched.kinds(1, n + 3).tolist() == [k % 2 * (sched.mode == "decoupled") for k in range(1, n + 3)]
+
+
 def test_schedule_rejects_inconsistent_entries():
     with pytest.raises(ValueError, match="unknown schedule mode"):
         PulseSchedule("bang-bang", 2)
@@ -664,6 +681,20 @@ def test_cholesky_check_refuses_non_finite():
     assert refusal.value.index == (1, 0)
 
 
+@pytest.mark.parametrize("diagonal", [[1.5e308, 1.5e308, -1e308], [1e308, 1e308, 1.0]])
+def test_psd_check_refuses_a_covariance_whose_trace_overflows(diagonal):
+    # the trace, and with it the floor PSD_TOL * trace, overflows: the first matrix
+    # has eigenvalue -1e308, the second is PSD but leaves no floor; no warning escapes
+    overflowing = np.diag(diagonal)
+    with pytest.raises(ArithmeticError, match=r"non-finite covariance at index \(0,\)"):
+        _check_psd(overflowing[None])
+    stack = np.repeat(np.eye(3)[None], 5, axis=0)
+    stack[3] = overflowing
+    with pytest.raises(ArithmeticError, match=r"non-finite covariance at index \(3,\)") as refusal:
+        _check_psd(stack)
+    assert refusal.value.index == (3,)
+
+
 def earliest_refusal(params, sched, grid):
     """(pulse, index into grid) of the first kernel covariance, in pulse order, that is non-finite or not PSD."""
     from qndprobe.gaussian import _covariances, _train
@@ -676,7 +707,8 @@ def earliest_refusal(params, sched, grid):
         sym = np.where(finite[:, None, None], covs, 0.0) / 2
         sym += sym.swapaxes(1, 2)
         low = np.linalg.eigvalsh(sym)[:, 0]
-        bad = ~finite | (low < -PSD_TOL * np.maximum(1.0, np.trace(sym, axis1=1, axis2=2)))
+        floor = PSD_TOL * np.maximum(1.0, np.trace(sym, axis1=1, axis2=2))
+        bad = ~finite | ~np.isfinite(floor) | (low < -floor)  # an overflowing trace leaves no floor
         if bad.any():
             return pulse, int(np.argmax(bad))
     return None
@@ -711,7 +743,6 @@ def test_refusal_names_the_failing_pulse_and_atom_number(monkeypatch, batch, poi
             run_schedule(replace(params, atom_number=na), PulseSchedule.naive(pulse + 1))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_overflowing_run_is_a_numerical_failure():
     params, sched = paper_params("decoupled", p=2, g1=1e200, g2=1e-3)
     with pytest.raises(ArithmeticError, match="non-finite"):
