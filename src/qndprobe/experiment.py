@@ -55,7 +55,7 @@ MC_BYTES_PER_TRIAL = 8 * (DIM + 2 + len(ATOMIC) + DIM)
 MC_MEMORY_CAP_BYTES = MEMORY_CAP_BYTES
 # eigenvalues below this fraction of the largest are rounding, not noise
 MC_RANK_TOL = 1e-13
-# pulses whose maps (with the dropped terms on) or noise (off) are built at once
+# pulses whose steps the dropped-term Monte Carlo builds at once
 MC_BLOCK = 1024
 # trials per slice, each with its own stream: a slice's columns of x and moved
 # (MC_BYTES_PER_TRIAL / 8 rows of 64 KiB at most) stay in one core's cache through a step
@@ -209,6 +209,7 @@ class MonteCarloResult:
     meter_variance: float
     stderr: float
     trials: int
+    analytic_meter_variance: float
 
 
 def _roots(covs: np.ndarray) -> np.ndarray:
@@ -223,40 +224,33 @@ def _roots(covs: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :])[..., w.shape[-1] - rank:]
 
 
+def _draw(cov: np.ndarray) -> tuple[float, np.ndarray]:
+    """The step (0, [0 | R]) from x = 0 that draws N(0, cov): W = 0 and R a rank-revealing root of cov."""
+    return 0.0, np.pad(_roots(cov), ((0, 0), (DIM, 0)))
+
+
 def _monte_carlo_maps(params: CouplingParams, schedule: PulseSchedule):
     """The lists of (q, [W | R]) steps that draw the CSS start from x = 0 and move it through the train.
 
-    D A, the shot-noise root sqrt(shot) D B(jx) at the pre-pulse jx, q and
-    the depolarization are ``pulse_channel``'s, built ``MC_BLOCK`` pulses at
-    a time.  Where q is nonzero the meter product q Jy Sz_in is not
-    Gaussian, so the start (W = 0, R a root of ``init_css``'s covariance)
-    and every pulse are steps, one list per block: W = D A, and R holds
-    sqrt(shot) D B as its first two columns (Sy_in and Sz_in are the first
-    two draws; the meter product reads Sz_in), then the depolarization root.
-    Otherwise the start and the train are one step (0, [0 | R]) of at most
-    DIM = 4 draws, R a rank-revealing root of S accumulated from the CSS
-    covariance as S <- (D A) S (D A)^T + shot + depol over every pulse.
+    Used where the meter-product loading q is nonzero (the dropped terms
+    on): the meter product q Jy Sz_in is not Gaussian, so the start (a
+    ``_draw`` of ``init_css``'s covariance) and every pulse are steps, one
+    list per ``MC_BLOCK`` pulses.  A pulse's step is ``pulse_channel``'s:
+    W = D A, and R holds the shot-noise root sqrt(shot) D B(jx) at the
+    pre-pulse jx as its first two columns (Sy_in and Sz_in are the first two
+    draws; the meter product reads Sz_in), then the depolarization root.
     """
     channel = pulse_channel(params)
-    linear = not channel.q.any()
-    depol = np.diag(params.atom_number * channel.depol)
+    depol = _roots(np.diag(params.atom_number * channel.depol))
     css = init_css(params)
-    # a step from x = 0: W = 0, DIM zero columns left of the root
-    cov, head = css.cov, [] if linear else [(0.0, np.pad(_roots(css.cov), ((0, 0), (DIM, 0))))]
+    head = [_draw(css.cov)]
     for start in range(0, len(schedule), MC_BLOCK):
         ks = schedule.kinds(start, min(start + MC_BLOCK, len(schedule)))
         jxs = css.jx_mean * channel.jx_decay ** np.arange(start, start + len(ks))
         db = channel.db0[ks] + jxs[:, None, None] * channel.db1[ks]
-        if linear:
-            for da, noise in zip(channel.da[ks], db @ db.swapaxes(1, 2) + depol):
-                cov = da @ cov @ da.T + noise
-        else:
-            roots = np.repeat(_roots(depol)[None], len(ks), axis=0)
-            maps = np.concatenate([channel.da[ks], db, roots], axis=2)
-            yield head + list(zip(channel.q[ks].tolist(), maps))
-            head = []
-    if linear:
-        yield [(0.0, np.pad(_roots(cov), ((0, 0), (DIM, 0))))]
+        maps = np.concatenate([channel.da[ks], db, np.repeat(depol[None], len(ks), axis=0)], axis=2)
+        yield head + list(zip(channel.q[ks].tolist(), maps))
+        head = []
 
 
 def _usable_cpus() -> int:
@@ -286,18 +280,20 @@ def monte_carlo_sample(
     trials: int,
     seed: int,
 ) -> MonteCarloResult:
-    """Sampled meter variance from simulated pulse trains.
+    """Sampled meter variance from simulated pulse trains, next to the kernel's analytic one.
 
-    Takes the steps of ``_monte_carlo_maps`` from x = 0: each is one product
-    [W | R] @ [x; z] on the stacked state samples x and fresh standard
-    normals z, which moves a slice's trials at once.  Where
+    ``run_schedule`` runs the train first and PSD-checks every pulse, so a
+    train it refuses raises ArithmeticError before anything is sampled; its
+    var(M) is ``analytic_meter_variance``.  Each step from x = 0 is one
+    product [W | R] @ [x; z] on the stacked state samples x and fresh
+    standard normals z, which moves a slice's trials at once.  Where
     ``pulse_channel``'s meter-product loading q is nonzero (the dropped
-    terms on), the CSS start (rank 2, since Jxy = Jz) and every pulse are
-    steps, z holds Sy_in and Sz_in explicitly and the product q Jy z[1] is
-    added as sampled; otherwise the CSS start and the train are one step, 4
-    normals per trial at most, whatever the train's length.  The samples
-    are exact in distribution.  Returns the sample variance of the
-    accumulated meter with the Gaussian standard error var * sqrt(2/(trials-1)).
+    terms on), the steps are ``_monte_carlo_maps``', which add the product
+    q Jy z[1] as sampled; otherwise the train is one ``_draw`` from the
+    kernel's final covariance, 4 normals per trial at most, whatever the
+    train's length.  The samples are exact in distribution.  Returns the
+    sample variance of the accumulated meter with the Gaussian standard
+    error var * sqrt(2/(trials-1)).
 
     The trials are cut into slices of ``MC_SLICE``; slice i owns its columns
     of the samples and of the product's result and draws its normals from
@@ -319,8 +315,12 @@ def monte_carlo_sample(
             f"{trials} trials need about {trials * MC_BYTES_PER_TRIAL / 1e9:.3g} GB, "
             f"above the {MC_MEMORY_CAP_BYTES / 1e9:.3g} GB Monte Carlo cap"
         )
+    analytic = run_schedule(params, schedule)
+    if pulse_channel(params).q.any():
+        blocks, noise_rows = _monte_carlo_maps(params, schedule), 2 + len(ATOMIC) * (params.scattering_eps > 0.0)
+    else:
+        blocks, noise_rows = [[_draw(analytic.final_state.cov)]], DIM
     # the state's DIM rows, then the draws z (counted at MC_BYTES_PER_TRIAL)
-    noise_rows = 2 + len(ATOMIC) * (params.scattering_eps > 0.0) if pulse_channel(params).q.any() else DIM
     x = np.zeros((DIM + noise_rows, trials))
     moved = np.empty((DIM, trials))
     columns = [slice(a, a + MC_SLICE) for a in range(0, trials, MC_SLICE)]
@@ -330,9 +330,9 @@ def monte_carlo_sample(
     moveds = [moved[:, c] for c in columns]
 
     with ThreadPoolExecutor(min(len(columns), _usable_cpus())) as pool:
-        for block in _monte_carlo_maps(params, schedule):
+        for block in blocks:
             list(pool.map(_advance_slice, rngs, xs, moveds, itertools.repeat(block)))
     del moved, moveds  # before np.var's temporary row
     sample_var = float(np.var(x[M], ddof=1))
     stderr = sample_var * math.sqrt(2.0 / (trials - 1))
-    return MonteCarloResult(meter_variance=sample_var, stderr=stderr, trials=trials)
+    return MonteCarloResult(sample_var, stderr, trials, analytic.meter_var)

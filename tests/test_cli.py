@@ -151,6 +151,18 @@ def test_config_file_keys_are_not_checked_against_the_subcommand(tmp_path):
     assert parse_config(["impact", "--config", str(conf)]).num_pulses == 7
 
 
+@pytest.mark.parametrize("mode", ["sweep", "suppression"])
+def test_grid_subcommands_do_not_read_the_config_atom_number(tmp_path, mode):
+    # their atom numbers are the grid's, so a config na that impact would refuse changes nothing
+    conf = tmp_path / "c.json"
+    outputs = []
+    for values in ({"na_points": 4}, {"na_points": 4, "na": 0}):
+        conf.write_text(json.dumps(values))
+        outputs.append(tmp_path / f"{len(outputs)}.csv")
+        assert main([mode, "--config", str(conf), "--out", str(outputs[-1])]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
 def test_config_file_pulse_count_runs_a_decoupled_train(tmp_path):
     # the library refuses num_pulses with a decoupled train, so the CLI passes it only to naive ones
     conf = tmp_path / "c.json"
@@ -264,8 +276,9 @@ def test_overflowing_covariance_exits_1(tmp_path, mode):
 
 
 def test_montecarlo_refused_train_exits_1_before_sampling(tmp_path, monkeypatch, capsys):
+    import qndprobe.experiment as experiment
     sampled = []
-    monkeypatch.setattr(cli, "monte_carlo_sample", lambda *args, **kwargs: sampled.append(args))
+    monkeypatch.setattr(experiment, "_advance_slice", lambda *args: sampled.append(args))
     out = tmp_path / "mc.csv"
     args = ["montecarlo", "--mode", "naive", "--pulses", "2000", "--g2", "1e71", "--trials", "1000"]
     assert main(args + ["--out", str(out)]) == 1

@@ -212,6 +212,7 @@ def test_monte_carlo_matches_analytic_within_three_stderr(eps):
     params, sched = paper_scale_params(mode="decoupled", p=5, g2=0.0, na=1e6, scattering_eps=eps)
     analytic = run_schedule(params, sched).meter_var
     mc = monte_carlo_sample(params, sched, trials=100_000, seed=2024)
+    assert mc.analytic_meter_variance == analytic
     assert abs(mc.meter_variance - analytic) <= 3 * mc.stderr
 
 
@@ -223,18 +224,7 @@ def test_monte_carlo_with_tensor_terms_and_dropped_terms(eps):
                                        scattering_eps=eps)
     analytic = run_schedule(params, sched).meter_var
     mc = monte_carlo_sample(params, sched, trials=100_000, seed=99)
-    assert abs(mc.meter_variance - analytic) <= 3 * mc.stderr
-
-
-# the linear train's noise accumulated in blocks of 1 pulse, and of 3, 3, 3 and 1
-# on decoupled(5): pulses of both signs, and a lone last pulse
-@pytest.mark.parametrize("block", [1, 3])
-def test_monte_carlo_composed_steps_match_analytic_within_three_stderr(block, monkeypatch):
-    import qndprobe.experiment as experiment
-    monkeypatch.setattr(experiment, "MC_BLOCK", block)
-    params, sched = paper_scale_params(mode="decoupled", p=5, g2=0.0, na=1e6, scattering_eps=0.2)
-    analytic = run_schedule(params, sched).meter_var
-    mc = monte_carlo_sample(params, sched, trials=100_000, seed=2024)
+    assert mc.analytic_meter_variance == analytic
     assert abs(mc.meter_variance - analytic) <= 3 * mc.stderr
 
 
@@ -245,6 +235,19 @@ def test_monte_carlo_keeps_the_kernel_noise(eps, dropped, monkeypatch):
     monkeypatch.setattr(experiment, "MC_BLOCK", 3)  # blocks of 3 and 1 pulses
     params, sched = paper_scale_params(mode="decoupled", p=2, na=3e5, scattering_eps=eps,
                                        include_dropped_terms=dropped)
+    if not dropped:  # the whole train is one step from zero, drawn from the kernel's final covariance
+        blocks = []
+        advance = experiment._advance_slice
+        monkeypatch.setattr(experiment, "_advance_slice",
+                            lambda rng, x, moved, block: blocks.append(block) or advance(rng, x, moved, block))
+        monte_carlo_sample(params, sched, trials=1_000, seed=5)
+        cov = run_schedule(params, sched).final_state.cov
+        [[(q_k, w)]] = blocks  # one slice, one block, one step
+        root = w[:, 4:]
+        assert q_k == 0.0
+        assert not w[:, :4].any()
+        assert np.abs(root @ root.T - cov).max() <= 1e-12 * np.abs(cov).max()
+        return
     css = init_css(params).cov
     jx = params.atom_number / 2
     blocks = list(_monte_carlo_maps(params, sched))
@@ -256,16 +259,6 @@ def test_monte_carlo_keeps_the_kernel_noise(eps, dropped, monkeypatch):
     for k, sign in enumerate(signs):
         a, b = pulse_map(sign, params, jx * (1 - eps) ** k)
         pulses.append((d[:, None] * a, shot * (d[:, None] * b) @ (d[:, None] * b).T + depol))
-    if not dropped:  # the CSS start and the whole train are one step from zero
-        (q_k, w), = sum(blocks, [])
-        cov = css
-        for da, noise in pulses:
-            cov = da @ cov @ da.T + noise
-        root = w[:, 4:]
-        assert q_k == 0.0
-        assert not w[:, :4].any()
-        assert np.abs(root @ root.T - cov).max() <= 1e-12 * np.abs(cov).max()
-        return
     assert [len(block) for block in blocks] == [1 + 3, 1]
     (q_0, start), *maps = [step for block in blocks for step in block]
     root = start[:, 4:]
@@ -293,8 +286,8 @@ def test_roots_pad_lower_ranks_with_zero_columns():
     assert _roots(np.zeros((3, 3))).shape == (3, 0)
 
 
-def count_normals(monkeypatch, params, sched, trials):
-    """The number of standard normals monte_carlo_sample draws for a fixed seed."""
+def normal_counter(monkeypatch):
+    """The list that records the size of every standard-normal draw of the np.random.Generators made from now on."""
     counted = []
     generator = np.random.Generator
 
@@ -308,8 +301,23 @@ def count_normals(monkeypatch, params, sched, trials):
             return draw
 
     monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+    return counted
+
+
+def count_normals(monkeypatch, params, sched, trials):
+    """The number of standard normals monte_carlo_sample draws for a fixed seed."""
+    counted = normal_counter(monkeypatch)
     monte_carlo_sample(params, sched, trials=trials, seed=5)
     return sum(counted)
+
+
+def test_monte_carlo_refuses_a_train_before_sampling(monkeypatch):
+    # the kernel refuses the overflowing train, so no normal is drawn
+    params, sched = paper_scale_params(mode="naive", num_pulses=2000, g2=1e71)
+    counted = normal_counter(monkeypatch)
+    with pytest.raises(ArithmeticError, match="non-finite covariance at pulse 1 "):
+        monte_carlo_sample(params, sched, trials=1_000, seed=5)
+    assert counted == []
 
 
 def test_monte_carlo_draws_only_the_independent_noise(monkeypatch):
@@ -320,20 +328,21 @@ def test_monte_carlo_draws_only_the_independent_noise(monkeypatch):
 
 
 def test_monte_carlo_draws_the_same_normals_for_any_train_length(monkeypatch):
-    # 2000 pulses span two MC_BLOCKs, which once drew 2 + 4 + 4 normals per trial
+    # 2000 pulses, which once drew 2 + 4 + 4 normals per trial, one step per 1024 pulses
     params, sched = paper_scale_params(mode="decoupled", p=1000, scattering_eps=1e-6)
     assert count_normals(monkeypatch, params, sched, 1_000) == 4 * 1_000
 
 
-@pytest.mark.parametrize("p,eps", [(5, 0.2), (1000, 1e-6)])  # 10 pulses, and 2000 in two blocks of 1024
-def test_monte_carlo_blocks_do_not_change_the_linear_samples(p, eps, monkeypatch):
-    # MC_BLOCK only bounds memory: the one step, and so every sample, is the same
+# 10 pulses, and 2000 in two blocks of 1024 (fewer trials: every pulse is a step)
+@pytest.mark.parametrize("p,eps,trials", [(5, 0.2, 20_000), (1000, 1e-6, 1_000)])
+def test_monte_carlo_blocks_do_not_change_the_dropped_term_samples(p, eps, trials, monkeypatch):
+    # MC_BLOCK only bounds memory: every slice takes the same steps in the same order
     import qndprobe.experiment as experiment
-    params, sched = paper_scale_params(mode="decoupled", p=p, scattering_eps=eps)
+    params, sched = paper_scale_params(mode="decoupled", p=p, scattering_eps=eps, include_dropped_terms=True)
     results = []
     for block in (1, 3, 1024):
         monkeypatch.setattr(experiment, "MC_BLOCK", block)
-        mc = monte_carlo_sample(params, sched, trials=20_000, seed=2024)
+        mc = monte_carlo_sample(params, sched, trials=trials, seed=2024)
         results.append((mc.meter_variance, mc.stderr))
     assert results[0] == results[1] == results[2]
 

@@ -1,0 +1,98 @@
+"""Committed output reference: every subcommand's CSV, compared with tests/golden/.
+
+Each command runs in-process through ``cli.main`` into a temporary
+directory.  The header, the non-numeric cells and the footer keys must match
+the reference exactly, and every number to a relative 1e-12, which leaves
+room for another BLAS's rounding but not for a change of the model.  A change
+that moves output on purpose regenerates the references it moves in the same
+diff (``python tests/test_golden.py`` rewrites them all) and names each moved
+command and the reason in CHANGES.md.
+"""
+
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from qndprobe import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+REL_TOL = 1e-12
+
+# reference name -> subcommand argv (without --out)
+COMMANDS = {
+    "sweep": ["sweep"],
+    "sweep_naive_dropped": ["sweep", "--mode", "naive", "--pulses", "30", "--eps", "1e-3", "--dropped"],
+    "sweep_long_dropped": ["sweep", "--p", "1000", "--na-points", "100", "--eps", "1e-6", "--dropped"],
+    "suppression": ["suppression"],
+    "suppression_dropped": ["suppression", "--eps", "1e-4", "--dropped"],
+    "impact": ["impact"],
+    "impact_long": ["impact", "--p", "1000", "--eps", "1e-6"],
+    "oracle_compare": ["oracle-compare"],
+    "oracle_compare_200_16": ["oracle-compare", "--g1", "1e-4", "--g2", "1e-4", "--p", "2",
+                              "--n-ph", "16", "--oracle-na", "200"],
+    "algebra_check": ["algebra-check"],
+    "montecarlo_dropped_p20": ["montecarlo", "--p", "20", "--trials", "20000", "--eps", "1e-3", "--dropped"],
+    "montecarlo_dropped": ["montecarlo", "--trials", "20000", "--dropped"],
+    "montecarlo_naive_dropped": ["montecarlo", "--seed", "3", "--mode", "naive", "--pulses", "7",
+                                 "--trials", "30000", "--eps", "0.2", "--dropped"],
+    "montecarlo_long_dropped": ["montecarlo", "--p", "1000", "--trials", "1000", "--eps", "1e-6", "--dropped"],
+    "montecarlo_linear": ["montecarlo", "--p", "5", "--eps", "1e-4", "--trials", "100000", "--seed", "11"],
+}
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _same(got: str, want: str) -> bool:
+    """Cells match exactly, or as numbers to a relative REL_TOL."""
+    a, b = _number(got), _number(want)
+    if a is None or b is None:
+        return got == want
+    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=0.0)
+
+
+def _split(text: str):
+    """(header, body rows, footer lines as [key, value] or [line]) of one output CSV."""
+    lines = text.splitlines()
+    body = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+    footer = [line[2:].split(" = ", 1) for line in lines[1:] if line.startswith("#")]
+    return lines[0], body, footer
+
+
+def _run(name: str, out: Path) -> Path:
+    path = out / f"{name}.csv"
+    assert cli.main([*COMMANDS[name], "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_output_matches_the_committed_reference(name, tmp_path):
+    got = _split(_run(name, tmp_path).read_text())
+    want = _split((GOLDEN / f"{name}.csv").read_text())
+    assert got[0] == want[0]
+    for part, label in ((1, "row"), (2, "footer line")):
+        assert [len(x) for x in got[part]] == [len(x) for x in want[part]], f"{label} shapes differ"
+        for i, (g, w) in enumerate(zip(got[part], want[part])):
+            # a footer line's key (or free text) is compared exactly, its value like a cell
+            if part == 2:
+                assert g[0] == w[0], f"{label} {i}: {g[0]!r} != {w[0]!r}"
+                g, w = g[1:], w[1:]
+            bad = [(j, x, y) for j, (x, y) in enumerate(zip(g, w)) if not _same(x, y)]
+            assert not bad, f"{name} {label} {i}: (column, got, reference) {bad}"
+
+
+def test_every_reference_has_a_command():
+    assert sorted(p.stem for p in GOLDEN.glob("*.csv")) == sorted(COMMANDS)
+
+
+if __name__ == "__main__":
+    # rewrite the named references (default: all) from the present code, without their manifests
+    for arg in sys.argv[1:] or sorted(COMMANDS):
+        print(_run(arg, GOLDEN))
+        (GOLDEN / f"{arg}.csv.manifest").unlink()
