@@ -46,18 +46,19 @@ NA_REFERENCE = 1.0e6
 DEFAULT_NA_GRID = tuple(np.geomspace(1.0e4, 2.0e6, 20))
 
 # Peak bytes one Monte Carlo trial holds in monte_carlo_sample's float64
-# rows: the stacked [x; z] samples and the step's result (DIM).  With the
-# dropped terms on, z holds Sy_in, Sz_in and one depolarization draw per
-# atomic row, DIM + 2 + len(ATOMIC) + DIM rows (104 B), which sets the cap;
-# with them off, at most DIM draws (96 B).  Slices own their columns of x
-# and moved, so slicing adds no rows.  Trial counts above the cap are refused.
+# rows.  With the dropped terms on: the stacked [x; z] samples, z holding
+# Sy_in, Sz_in and one depolarization draw per atomic row, and the step's
+# result, DIM + 2 + len(ATOMIC) + DIM rows (104 B), which sets the cap; with
+# them off, the meter and np.var's temporary (16 B).  Slices own their
+# columns, so slicing adds no rows.  Trial counts above the cap are refused.
 MC_BYTES_PER_TRIAL = 8 * (DIM + 2 + len(ATOMIC) + DIM)
 MC_MEMORY_CAP_BYTES = MEMORY_CAP_BYTES
 # eigenvalues below this fraction of the largest are rounding, not noise
 MC_RANK_TOL = 1e-13
 # pulses whose steps the dropped-term Monte Carlo builds at once
 MC_BLOCK = 1024
-# trials per slice, each with its own stream: a slice's columns of x and moved
+# trials per slice, each with its own stream: one normal per trial for the meter alone;
+# with the dropped terms on, a slice's columns of x and moved
 # (MC_BYTES_PER_TRIAL / 8 rows of 64 KiB at most) stay in one core's cache through a step
 MC_SLICE = 2 ** 13
 
@@ -224,17 +225,12 @@ def _roots(covs: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :])[..., w.shape[-1] - rank:]
 
 
-def _draw(cov: np.ndarray) -> tuple[float, np.ndarray]:
-    """The step (0, [0 | R]) from x = 0 that draws N(0, cov): W = 0 and R a rank-revealing root of cov."""
-    return 0.0, np.pad(_roots(cov), ((0, 0), (DIM, 0)))
-
-
 def _monte_carlo_maps(params: CouplingParams, schedule: PulseSchedule):
     """The lists of (q, [W | R]) steps that draw the CSS start from x = 0 and move it through the train.
 
     Used where the meter-product loading q is nonzero (the dropped terms
     on): the meter product q Jy Sz_in is not Gaussian, so the start (a
-    ``_draw`` of ``init_css``'s covariance) and every pulse are steps, one
+    draw of ``init_css``'s covariance) and every pulse are steps, one
     list per ``MC_BLOCK`` pulses.  A pulse's step is ``pulse_channel``'s:
     W = D A, and R holds the shot-noise root sqrt(shot) D B(jx) at the
     pre-pulse jx as its first two columns (Sy_in and Sz_in are the first two
@@ -243,7 +239,7 @@ def _monte_carlo_maps(params: CouplingParams, schedule: PulseSchedule):
     channel = pulse_channel(params)
     depol = _roots(np.diag(params.atom_number * channel.depol))
     css = init_css(params)
-    head = [_draw(css.cov)]
+    head = [(0.0, np.pad(_roots(css.cov), ((0, 0), (DIM, 0))))]  # from x = 0: W = 0, R R^T = css.cov
     for start in range(0, len(schedule), MC_BLOCK):
         ks = schedule.kinds(start, min(start + MC_BLOCK, len(schedule)))
         jxs = css.jx_mean * channel.jx_decay ** np.arange(start, start + len(ks))
@@ -284,29 +280,29 @@ def monte_carlo_sample(
 
     ``run_schedule`` runs the train first and PSD-checks every pulse, so a
     train it refuses raises ArithmeticError before anything is sampled; its
-    var(M) is ``analytic_meter_variance``.  Each step from x = 0 is one
-    product [W | R] @ [x; z] on the stacked state samples x and fresh
-    standard normals z, which moves a slice's trials at once.  Where
-    ``pulse_channel``'s meter-product loading q is nonzero (the dropped
-    terms on), the steps are ``_monte_carlo_maps``', which add the product
-    q Jy z[1] as sampled; otherwise the train is one ``_draw`` from the
-    kernel's final covariance, 4 normals per trial at most, whatever the
-    train's length.  The samples are exact in distribution.  Returns the
-    sample variance of the accumulated meter with the Gaussian standard
-    error var * sqrt(2/(trials-1)).
+    var(M) is ``analytic_meter_variance``.  Without ``pulse_channel``'s
+    meter-product loading q (the dropped terms off) the final state is
+    N(0, S), S the kernel's final covariance, and the meter, the one
+    coordinate reported, is drawn alone from N(0, S_MM): one normal per
+    trial, whatever the train's length.  With q nonzero every step of
+    ``_monte_carlo_maps`` is one product [W | R] @ [x; z] on a slice's
+    stacked state samples x and fresh standard normals z, plus the meter
+    product q Jy z[1] as sampled.  The samples are exact in distribution.
+    Returns the meter's sample variance with the Gaussian standard error
+    var * sqrt(2/(trials-1)).
 
     The trials are cut into slices of ``MC_SLICE``; slice i owns its columns
-    of the samples and of the product's result and draws its normals from
+    of the samples and draws its normals from
     ``np.random.Generator(np.random.SFC64(s_i))``, s_i the i-th of
-    ``np.random.SeedSequence(seed).spawn(slices)``.  The slices run on a
-    thread pool with one worker per CPU the process may use (at most one per
-    slice): numpy's normals, matmul and large in-place ufuncs release the
-    interpreter lock.  Every slice takes one list of steps before the next
-    is built.  Because streams belong to slices, not threads, a fixed seed
-    gives bit-identical results on any number of cores, though not the
-    samples of earlier releases.  Trial counts whose arrays would exceed
-    ``MC_MEMORY_CAP_BYTES`` raise ValueError before anything is allocated
-    (about 20 million trials).
+    ``np.random.SeedSequence(seed).spawn(slices)``.  The meter alone is
+    drawn slice by slice in the calling thread; only the dropped-term steps
+    run on a thread pool, one worker per CPU the process may use (at most
+    one per slice), since numpy's normals, matmul and large in-place ufuncs
+    release the interpreter lock, and every slice takes one list of steps
+    before the next is built.  Because streams belong to slices, not
+    threads, a fixed seed gives bit-identical results on any number of
+    cores.  Trial counts whose arrays would exceed ``MC_MEMORY_CAP_BYTES``
+    raise ValueError before anything is allocated (about 20 million trials).
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
@@ -316,23 +312,25 @@ def monte_carlo_sample(
             f"above the {MC_MEMORY_CAP_BYTES / 1e9:.3g} GB Monte Carlo cap"
         )
     analytic = run_schedule(params, schedule)
-    if pulse_channel(params).q.any():
-        blocks, noise_rows = _monte_carlo_maps(params, schedule), 2 + len(ATOMIC) * (params.scattering_eps > 0.0)
-    else:
-        blocks, noise_rows = [[_draw(analytic.final_state.cov)]], DIM
-    # the state's DIM rows, then the draws z (counted at MC_BYTES_PER_TRIAL)
-    x = np.zeros((DIM + noise_rows, trials))
-    moved = np.empty((DIM, trials))
     columns = [slice(a, a + MC_SLICE) for a in range(0, trials, MC_SLICE)]
     streams = np.random.SeedSequence(seed).spawn(len(columns))
     rngs = [np.random.Generator(np.random.SFC64(stream)) for stream in streams]
-    xs = [x[:, c] for c in columns]
-    moveds = [moved[:, c] for c in columns]
-
-    with ThreadPoolExecutor(min(len(columns), _usable_cpus())) as pool:
-        for block in blocks:
-            list(pool.map(_advance_slice, rngs, xs, moveds, itertools.repeat(block)))
-    del moved, moveds  # before np.var's temporary row
-    sample_var = float(np.var(x[M], ddof=1))
+    if pulse_channel(params).q.any():
+        # the state's DIM rows, then the draws z (counted at MC_BYTES_PER_TRIAL)
+        noise_rows = 2 + len(ATOMIC) * (params.scattering_eps > 0.0)
+        x = np.zeros((DIM + noise_rows, trials))
+        moved = np.empty((DIM, trials))
+        xs, moveds = [x[:, c] for c in columns], [moved[:, c] for c in columns]
+        with ThreadPoolExecutor(min(len(columns), _usable_cpus())) as pool:
+            for block in _monte_carlo_maps(params, schedule):
+                list(pool.map(_advance_slice, rngs, xs, moveds, itertools.repeat(block)))
+        del moved, moveds  # before np.var's temporary row
+        meter = x[M]
+    else:
+        meter = np.empty(trials)
+        for rng, c in zip(rngs, columns):
+            rng.standard_normal(out=meter[c])
+        meter *= math.sqrt(analytic.meter_var)
+    sample_var = float(np.var(meter, ddof=1))
     stderr = sample_var * math.sqrt(2.0 / (trials - 1))
     return MonteCarloResult(sample_var, stderr, trials, analytic.meter_var)

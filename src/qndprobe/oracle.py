@@ -44,9 +44,11 @@ def _atomic_dim(dim: int, na: int) -> int:
 
 
 def _check_joint_dim(dim: int, na: int, n_ph: int) -> None:
-    """Refuse na < 1, or na dim-level atoms whose joint space with n_ph photons exceeds the cap."""
+    """Refuse na < 1, n_ph < 1, or na dim-level atoms whose joint space with n_ph photons exceeds the cap."""
     if na < 1:
         raise ValueError("need at least one atom")
+    if n_ph < 1:  # n_ph = -1 would pass the cap with a joint dimension of 0
+        raise ValueError(f"photon number must be a positive integer, got {n_ph}")
     joint = _atomic_dim(dim, na) * (n_ph + 1)
     if joint > DEFAULT_DIM_CAP:
         raise ValueError(f"joint dimension {joint} exceeds cap {DEFAULT_DIM_CAP}")

@@ -95,6 +95,7 @@ def test_validation_failures_exit_2(tmp_path):
     ["impact", "--pulses", "7"],                     # schedule flags the train does not read
     ["sweep", "--pulses", "7"],
     ["impact", "--mode", "naive", "--p", "3", "--pulses", "4"],
+    ["oracle-compare", "--n-ph", "-1"],              # no photons; n_ph + 1 = 0 passes the dimension cap
 ])
 def test_rejected_subcommand_input_exits_2_without_output(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"

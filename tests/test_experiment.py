@@ -235,18 +235,11 @@ def test_monte_carlo_keeps_the_kernel_noise(eps, dropped, monkeypatch):
     monkeypatch.setattr(experiment, "MC_BLOCK", 3)  # blocks of 3 and 1 pulses
     params, sched = paper_scale_params(mode="decoupled", p=2, na=3e5, scattering_eps=eps,
                                        include_dropped_terms=dropped)
-    if not dropped:  # the whole train is one step from zero, drawn from the kernel's final covariance
-        blocks = []
-        advance = experiment._advance_slice
-        monkeypatch.setattr(experiment, "_advance_slice",
-                            lambda rng, x, moved, block: blocks.append(block) or advance(rng, x, moved, block))
-        monte_carlo_sample(params, sched, trials=1_000, seed=5)
-        cov = run_schedule(params, sched).final_state.cov
-        [[(q_k, w)]] = blocks  # one slice, one block, one step
-        root = w[:, 4:]
-        assert q_k == 0.0
-        assert not w[:, :4].any()
-        assert np.abs(root @ root.T - cov).max() <= 1e-12 * np.abs(cov).max()
+    if not dropped:  # the meter alone, drawn from the kernel's final var(M)
+        draws = normal_counter(monkeypatch)
+        mc = monte_carlo_sample(params, sched, trials=1_000, seed=5)
+        sample = np.concatenate(draws) * np.sqrt(run_schedule(params, sched).meter_var)
+        assert mc.meter_variance == pytest.approx(np.var(sample, ddof=1), rel=1e-14, abs=0)
         return
     css = init_css(params).cov
     jx = params.atom_number / 2
@@ -287,7 +280,7 @@ def test_roots_pad_lower_ranks_with_zero_columns():
 
 
 def normal_counter(monkeypatch):
-    """The list that records the size of every standard-normal draw of the np.random.Generators made from now on."""
+    """The list that records a copy of every standard-normal draw of the np.random.Generators made from now on."""
     counted = []
     generator = np.random.Generator
 
@@ -297,7 +290,7 @@ def normal_counter(monkeypatch):
 
         def standard_normal(self, size=None, out=None):
             draw = self._rng.standard_normal(size, out=out)
-            counted.append(draw.size)
+            counted.append(draw.copy())
             return draw
 
     monkeypatch.setattr(np.random, "Generator", CountingGenerator)
@@ -308,7 +301,7 @@ def count_normals(monkeypatch, params, sched, trials):
     """The number of standard normals monte_carlo_sample draws for a fixed seed."""
     counted = normal_counter(monkeypatch)
     monte_carlo_sample(params, sched, trials=trials, seed=5)
-    return sum(counted)
+    return sum(draw.size for draw in counted)
 
 
 def test_monte_carlo_refuses_a_train_before_sampling(monkeypatch):
@@ -321,16 +314,15 @@ def test_monte_carlo_refuses_a_train_before_sampling(monkeypatch):
 
 
 def test_monte_carlo_draws_only_the_independent_noise(monkeypatch):
-    # bench configuration: the rank-2 CSS start and the 10 pulses are one
-    # step whose covariance has full rank DIM = 4
+    # bench configuration: of the final state, only the meter is drawn
     params, sched = paper_scale_params(mode="decoupled", p=5, scattering_eps=1e-4)
-    assert count_normals(monkeypatch, params, sched, 1_000) == 4 * 1_000
+    assert count_normals(monkeypatch, params, sched, 1_000) == 1 * 1_000
 
 
 def test_monte_carlo_draws_the_same_normals_for_any_train_length(monkeypatch):
     # 2000 pulses, which once drew 2 + 4 + 4 normals per trial, one step per 1024 pulses
     params, sched = paper_scale_params(mode="decoupled", p=1000, scattering_eps=1e-6)
-    assert count_normals(monkeypatch, params, sched, 1_000) == 4 * 1_000
+    assert count_normals(monkeypatch, params, sched, 1_000) == 1 * 1_000
 
 
 # 10 pulses, and 2000 in two blocks of 1024 (fewer trials: every pulse is a step)
@@ -371,7 +363,8 @@ def test_monte_carlo_is_identical_on_any_number_of_cpus(trials, dropped, monkeyp
         monkeypatch.setattr(os, "cpu_count", lambda n=count: n)
         results.append(monte_carlo_sample(params, sched, trials=trials, seed=17))
     slices = -(-trials // MC_SLICE)
-    assert workers == [min(cpus, slices) for cpus in (1, 2, 3, 3, 1)]
+    # the meter alone is drawn in the calling thread, without a pool
+    assert workers == ([min(cpus, slices) for cpus in (1, 2, 3, 3, 1)] if dropped else [])
     values = [(mc.meter_variance, mc.stderr) for mc in results]
     assert all(np.array_equal(v, values[0]) for v in values)
 
@@ -402,7 +395,7 @@ def test_monte_carlo_gives_every_slice_its_own_stream(monkeypatch):
     for i in range(3):
         for j in range(i):
             assert not np.isin(starts[i], starts[j]).any()
-    assert sum(d.size for rng in created for d in rng.draws) == 4 * 3 * MC_SLICE
+    assert sum(d.size for rng in created for d in rng.draws) == 1 * 3 * MC_SLICE
 
 
 def test_monte_carlo_deterministic_for_fixed_seed():

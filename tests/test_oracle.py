@@ -98,6 +98,12 @@ def test_product_state_refused_before_density_matrix_is_built():
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("n_ph", [0, -1])  # at -1 the joint dimension is 0, below any cap
+def test_product_state_refuses_fewer_than_one_photon(n_ph):
+    with pytest.raises(ValueError, match=f"photon number must be a positive integer, got {n_ph}"):
+        ExactState.from_product_state(single_atom_css(1.0), 2, 1.0, n_ph)
+
+
 def test_spin_one_state_with_m0_amplitude_refused():
     # |m=0> lies outside the spin-na/2 space; single_atom_css writes an exact 0 there
     assert single_atom_css(1.0, tilt=0.3, phase=0.5)[1] == 0
