@@ -45,21 +45,22 @@ NA_REFERENCE = 1.0e6
 
 DEFAULT_NA_GRID = tuple(np.geomspace(1.0e4, 2.0e6, 20))
 
-# Peak bytes one Monte Carlo trial holds in monte_carlo_sample's float64
-# rows.  With the dropped terms on: the stacked [x; z] samples, z holding
+# Peak bytes one trial of the dropped-term Monte Carlo holds in
+# monte_carlo_sample's float64 rows: the stacked [x; z] samples, z holding
 # Sy_in, Sz_in and one depolarization draw per atomic row, and the step's
-# result, DIM + 2 + len(ATOMIC) + DIM rows (104 B), which sets the cap; with
-# them off, the meter and np.var's temporary (16 B).  Slices own their
-# columns, so slicing adds no rows.  Trial counts above the cap are refused.
+# result, DIM + 2 + len(ATOMIC) + DIM rows (104 B).  Slices own their
+# columns, so slicing adds no rows.  Trial counts above the cap are refused;
+# the linear path holds one slice whatever the trial count, so it has no cap.
 MC_BYTES_PER_TRIAL = 8 * (DIM + 2 + len(ATOMIC) + DIM)
 MC_MEMORY_CAP_BYTES = MEMORY_CAP_BYTES
 # eigenvalues below this fraction of the largest are rounding, not noise
 MC_RANK_TOL = 1e-13
 # pulses whose steps the dropped-term Monte Carlo builds at once
 MC_BLOCK = 1024
-# trials per slice, each with its own stream: one normal per trial for the meter alone;
-# with the dropped terms on, a slice's columns of x and moved
-# (MC_BYTES_PER_TRIAL / 8 rows of 64 KiB at most) stay in one core's cache through a step
+# trials per slice, each with its own stream: the linear path draws a slice's
+# meters into one reused 64 KiB buffer and keeps running totals; with the
+# dropped terms on, a slice's columns of x and moved (MC_BYTES_PER_TRIAL / 8
+# rows of 64 KiB at most) stay in one core's cache through a step
 MC_SLICE = 2 ** 13
 
 
@@ -270,6 +271,11 @@ def _advance_slice(rng, x, moved, block):
         x[:DIM] = moved
 
 
+def _stream(seed: int, i: int) -> np.random.Generator:
+    """Slice i's generator: the i-th child of ``np.random.SeedSequence(seed)``, made without spawning the others."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(i,))))
+
+
 def monte_carlo_sample(
     params: CouplingParams,
     schedule: PulseSchedule,
@@ -293,44 +299,59 @@ def monte_carlo_sample(
 
     The trials are cut into slices of ``MC_SLICE``; slice i owns its columns
     of the samples and draws its normals from
-    ``np.random.Generator(np.random.SFC64(s_i))``, s_i the i-th of
-    ``np.random.SeedSequence(seed).spawn(slices)``.  The meter alone is
-    drawn slice by slice in the calling thread; only the dropped-term steps
-    run on a thread pool, one worker per CPU the process may use (at most
-    one per slice), since numpy's normals, matmul and large in-place ufuncs
-    release the interpreter lock, and every slice takes one list of steps
-    before the next is built.  Because streams belong to slices, not
-    threads, a fixed seed gives bit-identical results on any number of
-    cores.  Trial counts whose arrays would exceed ``MC_MEMORY_CAP_BYTES``
-    raise ValueError before anything is allocated (about 20 million trials).
+    ``np.random.Generator(np.random.SFC64(s_i))``, s_i the i-th child of
+    ``np.random.SeedSequence(seed)`` (``SeedSequence(seed, spawn_key=(i,))``).
+    The meter alone is drawn slice by slice in the calling thread, each
+    slice into one reused buffer whose count, mean and sum of squared
+    deviations join running totals, so a linear run holds one slice
+    whatever the trial count.  Only the dropped-term steps run on a thread
+    pool, one worker per CPU the process may use (at most one per slice),
+    since numpy's normals, matmul and large in-place ufuncs release the
+    interpreter lock, and every slice takes one list of steps before the
+    next is built.  Because streams belong to slices, not threads, a fixed
+    seed gives bit-identical results on any number of cores.  With the
+    dropped terms on, trial counts whose arrays would exceed
+    ``MC_MEMORY_CAP_BYTES`` raise ValueError before anything is allocated
+    (about 20 million trials).
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    if trials * MC_BYTES_PER_TRIAL > MC_MEMORY_CAP_BYTES:
+    dropped = pulse_channel(params).q.any()
+    if dropped and trials * MC_BYTES_PER_TRIAL > MC_MEMORY_CAP_BYTES:
         raise ValueError(
             f"{trials} trials need about {trials * MC_BYTES_PER_TRIAL / 1e9:.3g} GB, "
             f"above the {MC_MEMORY_CAP_BYTES / 1e9:.3g} GB Monte Carlo cap"
         )
     analytic = run_schedule(params, schedule)
-    columns = [slice(a, a + MC_SLICE) for a in range(0, trials, MC_SLICE)]
-    streams = np.random.SeedSequence(seed).spawn(len(columns))
-    rngs = [np.random.Generator(np.random.SFC64(stream)) for stream in streams]
-    if pulse_channel(params).q.any():
+    starts = range(0, trials, MC_SLICE)
+    if dropped:
         # the state's DIM rows, then the draws z (counted at MC_BYTES_PER_TRIAL)
         noise_rows = 2 + len(ATOMIC) * (params.scattering_eps > 0.0)
         x = np.zeros((DIM + noise_rows, trials))
         moved = np.empty((DIM, trials))
-        xs, moveds = [x[:, c] for c in columns], [moved[:, c] for c in columns]
-        with ThreadPoolExecutor(min(len(columns), _usable_cpus())) as pool:
+        xs = [x[:, a:a + MC_SLICE] for a in starts]
+        moveds = [moved[:, a:a + MC_SLICE] for a in starts]
+        rngs = [_stream(seed, i) for i in range(len(starts))]
+        with ThreadPoolExecutor(min(len(starts), _usable_cpus())) as pool:
             for block in _monte_carlo_maps(params, schedule):
                 list(pool.map(_advance_slice, rngs, xs, moveds, itertools.repeat(block)))
         del moved, moveds  # before np.var's temporary row
-        meter = x[M]
+        sample_var = float(np.var(x[M], ddof=1))
     else:
-        meter = np.empty(trials)
-        for rng, c in zip(rngs, columns):
-            rng.standard_normal(out=meter[c])
-        meter *= math.sqrt(analytic.meter_var)
-    sample_var = float(np.var(meter, ddof=1))
+        # each slice's standard normals join running totals of count, mean and sum of
+        # squared deviations (Chan et al.'s pairwise update); the meters are
+        # sqrt(S_MM) times them, so their sample variance is S_MM times the normals'
+        buffer = np.empty(min(MC_SLICE, trials))
+        count, mean, squares = 0, 0.0, 0.0
+        for i, a in enumerate(starts):
+            draw = buffer[:min(MC_SLICE, trials - a)]
+            _stream(seed, i).standard_normal(out=draw)
+            draw_mean = float(draw.mean())
+            draw -= draw_mean
+            shift = draw_mean - mean
+            count += len(draw)
+            mean += shift * len(draw) / count
+            squares += float(draw @ draw) + shift * shift * len(draw) * (count - len(draw)) / count
+        sample_var = analytic.meter_var * squares / (trials - 1)
     stderr = sample_var * math.sqrt(2.0 / (trials - 1))
     return MonteCarloResult(sample_var, stderr, trials, analytic.meter_var)

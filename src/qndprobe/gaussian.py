@@ -15,14 +15,16 @@ One kernel propagates every train.  Because A does not depend on the atom
 number and B is affine in jx, the covariance after each pulse is exactly
 C0 + NA C1 + NA^2 C2 for a CSS start, so the kernel carries the three
 coefficient matrices through the train (a given initial state is the same
-polynomial taken at 1).  It cuts a train of n pulses into about sqrt(n)
-chunks of about sqrt(n) pulses and steps all chunks at once, carrying the
-state across chunk boundaries one step per chunk, so a train takes
-O(sqrt(n)) Python steps.  Its pulses, like the Monte Carlo's, are
-``pulse_channel``'s.  ``run_schedule`` evaluates it at its atom number;
-``css_meter_variance`` evaluates one train at every atom number of a sweep
-and returns the final var(M) coefficients too.  Every pulse's covariance is
-PSD-checked, in a sweep at every atom number, by ``_check_psd``: one LDL^T
+polynomial taken at 1), each as its DIM(DIM+1)/2 distinct entries.  It
+cuts a train of n pulses into about sqrt(n) chunks of about sqrt(n) pulses
+and steps all chunks at once, carrying the state across chunk boundaries
+one step per chunk, so a train takes O(sqrt(n)) Python steps.  Its pulses,
+like the Monte Carlo's, are ``pulse_channel``'s.  ``run_schedule``
+evaluates it at its atom number; ``css_meter_variance`` evaluates one train
+at every atom number of a sweep and returns the final var(M) coefficients
+too.  Each block of pulses is evaluated at its atom numbers straight into
+one row per distinct entry, and every pulse's covariance is PSD-checked
+there, in a sweep at every atom number, by ``_check_entries``: one LDL^T
 elimination run across the whole stack at once, with eigenvalues computed
 only to word a refusal, which names the earliest failing pulse.
 """
@@ -263,50 +265,74 @@ def pulse_channel(params: CouplingParams) -> PulseChannel:
     return PulseChannel(np.array(da), np.array(db0), np.array(db1), q, depol, 1.0 - eps)
 
 
-# vec(cov)[_VEC[i, j]] = cov[i, j]; the kernel acts on covariances in this flattened form
-_VEC = np.arange(DIM * DIM).reshape(DIM, DIM)
-_SYMMETRIZE = (np.eye(DIM * DIM) + np.eye(DIM * DIM)[_VEC.T.ravel()]) / 2
-# covariance matrices evaluated per block of the kernel (2 MB at DIM = 4),
-# so also the most atom numbers one sweep evaluates
+@functools.cache
+def _packing(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (rows, columns, index) of the d(d+1)/2 distinct entries of a symmetric d x d matrix.
+
+    The entries (i, j) with i <= j are taken row by row, so row k's entries
+    (k, k..d-1) are adjacent and the entries after row 0 are the trailing
+    (d-1) x (d-1) block's in the same order; entry index[i, j] holds both
+    (i, j) and (j, i).
+    """
+    rows, columns = np.triu_indices(d)
+    index = np.empty((d, d), dtype=np.intp)
+    index[rows, columns] = index[columns, rows] = np.arange(len(rows))
+    for table in (rows, columns, index):
+        table.setflags(write=False)
+    return rows, columns, index
+
+
+# the kernel carries each covariance as its distinct entries: cov[i, j] = entries[_ENTRY[i, j]]
+_ROWS, _COLS, _ENTRY = _packing(DIM)
+# covariances evaluated per block of the kernel (1.3 MB of distinct entries at
+# DIM = 4, and the elimination's 0.8 MB of trailing rows), so also the most
+# atom numbers one sweep evaluates
 EVAL_BATCH = 1 << 14
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is what this check refuses
-def _check_psd(covs: np.ndarray, name=lambda index: f"index {index}") -> None:
-    """Raise ArithmeticError unless every covariance of a (..., d, d) stack is finite and PSD.
+def _check_entries(entries: np.ndarray, name=lambda index: f"index {index}") -> None:
+    """Raise ArithmeticError unless every symmetric matrix of a (K, ...) stack of distinct entries is finite and PSD.
 
-    A covariance passes when it and its trace are finite and the smallest
-    eigenvalue of its symmetrized form lies at or above -PSD_TOL * max(1,
+    Row k of ``entries`` holds entry k, in ``_packing``'s order, of every
+    matrix of the stack.  A matrix passes when its entries and its trace are
+    finite and its smallest eigenvalue lies at or above -PSD_TOL * max(1,
     trace).  The passing path is an LDL^T elimination without pivoting of
-    sym(C) + PSD_TOL * max(1, tr C) I, run on the whole stack at once with
-    entry (i, j) of every matrix in one contiguous array; its pivots, the
-    squared diagonal of the Cholesky factor, are all > 0 exactly when the
-    covariance passes, up to rounding (about 1e-16 |C|).  Only a stack that
-    is not finite or fails the elimination has its eigenvalues computed,
-    which settles that gap; the refusal names the first failing index,
-    worded ``name(index)`` and kept as its ``index``, and the smallest
-    eigenvalue of a finite covariance.
+    C + PSD_TOL * max(1, tr C) I, run on the whole stack at once on the rows
+    of ``entries``, which it leaves unchanged.  Its pivots, the squared
+    diagonal of the Cholesky factor, are all > 0 exactly when the matrix
+    passes, up to rounding (about 1e-16 |C|); a non-finite entry (i, j)
+    makes pivot j -inf or NaN, unless the trace is non-finite too.  Only a
+    stack that fails the elimination or has a non-finite trace has its
+    eigenvalues computed, which settles that gap; the refusal names the
+    first failing index of the stack's trailing shape, worded
+    ``name(index)`` and kept as its ``index``, and the smallest eigenvalue
+    of a finite matrix.
     """
-    if np.isfinite(covs).all():
-        d = covs.shape[-1]
-        flat = covs.reshape(-1, d, d)
-        a = np.empty((d, d, len(flat)))
-        np.add(flat.transpose(1, 2, 0), flat.transpose(2, 1, 0), out=a)
-        a /= 2
-        diagonal = a.reshape(d * d, -1)[::d + 1]  # a view of the d diagonal entries
-        floor = PSD_TOL * np.maximum(1.0, diagonal.sum(axis=0))
-        diagonal += floor
-        for k in range(d):
-            pivot = a[k, k]
-            if not (pivot > 0).all():
-                break
-            a[k + 1:, k + 1:] -= a[k + 1:, k, None] * (a[k, None, k + 1:] / pivot)
-        else:
-            if np.isfinite(floor).all():  # so every pivot was finite too
-                return
-    finite = np.isfinite(covs).all(axis=(-2, -1))
-    sym = np.where(finite[..., None, None], covs, 0.0) / 2
-    sym += sym.swapaxes(-1, -2)  # halved first, so a finite sym(C) cannot overflow
+    stack = entries.reshape(len(entries), -1)
+    d = (math.isqrt(8 * len(entries) + 1) - 1) // 2
+    _, _, index = _packing(d)
+    floor = PSD_TOL * np.maximum(1.0, stack[index.diagonal()].sum(axis=0))
+    block = stack  # the first step writes a new array, later steps update it in place
+    for width in range(d, 0, -1):
+        pivot = block[0] + floor
+        if not (pivot > 0).all():
+            break
+        ratio = block[1:width] / pivot
+        rest = np.empty_like(block[width:]) if block is stack else block[width:]
+        start = 0
+        for i in range(1, width):  # row i of the trailing block: entries (i, i..width-1)
+            row = slice(start, start + width - i)
+            np.subtract(block[width:][row], block[i] * ratio[i - 1:], out=rest[row])
+            start = row.stop
+        block = rest
+    else:
+        if np.isfinite(floor).all():  # so every pivot was finite too
+            return
+    batch = entries.shape[1:]
+    finite = np.isfinite(stack).all(axis=0)
+    sym = np.moveaxis(np.where(finite, stack, 0.0)[index], (0, 1), (-2, -1)).reshape(*batch, d, d)
+    finite = finite.reshape(batch)
     low = np.linalg.eigvalsh(sym)[..., 0]
     floor = PSD_TOL * np.maximum(1.0, np.trace(sym, axis1=-2, axis2=-1))
     finite &= np.isfinite(floor)  # a trace that overflows leaves no floor
@@ -321,10 +347,25 @@ def _check_psd(covs: np.ndarray, name=lambda index: f"index {index}") -> None:
         raise refusal
 
 
-def _covariances(coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """(n, 3, DIM^2) coefficients of lambda^0..2 -> (n, len(lam), DIM, DIM) covariances."""
-    powers = np.asarray(lam, dtype=float)[:, None] ** np.arange(3)
-    return (powers @ coeffs).reshape(len(coeffs), len(powers), DIM, DIM)
+@np.errstate(over="ignore", invalid="ignore")  # overflow is what this check refuses
+def _check_psd(covs: np.ndarray, name=lambda index: f"index {index}") -> None:
+    """Raise ArithmeticError unless every covariance of a (..., d, d) stack is finite and PSD.
+
+    Each covariance is judged by its symmetric part, whose distinct entries
+    (halved before they are added, so a finite sym(C) cannot overflow) go to
+    ``_check_entries``; a refusal names an index of the stack's leading shape.
+    """
+    rows, columns, _ = _packing(covs.shape[-1])
+    half = np.moveaxis(covs, (-2, -1), (0, 1)) / 2
+    _check_entries(half[rows, columns] + half[columns, rows], name)
+
+
+def _entries(coeffs: np.ndarray, lam) -> np.ndarray:
+    """(n, 3, K) coefficients of lambda^0..2 -> (K, n, *lam.shape) distinct entries of the covariances at lam."""
+    lam = np.asarray(lam, dtype=float)
+    powers = lam[..., None] ** np.arange(3)
+    entries = coeffs.transpose(2, 0, 1).reshape(-1, 3) @ powers.T
+    return entries.reshape(coeffs.shape[2], len(coeffs), *lam.shape)
 
 
 def _chunking(n: int) -> tuple[int, int]:
@@ -339,28 +380,34 @@ def _chunking(n: int) -> tuple[int, int]:
     return length, -(-n // length)
 
 
-def _scan(ops: np.ndarray, start: np.ndarray, chunks: int, drive=None):
-    """Every state of the recurrence x <- x @ ops[t] + drive(t) along ``chunks`` equal chunks.
+def _scan(ops: np.ndarray, start: np.ndarray, chunks: int, weights=None, terms=None):
+    """Every state of the recurrence x <- x @ ops[t] + drive along ``chunks`` equal chunks.
 
     Position t of every chunk applies the (d, d) operator ops[t] and then
-    adds drive(t), a (chunks * r, d) stack of one (r, d) term per chunk
-    (nothing when ``drive`` is None); ``start`` (r, d) is the state before
-    the first pulse.  A first pass over the positions finds every chunk's
-    map from the state entering it to the state leaving it, x @ W + end[j],
-    where W is the product of ``ops`` and end[j] the chunk's own state when
-    entered at zero.  One step per chunk then carries the entering states
-    along the train, and a second pass over the positions, started from
-    them, yields after each position t the (chunks, r, d) states of every
-    chunk.  Each pass steps the states of all chunks at once, as one
-    (chunks * r, d) @ (d, d) product, so a train takes 2 len(ops) + chunks
+    adds chunk j's drive weights[j, t] @ terms[t], read as an (r, d) term:
+    ``weights`` is (chunks, len(ops), w) and ``terms`` (len(ops), w, r d),
+    and there is no drive when ``weights`` is None; ``start`` (r, d) is the
+    state before the first pulse.  Every chunk maps the state entering it
+    to the state leaving it as x @ W + end[j], W the product of ``ops`` and
+    end[j] the chunk's own state when entered at zero.  With after[t] the
+    product of the operators after position t, end[j] is the sum over t of
+    chunk j's drive at t times after[t], so all of ``end`` is one product
+    of the weights with the terms carried by after[t].  One step per chunk
+    then carries the entering states along the train, and a pass over the
+    positions, started from them, yields after each position t the (chunks,
+    r, d) states of every chunk, stepping all chunks at once as one
+    (chunks * r, d) @ (d, d) product.  A train takes 2 len(ops) + chunks
     Python steps and holds a few states per chunk.
     """
     r, d = start.shape
-    whole, end = functools.reduce(np.matmul, ops), np.zeros((chunks * r, d))
-    if drive is not None:
-        for t, op in enumerate(ops):
-            end = end @ op + drive(t)
-    end = end.reshape(chunks, r, d)
+    after = np.empty_like(ops)
+    after[-1] = np.eye(d)
+    for t in range(len(ops) - 1, 0, -1):
+        after[t - 1] = ops[t] @ after[t]
+    whole, end = ops[0] @ after[0], np.zeros((chunks, r, d))
+    if weights is not None:
+        carried = terms.reshape(len(ops), -1, d) @ after
+        end = (weights.reshape(chunks, -1) @ carried.reshape(-1, r * d)).reshape(chunks, r, d)
     entry = np.empty((chunks, r, d))
     entry[0] = start
     for j in range(1, chunks):
@@ -368,8 +415,8 @@ def _scan(ops: np.ndarray, start: np.ndarray, chunks: int, drive=None):
     state = entry.reshape(chunks * r, d)
     for t, op in enumerate(ops):
         state = state @ op
-        if drive is not None:
-            state += drive(t)
+        if weights is not None:
+            state += (weights[:, t] @ terms[t]).reshape(chunks * r, d)
         yield state.reshape(chunks, r, d)
 
 
@@ -391,8 +438,8 @@ def _blocks(states, length: int, n: int, block: int):
         if i < held.shape[1] - 1:
             continue
         pulses = (length * np.arange(chunks)[:, None] + np.arange(t - i, t + 1)).ravel()
-        inside = pulses < n
-        pulses, held = pulses[inside], held.reshape(-1, *state.shape[1:])[inside]
+        inside = np.count_nonzero(pulses < n)  # the pulses ascend, so those inside are a prefix
+        pulses, held = pulses[:inside], held.reshape(-1, *state.shape[1:])[:inside]
         for first in range(0, len(pulses), block):
             yield pulses[first:first + block], held[first:first + block]
 
@@ -405,20 +452,22 @@ def _train(params: CouplingParams, schedule: PulseSchedule, unit: GaussianState,
     CSS of lambda = NA atoms).  Each pulse is ``pulse_channel``'s.  Since
     D A does not depend on lambda and D B(jx) is affine in it, the
     covariance after every pulse is exactly C0 + lambda C1 + lambda^2 C2.
-    Each pulse sign becomes one DIM^2 x DIM^2 operator on vec(cov): the symmetrized
-    (D A) (x) (D A) plus the meter product's q^2 var(Jy) -> var(M).  The
-    pulse's noise (the channel's shot noise, with the meter product's mean
-    loading y = q <Jy> of Sz_in into M, and its depolarization noise for
-    nu lambda atoms) is a sum of per-sign constant outer products of D B0,
-    D B1 and the loading, weighted by 1, jx, jx^2, y, jx y and y^2.  The
-    means (with D A) and the coefficients (3 rows of vec(cov)) are
-    both propagated by ``_scan`` over the chunks of ``_chunking``, so a
-    train of n pulses takes O(sqrt(n)) Python steps.
+    A covariance is carried as its K = DIM(DIM+1)/2 distinct entries
+    (``_ENTRY``), and each pulse sign becomes one K x K operator on them:
+    the restriction of (D A) (x) (D A) to those entries, plus the meter
+    product's q^2 var(Jy) -> var(M).  The pulse's noise (the channel's shot
+    noise, with the meter product's mean loading y = q <Jy> of Sz_in into M,
+    and its depolarization noise for nu lambda atoms) is a sum of per-sign
+    constant outer products of D B0, D B1 and the loading, weighted by 1,
+    jx, jx^2, y, jx y and y^2, taken at the distinct entries.  The means
+    (with D A) and the coefficients (3 rows of K entries) are both
+    propagated by ``_scan`` over the chunks of ``_chunking``, so a train of
+    n pulses takes O(sqrt(n)) Python steps.
 
     Returns the means per unit lambda after every pulse (n, DIM), the jx per
     unit lambda after the train, and a generator of (pulses, coefficients)
     blocks of at most ``block`` pulses (see ``_blocks``), with coefficients
-    (pulses, 3, DIM^2).
+    (pulses, 3, K).
     """
     n = len(schedule)
     length, chunks = _chunking(n)
@@ -450,31 +499,30 @@ def _train(params: CouplingParams, schedule: PulseSchedule, unit: GaussianState,
     load = np.zeros_like(db0)
     load[:, M, 1] = 1.0
     parts = np.stack([db0, db1, load], axis=1)
-    outer = (parts[:, :, None] @ parts[:, None].swapaxes(-1, -2)).reshape(2, 3, 3, DIM * DIM)
-    terms = np.zeros((2, 6, 3, DIM * DIM))
+    outer = (parts[:, :, None] @ parts[:, None].swapaxes(-1, -2))[..., _ROWS, _COLS]
+    terms = np.zeros((2, 6, 3, len(_ROWS)))
     terms[:, 0, 0] = outer[:, 0, 0]
-    terms[:, 0, 1, _VEC.diagonal()] = nu * depol
+    terms[:, 0, 1, _ENTRY.diagonal()] = nu * depol
     terms[:, 1, 1] = outer[:, 0, 1] + outer[:, 1, 0]
     terms[:, 2, 2] = outer[:, 1, 1]
     terms[:, 3, 1] = outer[:, 0, 2] + outer[:, 2, 0]
     terms[:, 4, 2] = outer[:, 1, 2] + outer[:, 2, 1]
     terms[:, 5, 2] = outer[:, 2, 2]
-    terms = terms.reshape(2, 6, 3 * DIM * DIM)
+    terms = terms.reshape(2, 6, 3 * len(_ROWS))
 
-    def drive(t):
-        return (by_position[:, t] @ terms[kind[t]]).reshape(3 * chunks, DIM * DIM)
-
-    # per sign, (D A) (x) (D A), symmetrized, transposed to act on the rows of the coefficient stack
-    ops = _SYMMETRIZE @ (da[:, :, None, :, None] * da[:, None, :, None, :]).reshape(2, DIM * DIM, DIM * DIM)
-    ops[:, _VEC[M, M], _VEC[JY, JY]] += q * q
-    start = np.zeros((3, DIM * DIM))
-    start[1] = unit.cov.ravel()
-    states = _scan(ops.swapaxes(1, 2)[kind], start, chunks, drive)
+    # per sign, row (i, j) of (D A) (x) (D A), its columns (k, l) and (l, k) summed
+    # into their one entry; transposed to act on the rows of the coefficient stack
+    kron = (da[:, :, None, :, None] * da[:, None, :, None, :]).reshape(2, DIM, DIM, DIM * DIM)
+    ops = kron[:, _ROWS, _COLS] @ np.eye(len(_ROWS))[_ENTRY.ravel()]
+    ops[:, _ENTRY[M, M], _ENTRY[JY, JY]] += q * q
+    start = np.zeros((3, len(_ROWS)))
+    start[1] = (unit.cov + unit.cov.T)[_ROWS, _COLS] / 2
+    states = _scan(ops.swapaxes(1, 2)[kind], start, chunks, by_position, terms[kind])
     return means, unit.jx_mean * jx_decay ** n, _blocks(states, length, n, block)
 
 
 def _checked(blocks, evaluate, name):
-    """(pulses, coefficients, covariances) of ``_blocks``' blocks, each ``evaluate(coefficients)`` passing ``_check_psd``.
+    """(pulses, coefficients, entries) of ``_blocks``' blocks, each ``evaluate(coefficients)`` passing ``_check_entries``.
 
     Blocks hold chunk positions, not consecutive pulses, so a later block can
     hold a pulse before a refused one.  After a refusal nothing is yielded,
@@ -485,13 +533,13 @@ def _checked(blocks, evaluate, name):
     for pulses, coeffs in blocks:
         if refusal is not None:
             pulses, coeffs = pulses[pulses < first], coeffs[pulses < first]
-        covs = evaluate(coeffs)
+        entries = evaluate(coeffs)
         try:
-            _check_psd(covs, lambda i: name(pulses[i[0]], i))
+            _check_entries(entries, lambda i: name(pulses[i[0]], i))
         except ArithmeticError as exc:
             refusal, first = exc, pulses[exc.index[0]]
         if refusal is None:
-            yield pulses, coeffs, covs
+            yield pulses, coeffs, entries
     if refusal is not None:
         raise refusal
 
@@ -531,18 +579,18 @@ def run_schedule(
     dropped-term meter product enters through its mean (the Sz_in loading
     q <Jy> of M) and its Gaussian-factorized variance q^2 var(Jy).  One run
     of the chunked kernel; every pulse's covariance is PSD-checked by
-    ``_check_psd`` (ArithmeticError naming the earliest failing pulse).
+    ``_check_entries`` (ArithmeticError naming the earliest failing pulse).
     """
     unit, nu, lam = _start(params, initial)
     n = len(schedule)
     means, jx, blocks = _train(params, schedule, unit, nu, EVAL_BATCH)
     meter_var = np.empty(n)
-    checked = _checked(blocks, lambda coeffs: _covariances(coeffs, [lam])[:, 0],
+    checked = _checked(blocks, lambda coeffs: _entries(coeffs, lam),
                        lambda pulse, i: f"pulse {pulse} (atom number {params.atom_number:.6g})")
-    for pulses, _, covs in checked:
-        meter_var[pulses] = covs[:, M, M]
+    for pulses, _, entries in checked:
+        meter_var[pulses] = entries[_ENTRY[M, M]]
         if pulses[-1] == n - 1:
-            cov = covs[-1].copy()
+            cov = entries[_ENTRY, -1]
     means *= lam
     final = GaussianState(mean=means[-1].copy(), cov=cov, jx_mean=lam * jx)
     return ScheduleResult(
@@ -560,7 +608,7 @@ def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_num
 
     The covariance is exactly quadratic in NA, so the train is propagated once
     and evaluated at every atom number; ``params.atom_number`` is not used.
-    Every pulse is PSD-checked at every atom number by ``_check_psd``; a
+    Every pulse is PSD-checked at every atom number by ``_check_entries``; a
     refusal names the earliest failing pulse and its first failing atom
     number.  From 1 to ``EVAL_BATCH`` atom numbers are accepted, so one
     block holds at least one pulse.
@@ -572,9 +620,9 @@ def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_num
         raise ValueError("atom numbers must be positive and finite")
     unit, nu, _ = _start(params, None)
     _, _, blocks = _train(params, schedule, unit, nu, EVAL_BATCH // len(lam))
-    checked = _checked(blocks, lambda coeffs: _covariances(coeffs, lam),
+    checked = _checked(blocks, lambda coeffs: _entries(coeffs, lam),
                        lambda pulse, i: f"pulse {pulse}, atom number {lam[i[1]]:.6g} (index {i[1]})")
-    for pulses, coeffs, covs in checked:
+    for pulses, coeffs, entries in checked:
         if pulses[-1] == len(schedule) - 1:
-            final = covs[-1, :, M, M], coeffs[-1, :, _VEC[M, M]]
+            final = entries[_ENTRY[M, M], -1], coeffs[-1, :, _ENTRY[M, M]]
     return final

@@ -77,7 +77,7 @@ def test_validation_failures_exit_2(tmp_path):
     ["montecarlo", "--mode", "naive", "--pulses", "0"],
     ["sweep", "--f", "0.5"],                         # Gaussian subcommands model f = 1 only
     ["oracle-compare", "--oracle-na", "1000"],       # joint dimension 5005 above the cap
-    ["montecarlo", "--trials", "1000000000"],        # about 112 GB of samples, above the cap
+    ["montecarlo", "--trials", "1000000000", "--dropped"],  # about 104 GB of dropped-term samples, above the cap
     ["montecarlo", "--seed", "-1"],                  # numpy seeds are non-negative
     ["oracle-compare", "--dropped"],                 # flags the subcommand does not read
     ["sweep", "--trials", "5"],

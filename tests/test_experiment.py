@@ -23,7 +23,7 @@ from qndprobe.experiment import (
     quadratic_suppression_curve,
     sweep_atom_number,
 )
-from qndprobe.experiment import _monte_carlo_maps, _roots
+from qndprobe.experiment import _monte_carlo_maps, _roots, _stream
 from qndprobe.gaussian import MIXED_VARIANCE, init_css, pulse_map, run_schedule
 
 
@@ -416,7 +416,8 @@ def test_monte_carlo_minimal_trials():
 
 
 def test_monte_carlo_memory_cap_refuses_before_allocating():
-    params, sched = paper_scale_params(mode="decoupled", p=1, na=1e4, scattering_eps=1e-3)
+    params, sched = paper_scale_params(mode="decoupled", p=1, na=1e4, scattering_eps=1e-3,
+                                       include_dropped_terms=True)
     assert 10 ** 7 * MC_BYTES_PER_TRIAL <= MC_MEMORY_CAP_BYTES < 10 ** 8 * MC_BYTES_PER_TRIAL
     tracemalloc.start()
     try:
@@ -426,6 +427,42 @@ def test_monte_carlo_memory_cap_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_monte_carlo_cap_charges_only_the_dropped_path(monkeypatch):
+    # the dropped-term path holds MC_BYTES_PER_TRIAL per trial, the linear path one slice
+    import qndprobe.experiment as experiment
+    monkeypatch.setattr(experiment, "MC_MEMORY_CAP_BYTES", 1_000 * MC_BYTES_PER_TRIAL)
+    params, sched = paper_scale_params(mode="decoupled", p=1, na=1e4, scattering_eps=1e-3)
+    dropped = replace(params, include_dropped_terms=True)
+    assert monte_carlo_sample(dropped, sched, trials=1_000, seed=1).trials == 1_000
+    with pytest.raises(ValueError, match="Monte Carlo cap"):
+        monte_carlo_sample(dropped, sched, trials=1_001, seed=1)
+    mc = monte_carlo_sample(params, sched, trials=3 * MC_SLICE + 1, seed=1)
+    assert mc.trials == 3 * MC_SLICE + 1 and math.isfinite(mc.meter_variance)
+
+
+def test_linear_monte_carlo_memory_does_not_grow_with_trials():
+    # one reused slice of meters and running totals: 16 B per trial at the parent design
+    params, sched = paper_scale_params(mode="decoupled", p=5)
+    monte_carlo_sample(params, sched, trials=2, seed=3)  # the kernel's one-time set-up
+    peaks = []
+    for trials in (10 ** 5, 10 ** 6):
+        tracemalloc.start()
+        try:
+            monte_carlo_sample(params, sched, trials=trials, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2 * 8 * MC_SLICE, peaks  # the 64 KiB buffer and the small arrays of one run
+
+
+def test_slice_streams_are_the_seed_sequence_children():
+    # SeedSequence(seed, spawn_key=(i,)) is the i-th child of SeedSequence(seed).spawn(n)
+    children = np.random.SeedSequence(2024).spawn(5)
+    for i, child in enumerate(children):
+        spawned = np.random.Generator(np.random.SFC64(child)).standard_normal(16)
+        assert np.array_equal(_stream(2024, i).standard_normal(16), spawned)
 
 
 def test_monte_carlo_stderr_scales_as_inverse_sqrt_trials():

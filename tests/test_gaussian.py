@@ -523,13 +523,13 @@ def test_every_pulse_checked_at_every_point(monkeypatch, batch):
     whole_sweep = css_meter_variance(params, sched, grid)[0]
     whole_run = run_schedule(params, sched)
     checked = []
-    real = gaussian._check_psd
+    real = gaussian._check_entries
 
-    def spy(covs, *name):
-        checked.append(covs.shape[:-2])
-        return real(covs, *name)
+    def spy(entries, *name):
+        checked.append(entries.shape[1:])
+        return real(entries, *name)
 
-    monkeypatch.setattr(gaussian, "_check_psd", spy)
+    monkeypatch.setattr(gaussian, "_check_entries", spy)
     if batch is not None:
         monkeypatch.setattr(gaussian, "EVAL_BATCH", batch)
     assert np.array_equal(css_meter_variance(params, sched, grid)[0], whole_sweep)
@@ -572,6 +572,18 @@ def test_results_do_not_depend_on_the_evaluation_block(monkeypatch, batch):
                       (run.final_state.cov, whole_run.final_state.cov)]:
         assert np.array_equal(got, want)
     assert run.final_state.jx_mean == whole_run.final_state.jx_mean
+
+
+@pytest.mark.parametrize("dropped,tilted", [(False, False), (True, False), (False, True), (True, True)])
+def test_final_covariance_is_bitwise_symmetric(dropped, tilted):
+    # the kernel carries one value per distinct entry, so cov[i, j] and cov[j, i] are one number
+    import qndprobe.gaussian as gaussian
+    params, sched = paper_params("decoupled", p=5, scattering_eps=1e-3, include_dropped_terms=dropped)
+    initial = tilted_state(params.atom_number) if tilted else None
+    cov = run_schedule(params, sched, initial=initial).final_state.cov
+    assert np.array_equal(cov, cov.T)
+    assert np.unique(gaussian._ENTRY).size == len(STATE) * (len(STATE) + 1) // 2
+    assert np.array_equal(gaussian._ENTRY, gaussian._ENTRY.T)
 
 
 def test_run_schedule_raises_on_indefinite_covariance():
@@ -697,12 +709,12 @@ def test_psd_check_refuses_a_covariance_whose_trace_overflows(diagonal):
 
 def earliest_refusal(params, sched, grid):
     """(pulse, index into grid) of the first kernel covariance, in pulse order, that is non-finite or not PSD."""
-    from qndprobe.gaussian import _covariances, _train
-    coeffs = np.empty((len(sched), 3, len(STATE) ** 2))
+    from qndprobe.gaussian import _ENTRY, _entries, _train
+    coeffs = np.empty((len(sched), 3, len(STATE) * (len(STATE) + 1) // 2))
     for pulses, block in _train(params, sched, init_css(replace(params, atom_number=1.0)), 1.0, len(sched))[2]:
         coeffs[pulses] = block
     for pulse in range(len(sched)):
-        covs = _covariances(coeffs[pulse, None], grid)[0]
+        covs = np.moveaxis(_entries(coeffs[pulse, None], grid)[_ENTRY, 0], -1, 0)
         finite = np.isfinite(covs).all(axis=(1, 2))
         sym = np.where(finite[:, None, None], covs, 0.0) / 2
         sym += sym.swapaxes(1, 2)
