@@ -230,16 +230,15 @@ def _params_and_schedule(config: RunConfig, na: float) -> tuple[CouplingParams, 
 
 
 def _fmt(x) -> str:
+    """A cell or footer value as text; a non-finite float raises ArithmeticError."""
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ArithmeticError("non-finite value in output")
         return format(x, ".17g")
     return str(x)
 
 
 def _write_output(config: RunConfig, header: list, rows: list, footer: list):
-    for row in rows:
-        for cell in row:
-            if isinstance(cell, float) and not math.isfinite(cell):
-                raise ArithmeticError("non-finite value in output")
     out_path = Path(config.out)
     lines = [",".join(header)]
     lines += [",".join(_fmt(c) for c in row) for row in rows]

@@ -9,7 +9,7 @@ and a seeded Monte Carlo cross-check of the analytic meter variance.
 
 from __future__ import annotations
 
-import itertools
+import collections
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -23,10 +23,10 @@ from .gaussian import (
     JY,
     JZ,
     M,
-    MEMORY_CAP_BYTES,
     CouplingParams,
     PulseSchedule,
     css_meter_variance,
+    css_root,
     init_css,
     pulse_channel,
     run_schedule,
@@ -45,22 +45,12 @@ NA_REFERENCE = 1.0e6
 
 DEFAULT_NA_GRID = tuple(np.geomspace(1.0e4, 2.0e6, 20))
 
-# Peak bytes one trial of the dropped-term Monte Carlo holds in
-# monte_carlo_sample's float64 rows: the stacked [x; z] samples, z holding
-# Sy_in, Sz_in and one depolarization draw per atomic row, and the step's
-# result, DIM + 2 + len(ATOMIC) + DIM rows (104 B).  Slices own their
-# columns, so slicing adds no rows.  Trial counts above the cap are refused;
-# the linear path holds one slice whatever the trial count, so it has no cap.
-MC_BYTES_PER_TRIAL = 8 * (DIM + 2 + len(ATOMIC) + DIM)
-MC_MEMORY_CAP_BYTES = MEMORY_CAP_BYTES
-# eigenvalues below this fraction of the largest are rounding, not noise
-MC_RANK_TOL = 1e-13
 # pulses whose steps the dropped-term Monte Carlo builds at once
 MC_BLOCK = 1024
-# trials per slice, each with its own stream: the linear path draws a slice's
-# meters into one reused 64 KiB buffer and keeps running totals; with the
-# dropped terms on, a slice's columns of x and moved (MC_BYTES_PER_TRIAL / 8
-# rows of 64 KiB at most) stay in one core's cache through a step
+# trials per slice, each with its own stream and its own running totals: the
+# linear path draws a slice's meters into one reused 64 KiB row, and with the
+# dropped terms on a slice's state, draws and step result (2 DIM + 2 +
+# len(ATOMIC) rows of 64 KiB at most) stay in one core's cache through a step
 MC_SLICE = 2 ** 13
 
 
@@ -214,36 +204,26 @@ class MonteCarloResult:
     analytic_meter_variance: float
 
 
-def _roots(covs: np.ndarray) -> np.ndarray:
-    """R with R R^T = C for each PSD C of a (..., k, k) stack, as many columns as the largest rank.
-
-    Eigenvalues within ``MC_RANK_TOL`` of their matrix's largest count as
-    zero, and a matrix of lower rank than the stack's largest gets zero columns.
-    """
-    w, v = np.linalg.eigh(covs)
-    w = np.where(w > MC_RANK_TOL * w[..., -1:], w, 0.0)
-    rank = np.count_nonzero(w, axis=-1).max(initial=0)
-    return (v * np.sqrt(w)[..., None, :])[..., w.shape[-1] - rank:]
-
-
 def _monte_carlo_maps(params: CouplingParams, schedule: PulseSchedule):
     """The lists of (q, [W | R]) steps that draw the CSS start from x = 0 and move it through the train.
 
     Used where the meter-product loading q is nonzero (the dropped terms
-    on): the meter product q Jy Sz_in is not Gaussian, so the start (a
-    draw of ``init_css``'s covariance) and every pulse are steps, one
-    list per ``MC_BLOCK`` pulses.  A pulse's step is ``pulse_channel``'s:
-    W = D A, and R holds the shot-noise root sqrt(shot) D B(jx) at the
-    pre-pulse jx as its first two columns (Sy_in and Sz_in are the first two
-    draws; the meter product reads Sz_in), then the depolarization root.
+    on): the meter product q Jy Sz_in is not Gaussian, so the start (R =
+    sqrt(NA) ``css_root``) and every pulse are steps, one list per
+    ``MC_BLOCK`` pulses.  A pulse's step is ``pulse_channel``'s: W = D A,
+    and R holds the shot-noise root sqrt(shot) D B(jx) at the pre-pulse jx
+    (Sy_in and Sz_in, the first two draws), then sqrt(NA depol) on each
+    ``ATOMIC`` row in ``STATE`` order, no columns at eps = 0.
     """
     channel = pulse_channel(params)
-    depol = _roots(np.diag(params.atom_number * channel.depol))
-    css = init_css(params)
-    head = [(0.0, np.pad(_roots(css.cov), ((0, 0), (DIM, 0))))]  # from x = 0: W = 0, R R^T = css.cov
-    for start in range(0, len(schedule), MC_BLOCK):
-        ks = schedule.kinds(start, min(start + MC_BLOCK, len(schedule)))
-        jxs = css.jx_mean * channel.jx_decay ** np.arange(start, start + len(ks))
+    draws = len(ATOMIC) if params.scattering_eps > 0.0 else 0
+    depol = np.diag(np.sqrt(params.atom_number * channel.depol))[:, :draws]
+    jx = init_css(params).jx_mean
+    start = math.sqrt(params.atom_number) * css_root()
+    head = [(0.0, np.pad(start, ((0, 0), (DIM, 0))))]  # from x = 0: W = 0
+    for first in range(0, len(schedule), MC_BLOCK):
+        ks = schedule.kinds(first, min(first + MC_BLOCK, len(schedule)))
+        jxs = jx * channel.jx_decay ** np.arange(first, first + len(ks))
         db = channel.db0[ks] + jxs[:, None, None] * channel.db1[ks]
         maps = np.concatenate([channel.da[ks], db, np.repeat(depol[None], len(ks), axis=0)], axis=2)
         yield head + list(zip(channel.q[ks].tolist(), maps))
@@ -256,24 +236,56 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _advance_slice(rng, x, moved, block):
-    """Move one slice's samples x through a block's (q, [W | R]) steps."""
-    for q_k, w in block:
-        width = w.shape[1]
-        for row in x[DIM:width]:  # a slice's rows are contiguous, its stack is not
-            rng.standard_normal(out=row)
-        np.matmul(w, x[:width], out=moved)
-        if q_k:
-            sz_in = x[DIM + 1]  # Sz_in / sqrt(shot), overwritten with the meter product
-            sz_in *= q_k
-            sz_in *= x[JY]
-            moved[M] += sz_in
-        x[:DIM] = moved
-
-
 def _stream(seed: int, i: int) -> np.random.Generator:
     """Slice i's generator: the i-th child of ``np.random.SeedSequence(seed)``, made without spawning the others."""
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(i,))))
+
+
+def _moments(sample: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations) of one slice's sample, which is overwritten with its deviations."""
+    mean = float(sample.mean())
+    sample -= mean
+    return len(sample), mean, float(sample @ sample)
+
+
+def _pooled_squares(moments) -> float:
+    """Sum of squared deviations of the concatenated slices from their ``_moments``, by Chan et al.'s running totals."""
+    count, mean, squares = 0, 0.0, 0.0
+    for n, slice_mean, slice_squares in moments:
+        shift = slice_mean - mean
+        count += n
+        mean += shift * n / count
+        squares += slice_squares + shift * shift * n * (count - n) / count
+    return squares
+
+
+def _in_order(pool, task, items, ahead: int):
+    """task(item) for every item, run on ``pool`` and yielded in order, with at most ``ahead`` calls not yet yielded."""
+    pending = collections.deque()
+    for item in items:
+        pending.append(pool.submit(task, item))
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+    for future in pending:
+        yield future.result()
+
+
+def _dropped_slice(params: CouplingParams, schedule: PulseSchedule, rng, trials: int):
+    """``_moments`` of the meters of ``trials`` samples moved from x = 0 through every step of ``_monte_carlo_maps``."""
+    x = np.zeros((DIM + 2 + len(ATOMIC), trials))  # the state, then Sy_in, Sz_in and the depolarization draws
+    moved = np.empty((DIM, trials))
+    for block in _monte_carlo_maps(params, schedule):
+        for q_k, w in block:
+            width = w.shape[1]
+            rng.standard_normal(out=x[DIM:width])
+            np.matmul(w, x[:width], out=moved)
+            if q_k:
+                sz_in = x[DIM + 1]  # Sz_in / sqrt(shot), overwritten with the meter product
+                sz_in *= q_k
+                sz_in *= x[JY]
+                moved[M] += sz_in
+            x[:DIM] = moved
+    return _moments(x[M])
 
 
 def monte_carlo_sample(
@@ -297,61 +309,46 @@ def monte_carlo_sample(
     Returns the meter's sample variance with the Gaussian standard error
     var * sqrt(2/(trials-1)).
 
-    The trials are cut into slices of ``MC_SLICE``; slice i owns its columns
-    of the samples and draws its normals from
+    The trials are cut into slices of ``MC_SLICE``, and slice i draws from
     ``np.random.Generator(np.random.SFC64(s_i))``, s_i the i-th child of
     ``np.random.SeedSequence(seed)`` (``SeedSequence(seed, spawn_key=(i,))``).
-    The meter alone is drawn slice by slice in the calling thread, each
-    slice into one reused buffer whose count, mean and sum of squared
-    deviations join running totals, so a linear run holds one slice
-    whatever the trial count.  Only the dropped-term steps run on a thread
+    Each slice returns the count, mean and sum of squared deviations of its
+    meters, and one running-total update (``_pooled_squares``) combines them
+    in slice order.  The linear path draws slice by slice in the calling
+    thread into one reused buffer.  The dropped-term slices run on a thread
     pool, one worker per CPU the process may use (at most one per slice),
     since numpy's normals, matmul and large in-place ufuncs release the
-    interpreter lock, and every slice takes one list of steps before the
-    next is built.  Because streams belong to slices, not threads, a fixed
-    seed gives bit-identical results on any number of cores.  With the
-    dropped terms on, trial counts whose arrays would exceed
-    ``MC_MEMORY_CAP_BYTES`` raise ValueError before anything is allocated
-    (about 20 million trials).
+    interpreter lock; a slice holds its samples only while it runs, and at
+    most two slices per worker are submitted ahead (``_in_order``).  Either
+    way a run holds one slice per worker whatever its trial count, and
+    because streams belong to slices, not threads, a fixed seed gives
+    bit-identical results on any number of cores.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    dropped = pulse_channel(params).q.any()
-    if dropped and trials * MC_BYTES_PER_TRIAL > MC_MEMORY_CAP_BYTES:
-        raise ValueError(
-            f"{trials} trials need about {trials * MC_BYTES_PER_TRIAL / 1e9:.3g} GB, "
-            f"above the {MC_MEMORY_CAP_BYTES / 1e9:.3g} GB Monte Carlo cap"
-        )
     analytic = run_schedule(params, schedule)
-    starts = range(0, trials, MC_SLICE)
-    if dropped:
-        # the state's DIM rows, then the draws z (counted at MC_BYTES_PER_TRIAL)
-        noise_rows = 2 + len(ATOMIC) * (params.scattering_eps > 0.0)
-        x = np.zeros((DIM + noise_rows, trials))
-        moved = np.empty((DIM, trials))
-        xs = [x[:, a:a + MC_SLICE] for a in starts]
-        moveds = [moved[:, a:a + MC_SLICE] for a in starts]
-        rngs = [_stream(seed, i) for i in range(len(starts))]
-        with ThreadPoolExecutor(min(len(starts), _usable_cpus())) as pool:
-            for block in _monte_carlo_maps(params, schedule):
-                list(pool.map(_advance_slice, rngs, xs, moveds, itertools.repeat(block)))
-        del moved, moveds  # before np.var's temporary row
-        sample_var = float(np.var(x[M], ddof=1))
+    slices = range(-(-trials // MC_SLICE))
+
+    def size(i):
+        return min(MC_SLICE, trials - i * MC_SLICE)
+
+    if pulse_channel(params).q.any():
+        def sample(i):
+            return _dropped_slice(params, schedule, _stream(seed, i), size(i))
+
+        workers = min(len(slices), _usable_cpus())
+        with ThreadPoolExecutor(workers) as pool:
+            sample_var = _pooled_squares(_in_order(pool, sample, slices, 2 * workers)) / (trials - 1)
     else:
-        # each slice's standard normals join running totals of count, mean and sum of
-        # squared deviations (Chan et al.'s pairwise update); the meters are
-        # sqrt(S_MM) times them, so their sample variance is S_MM times the normals'
+        # the meters are sqrt(S_MM) times standard normals, so their sample
+        # variance is S_MM times the normals'
         buffer = np.empty(min(MC_SLICE, trials))
-        count, mean, squares = 0, 0.0, 0.0
-        for i, a in enumerate(starts):
-            draw = buffer[:min(MC_SLICE, trials - a)]
+
+        def sample(i):
+            draw = buffer[:size(i)]
             _stream(seed, i).standard_normal(out=draw)
-            draw_mean = float(draw.mean())
-            draw -= draw_mean
-            shift = draw_mean - mean
-            count += len(draw)
-            mean += shift * len(draw) / count
-            squares += float(draw @ draw) + shift * shift * len(draw) * (count - len(draw)) / count
-        sample_var = analytic.meter_var * squares / (trials - 1)
+            return _moments(draw)
+
+        sample_var = analytic.meter_var * _pooled_squares(map(sample, slices)) / (trials - 1)
     stderr = sample_var * math.sqrt(2.0 / (trials - 1))
     return MonteCarloResult(sample_var, stderr, trials, analytic.meter_var)

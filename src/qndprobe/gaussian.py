@@ -163,18 +163,22 @@ class GaussianState:
         _check_psd(self.cov[None])
 
 
-def init_css(params: CouplingParams) -> GaussianState:
-    """Initial x-polarized coherent-spin-state moments.
+def css_root() -> np.ndarray:
+    """The (DIM, 2) root R, columns e_Jy/2 and (e_Jz + e_Jxy)/2, of the x-polarized CSS: NA R R^T is its covariance.
 
-    jx_mean = NA/2, all tracked means zero, var(Jz) = var(Jy) = NA/4 (the
-    projection noise Jx/2) with no cross covariances.  The frozen Jxy slot
-    follows the f = 1 operator identity jxy = jz: it shares Jz's variance and
-    its row/column of the covariance.
+    var(Jz) = var(Jy) = NA/4 (the projection noise Jx/2), and the frozen Jxy
+    follows the f = 1 operator identity jxy = jz, so it shares Jz's column.
     """
+    root = np.zeros((DIM, 2))
+    root[JY, 0] = root[JZ, 1] = root[JXY, 1] = 0.5
+    return root
+
+
+def init_css(params: CouplingParams) -> GaussianState:
+    """Initial x-polarized CSS moments: jx_mean = NA/2, all means zero, covariance NA R R^T (``css_root``)."""
     na = params.atom_number
-    cov = np.zeros((len(ATOMIC), len(ATOMIC)))
-    cov[JY, JY] = cov[JZ, JZ] = cov[JZ, JXY] = cov[JXY, JZ] = cov[JXY, JXY] = na / 4
-    return state_from_atomic_moments(np.zeros(len(ATOMIC)), cov, na / 2)
+    root = css_root()[:M]
+    return state_from_atomic_moments(np.zeros(len(ATOMIC)), na * (root @ root.T), na / 2)
 
 
 def state_from_atomic_moments(atomic_mean, atomic_cov, jx_mean: float) -> GaussianState:

@@ -28,11 +28,12 @@ from .operators import angular_momentum_matrices, build_spin_operators, build_st
 
 # No joint-space matrix is built.  A run holds the four Kraus stacks of n_ph + 1
 # atomic matrices (64 D dim_a bytes), their conjugated copies and the per-pulse
-# products: the traced peak of a decoupled(1) run is 192 D dim_a + 96 dim_a^2
-# bytes within 0.01% at (na, n_ph) = (200, 16), (300, 8), (500, 3) and (1000, 1)
-# (136, 165, 217 and 481 MB).  So the cap admits na = 818 spin-1 atoms at n_ph = 4
-# (D = 4095, about 0.71 GB) and na = 2047 at n_ph = 1 (D = 4096, about 2.0 GB),
-# but only na = 4 spin-2 atoms: at na = 5 (D = 15625) a run would need about 10 GB.
+# products: the traced peak of a decoupled(1) run is 125, 154, 205 and 481 MB at
+# (na, n_ph) = (200, 16), (300, 8), (500, 3) and (1000, 1), within 0.02% of at
+# most 192 D dim_a + 96 dim_a^2 bytes (136, 165, 217 and 481 MB).  So the cap
+# admits na = 818 spin-1 atoms at n_ph = 4 (D = 4095, about 0.71 GB) and
+# na = 2047 at n_ph = 1 (D = 4096, about 2.0 GB), but only na = 4 spin-2
+# atoms: at na = 5 (D = 15625) a run would need about 10 GB.
 DEFAULT_DIM_CAP = 4096
 # largest |tr rho - 1| a pulse may leave before the run is refused
 NORMALIZATION_TOL = 1e-10
@@ -198,37 +199,23 @@ def single_atom_moments(single: np.ndarray, f: float) -> dict:
     return {"mean": means, "cov": cov, "mean_jx": ev(ops.jx)}
 
 
-def _adjoint_rows(stack: np.ndarray) -> np.ndarray:
-    """An (n_ph+1)-stack R_l as ``_kraus_sum``'s right factor, with rows [(l, b), c] = conj(R_l[c, b])."""
-    return stack.conj().transpose(0, 2, 1).reshape(-1, stack.shape[1])
-
-
-def _kraus_sum(left: np.ndarray, right_rows: np.ndarray) -> np.ndarray:
-    """sum_l left_l right_l^dag for an (n_ph+1)-stack ``left`` and ``right_rows`` = ``_adjoint_rows(right)``.
-
-    The same single product as ``np.tensordot(left, right.conj(), axes=([0, 2], [0, 2]))``,
-    with the fixed right factor conjugated and laid out once per run.
-    """
-    return np.dot(left.transpose(1, 0, 2).reshape(left.shape[1], -1), right_rows)
-
-
 def _kraus_stacks(state: ExactState, g1: float, g2: float) -> dict:
-    """Per probe sign, the (n_ph+1)-stacks E_l = <l|U|phi_sign> and F_l = sum_m Sy[l, m] E_m.
+    """Per probe sign, the (a', l, a) stacks E[a', l, a] = <l|U|phi_sign>[a', a] and F_l = sum_m Sy[l, m] E_m.
 
     U is never formed: each Sz + Jz block of H from ``build_heff`` is
     exponentiated on its own and written straight into the stacks.  Given
-    (l, a') and a, one photon state s puts (a, s) in the block of (a', l), so
-    E_l[a', a] = U_b[(a', l), (a, s)] phi[s] exactly.
+    (a', l) and a, one photon state s puts (a, s) in the block of (a', l), so
+    E[a', l, a] = U_b[(a', l), (a, s)] phi[s] exactly.
     """
     dim_a, dim_ph = state.rho.shape[0], state.n_ph + 1
     phis = {sign: polarized_photon_state(state.n_ph, sign) for sign in (1, -1)}
-    stacks = {sign: np.zeros((dim_ph, dim_a, dim_a), dtype=complex) for sign in phis}
+    stacks = {sign: np.zeros((dim_a, dim_ph, dim_a), dtype=complex) for sign in phis}
     for a, s, h_b in build_heff(state.na, state.f, state.n_ph, g1, g2):
         u_b = hermitian_unitary(h_b)
         for sign, e in stacks.items():
-            e[s[:, None], a[:, None], a] = u_b * phis[sign][s]
+            e[a[:, None], s[:, None], a] = u_b * phis[sign][s]
     sy = build_stokes_operators(state.n_ph).sy
-    return {sign: (e, np.tensordot(sy, e, axes=1)) for sign, e in stacks.items()}
+    return {sign: (e, sy @ e) for sign, e in stacks.items()}
 
 
 @dataclass(frozen=True)
@@ -262,9 +249,12 @@ def run_schedule_exact(
     block of the conserved Sz + Jz, so no joint-space unitary is formed.
     """
     state = initial
+    dim_a = state.rho.shape[0]
     atomic = _atomic_collective(state.na, int(round(2 * state.f)))
-    kraus = _kraus_stacks(state, g1, g2)
-    rows = {sign: (_adjoint_rows(e), _adjoint_rows(sy_e)) for sign, (e, sy_e) in kraus.items()}
+    # per sign, E and F as (a' l, a) matrices, each with its conjugate read as an (a', l b)
+    # matrix and transposed: for X = E @ rho read as (a', l b), sum_l X_l F_l^dag = X @ conj(F)^T
+    stacks = {sign: [(x.reshape(-1, dim_a), x.conj().reshape(dim_a, -1).T) for x in pair]
+              for sign, pair in _kraus_stacks(state, g1, g2).items()}
 
     k_corr = np.zeros_like(state.rho)
     m_mean = 0.0
@@ -272,11 +262,11 @@ def run_schedule_exact(
     rec_jz, rec_jy, rec_mm, rec_mv = [], [], [], []
 
     for sign in schedule.signs.tolist():
-        e, sy_e = kraus[sign]
-        e_rows, sy_e_rows = rows[sign]
-        e_rho, e_k = e @ state.rho, e @ k_corr
-        rho_out = _kraus_sum(e_rho, e_rows)
-        corr = _kraus_sum(e_rho, sy_e_rows)
+        (e, e_adj), (sy_e, sy_e_adj) = stacks[sign]
+        e_rho = (e @ state.rho).reshape(dim_a, -1)
+        e_k = (e @ k_corr).reshape(dim_a, -1)
+        rho_out = e_rho @ e_adj
+        corr = e_rho @ sy_e_adj
         sy_mean = float(np.trace(corr).real)
         sy_var = float(np.vdot(sy_e, sy_e @ state.rho).real) - sy_mean ** 2
 
@@ -286,7 +276,7 @@ def run_schedule_exact(
         m_mean += sign * sy_mean
         m_var += sy_var + 2.0 * sign * cross
 
-        k_corr = _kraus_sum(e_k, e_rows) + sign * (corr - sy_mean * rho_out)
+        k_corr = e_k @ e_adj + sign * (corr - sy_mean * rho_out)
 
         state = ExactState(na=state.na, f=state.f, n_ph=state.n_ph, rho=rho_out)
         state.check_normalization()

@@ -1,6 +1,7 @@
 import json
 import shlex
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -77,7 +78,6 @@ def test_validation_failures_exit_2(tmp_path):
     ["montecarlo", "--mode", "naive", "--pulses", "0"],
     ["sweep", "--f", "0.5"],                         # Gaussian subcommands model f = 1 only
     ["oracle-compare", "--oracle-na", "1000"],       # joint dimension 5005 above the cap
-    ["montecarlo", "--trials", "1000000000", "--dropped"],  # about 104 GB of dropped-term samples, above the cap
     ["montecarlo", "--seed", "-1"],                  # numpy seeds are non-negative
     ["oracle-compare", "--dropped"],                 # flags the subcommand does not read
     ["sweep", "--trials", "5"],
@@ -269,6 +269,15 @@ def test_non_finite_output_aborts_with_exit_1(tmp_path, monkeypatch):
     assert not (tmp_path / "bad.csv").exists()
 
 
+def test_non_finite_footer_value_aborts_with_exit_1(tmp_path, monkeypatch):
+    # a footer's numbers (c0, c1, c2, max_residual, ...) are checked like the cells
+    sweep = cli.sweep_atom_number
+    monkeypatch.setattr(cli, "sweep_atom_number", lambda *args: replace(sweep(*args), c2=float("inf")))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["sweep", "impact"])
 def test_overflowing_covariance_exits_1(tmp_path, mode):
     out = tmp_path / "x.csv"
@@ -278,8 +287,8 @@ def test_overflowing_covariance_exits_1(tmp_path, mode):
 
 def test_montecarlo_refused_train_exits_1_before_sampling(tmp_path, monkeypatch, capsys):
     import qndprobe.experiment as experiment
-    sampled = []
-    monkeypatch.setattr(experiment, "_advance_slice", lambda *args: sampled.append(args))
+    sampled = []  # every slice of either path draws from its own stream
+    monkeypatch.setattr(experiment, "_stream", lambda *args: sampled.append(args))
     out = tmp_path / "mc.csv"
     args = ["montecarlo", "--mode", "naive", "--pulses", "2000", "--g2", "1e71", "--trials", "1000"]
     assert main(args + ["--out", str(out)]) == 1

@@ -9,8 +9,7 @@ import pytest
 
 from qndprobe.experiment import (
     DEFAULT_NA_GRID,
-    MC_BYTES_PER_TRIAL,
-    MC_MEMORY_CAP_BYTES,
+    MC_BLOCK,
     MC_SLICE,
     G1_REFERENCE,
     G2_IMPACT_REFERENCE,
@@ -23,8 +22,8 @@ from qndprobe.experiment import (
     quadratic_suppression_curve,
     sweep_atom_number,
 )
-from qndprobe.experiment import _monte_carlo_maps, _roots, _stream
-from qndprobe.gaussian import MIXED_VARIANCE, init_css, pulse_map, run_schedule
+from qndprobe.experiment import _moments, _monte_carlo_maps, _pooled_squares, _stream
+from qndprobe.gaussian import ATOMIC, DIM, MIXED_VARIANCE, css_root, init_css, pulse_map, run_schedule
 
 
 # ------------------------------------------------------------------ calibration
@@ -269,14 +268,25 @@ def test_monte_carlo_keeps_the_kernel_noise(eps, dropped, monkeypatch):
         np.testing.assert_allclose(root[:, :2], np.sqrt(shot) * d[:, None] * b, rtol=1e-14, atol=0)
 
 
-def test_roots_pad_lower_ranks_with_zero_columns():
-    covs = np.zeros((2, 3, 3))
-    covs[0, 0, 0] = 2.0
-    covs[1, 1:, 1:] = [[1.0, 0.5], [0.5, 1.0]]
-    roots = _roots(covs)
-    assert roots.shape == (2, 3, 2)
-    assert np.allclose(roots @ roots.swapaxes(1, 2), covs, rtol=0, atol=1e-15)
-    assert _roots(np.zeros((3, 3))).shape == (3, 0)
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_monte_carlo_noise_roots_are_exact(eps):
+    # the CSS start is sqrt(NA) css_root, and the depolarization draws are
+    # sqrt(NA depol) on each ATOMIC row in STATE order, with no columns at eps = 0
+    params, sched = paper_scale_params(mode="decoupled", p=1, na=3e5, scattering_eps=eps,
+                                       include_dropped_terms=True)
+    (_, start), *pulses = next(_monte_carlo_maps(params, sched))
+    assert np.array_equal(start[:, DIM:], np.sqrt(params.atom_number) * css_root())
+    depol = np.zeros((DIM, len(ATOMIC) if eps else 0))
+    depol[range(depol.shape[1]), range(depol.shape[1])] = np.sqrt(eps * params.atom_number * MIXED_VARIANCE)
+    for _, w in pulses:
+        assert np.array_equal(w[:, DIM + 2:], depol)
+
+
+def test_pooled_squares_match_the_variance_of_the_concatenated_slices():
+    rng = np.random.default_rng(4)
+    slices = [rng.normal(mean, 3.0, size) for mean, size in ((1e6, 5), (-2.0, 8192), (7.5, 1), (1e3, 300))]
+    pooled = _pooled_squares(_moments(s.copy()) for s in slices) / (sum(map(len, slices)) - 1)
+    assert pooled == pytest.approx(np.var(np.concatenate(slices), ddof=1), rel=1e-12, abs=0)
 
 
 def normal_counter(monkeypatch):
@@ -415,33 +425,6 @@ def test_monte_carlo_minimal_trials():
         monte_carlo_sample(params, sched, trials=1, seed=1)
 
 
-def test_monte_carlo_memory_cap_refuses_before_allocating():
-    params, sched = paper_scale_params(mode="decoupled", p=1, na=1e4, scattering_eps=1e-3,
-                                       include_dropped_terms=True)
-    assert 10 ** 7 * MC_BYTES_PER_TRIAL <= MC_MEMORY_CAP_BYTES < 10 ** 8 * MC_BYTES_PER_TRIAL
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="Monte Carlo cap"):
-            monte_carlo_sample(params, sched, trials=10 ** 9, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
-
-
-def test_monte_carlo_cap_charges_only_the_dropped_path(monkeypatch):
-    # the dropped-term path holds MC_BYTES_PER_TRIAL per trial, the linear path one slice
-    import qndprobe.experiment as experiment
-    monkeypatch.setattr(experiment, "MC_MEMORY_CAP_BYTES", 1_000 * MC_BYTES_PER_TRIAL)
-    params, sched = paper_scale_params(mode="decoupled", p=1, na=1e4, scattering_eps=1e-3)
-    dropped = replace(params, include_dropped_terms=True)
-    assert monte_carlo_sample(dropped, sched, trials=1_000, seed=1).trials == 1_000
-    with pytest.raises(ValueError, match="Monte Carlo cap"):
-        monte_carlo_sample(dropped, sched, trials=1_001, seed=1)
-    mc = monte_carlo_sample(params, sched, trials=3 * MC_SLICE + 1, seed=1)
-    assert mc.trials == 3 * MC_SLICE + 1 and math.isfinite(mc.meter_variance)
-
-
 def test_linear_monte_carlo_memory_does_not_grow_with_trials():
     # one reused slice of meters and running totals: 16 B per trial at the parent design
     params, sched = paper_scale_params(mode="decoupled", p=5)
@@ -455,6 +438,26 @@ def test_linear_monte_carlo_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
     assert max(peaks) < 2 * 8 * MC_SLICE, peaks  # the 64 KiB buffer and the small arrays of one run
+
+
+def test_dropped_monte_carlo_memory_does_not_grow_with_trials(monkeypatch):
+    # at most one slice per worker runs, each holding its state, its draws
+    # and its step result, 2 DIM + 2 + len(ATOMIC) rows of MC_SLICE, and one block of maps
+    cpus = 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    params, sched = paper_scale_params(mode="decoupled", p=5, scattering_eps=1e-3, include_dropped_terms=True)
+    monte_carlo_sample(params, sched, trials=2, seed=3)  # the kernel's one-time set-up
+    peaks = []
+    for trials in (10 ** 5, 10 ** 6):
+        tracemalloc.start()
+        try:
+            monte_carlo_sample(params, sched, trials=trials, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    rows = 2 * DIM + 2 + len(ATOMIC)
+    maps = MC_BLOCK * DIM * (DIM + 2 + len(ATOMIC))
+    assert max(peaks) < cpus * 8 * (rows * MC_SLICE + maps), peaks
 
 
 def test_slice_streams_are_the_seed_sequence_children():

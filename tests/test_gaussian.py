@@ -7,6 +7,7 @@ import pytest
 
 from qndprobe.gaussian import (
     ATOMIC,
+    DIM,
     EVAL_BATCH,
     JXY,
     JY,
@@ -22,6 +23,7 @@ from qndprobe.gaussian import (
     PulseSchedule,
     _check_psd,
     css_meter_variance,
+    css_root,
     init_css,
     pulse_channel,
     pulse_map,
@@ -172,6 +174,16 @@ def test_init_css_f1_jxy_mirrors_jz():
     assert st.cov[JXY, JXY] == st.cov[JZ, JZ]
     assert st.cov[JXY, JZ] == st.cov[JZ, JZ]
     st.check_psd()
+
+
+@pytest.mark.parametrize("na", [2.0, 3e5, 1e6, 1.7e308])
+def test_css_root_gives_the_css_covariance_exactly(na):
+    # NA R R^T is NA/4 on the Jy and Jz/Jxy blocks, bit for bit, and zero elsewhere
+    root = css_root()
+    assert root.shape == (DIM, 2) and not root[M].any()
+    want = np.zeros((DIM, DIM))
+    want[JY, JY] = want[JZ, JZ] = want[JZ, JXY] = want[JXY, JZ] = want[JXY, JXY] = na / 4
+    assert np.array_equal(init_css(make_params(atom_number=na)).cov, want)
 
 
 # ------------------------------------------------------------ one-pulse trains

@@ -47,11 +47,14 @@ COMMANDS = {
 # with the magnitude of what each one differences.  oracle-compare's defaults
 # (two spin-1 atoms, 4 photons per pulse, decoupled(5), g2 = 0) have
 # |<Jz>| = 0.72, |<Jy>| = 0.21, |<M>| <= 1.8e-6 and var(M) <= 10 through the
-# train; the operators algebra-check compares, and their products, have
-# entries up to 4.5 (jxy at f = 2).
+# train; at (oracle-na, n-ph) = (200, 16) the oracle has |<Jz>| <= 71.7,
+# |<Jy>| <= 20.6, |<M>| <= 0.23 and var(M) <= 16.0; the operators
+# algebra-check compares, and their products, have entries up to 4.5 (jxy at f = 2).
 SCALES = {
     "oracle_compare": {"d_jz_mean": 0.72, "d_jy_mean": 0.21, "d_meter_mean": 1.8e-6, "d_meter_var": 10.0,
                        "max_first_moment_deviation": 0.72},
+    "oracle_compare_200_16": {"d_jz_mean": 71.7, "d_jy_mean": 20.6, "d_meter_mean": 0.23, "d_meter_var": 16.0,
+                              "max_first_moment_deviation": 71.7},
     "algebra_check": dict.fromkeys(["max_commutator_residual", "max_identity_residual",
                                     "max_hermiticity_residual", "max_residual"], 4.5),
 }

@@ -206,7 +206,7 @@ def test_block_kraus_stacks_match_dense_propagator(na, f, n_ph):
     dim_a, dim_ph = state.rho.shape[0], n_ph + 1
     u = hermitian_unitary(dense_heff(na, f, n_ph, g1, g2)).reshape(dim_a, dim_ph, dim_a, dim_ph)
     for sign, (e, _) in _kraus_stacks(state, g1, g2).items():
-        dense = np.moveaxis(u @ polarized_photon_state(n_ph, sign), 1, 0)
+        dense = u @ polarized_photon_state(n_ph, sign)  # (a', l, a), the stacks' layout
         assert np.max(np.abs(e - dense)) < 1e-13
 
 
