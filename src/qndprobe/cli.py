@@ -107,8 +107,8 @@ class RunConfig:
         # re-fit the CSV rows and check the exact footer
         if self.na_points < 4:
             raise ValueError(f"na_points must be >= 4, got {self.na_points}")
-        if self.na_min <= 0 or self.na_max < self.na_min:
-            raise ValueError("invalid atom-number range")
+        if self.na_min <= 0 or self.na_max <= self.na_min:
+            raise ValueError(f"--na-min must be positive and below --na-max, got {self.na_min:g} and {self.na_max:g}")
         if self.na_points > EVAL_BATCH:
             raise ValueError(f"na_points {self.na_points} exceeds the {EVAL_BATCH} one sweep evaluates")
         if self.trials < 2:
@@ -257,19 +257,15 @@ def _run_algebra_check(config: RunConfig) -> tuple[list, list, list]:
     worst = 0.0
     for f in config.f_values:
         ops = build_spin_operators(f)
-        comm = max(
-            np.max(np.abs(commutator(ops.jz, ops.jx) - 1j * ops.jy)),
-            np.max(np.abs(commutator(ops.jy, ops.jz) - 1j * ops.jx)),
-            np.max(np.abs(commutator(ops.jx, ops.jy) - 1j * ops.jxy)),
-        )
+        # [jz, jx] = i jy, [jy, jz] = i jx and [jx, jy] = i jxy as one stacked product
+        left, right = np.stack([ops.jz, ops.jy, ops.jx]), np.stack([ops.jx, ops.jz, ops.jy])
+        comm = np.max(np.abs(commutator(left, right) - 1j * np.stack([ops.jy, ops.jx, ops.jxy])))
         f2 = f * (f + 1)
         ident = np.max(np.abs(
             ops.jxy - ops.fz @ (f2 * np.eye(ops.dim) - ops.fz @ ops.fz - 0.5 * np.eye(ops.dim))
         ))
-        herm = max(
-            np.max(np.abs(op - op.conj().T))
-            for op in (ops.fx, ops.fy, ops.fz, ops.jx, ops.jy, ops.jz, ops.jxy)
-        )
+        herm_ops = np.stack([ops.fx, ops.fy, ops.fz, ops.jx, ops.jy, ops.jz, ops.jxy])
+        herm = np.max(np.abs(herm_ops - herm_ops.conj().swapaxes(-1, -2)))
         worst = max(worst, comm, ident, herm)
         rows.append([f, float(comm), float(ident), float(herm)])
     footer = [f"max_residual = {_fmt(float(worst))}", "tolerance = 1e-12"]

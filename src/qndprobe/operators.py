@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,6 +76,7 @@ class StokesOperatorSet:
     sz: np.ndarray
 
 
+@lru_cache(maxsize=None)  # at most one immutable set per spin below DEFAULT_DIM_CAP
 def build_spin_operators(f: float) -> SpinOperatorSet:
     """Build the spin-f operator set.
 
@@ -129,11 +131,11 @@ def build_stokes_operators(n: int) -> StokesOperatorSet:
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Return the matrix commutator ab - ba."""
+    """Return the matrix commutator ab - ba, or that of each pair of two (..., d, d) stacks."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a

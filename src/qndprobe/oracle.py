@@ -3,15 +3,17 @@
 Validates the linearized covariance engine.  The coupling Hamiltonian
 g1 Sz Jz + g2 (Sx Jx + Sy Jy) on the (atoms x photons) space conserves
 Sz + Jz and is written only block by block, from collective atomic and Stokes
-factors; each block is evolved by one Hermitian eigendecomposition, so no
-joint-space matrix is formed.  Spin-1 atoms are one collective spin na/2 (dimension
-na + 1), exact because jx, jy, jz act as sigma/2 on {|1>, |-1>} and vanish on
-|0>; other spins keep the (2f+1)^na tensor space.  Between pulses the reduced
-atomic density matrix is carried (unconditional dynamics): each probe pulse
-enters pure, so a pulse is the atomic Kraus channel of the operators
-<l|U|phi>, built once per run.  Meter correlations across pulses are tracked
-exactly through a propagated correlation operator so the cumulative meter
-variance matches the full multi-pulse pure-state calculation.
+factors; the blocks of each size are evolved by one batched Hermitian
+eigendecomposition, so no joint-space matrix is formed.  Spin-1 atoms are one
+collective spin na/2 (dimension na + 1), exact because jx, jy, jz act as
+sigma/2 on {|1>, |-1>} and vanish on |0>; other spins keep the (2f+1)^na
+tensor space.  Between pulses the reduced atomic density matrix is carried
+(unconditional dynamics): each probe pulse enters pure, so a pulse is the
+atomic Kraus channel of the operators <l|U|phi>, built once per run for the
++45-degree probe; a -45-degree pulse is that channel conjugated by
+exp(i pi Jz).  Meter correlations across pulses are tracked exactly through a
+propagated correlation operator so the cumulative meter variance matches the
+full multi-pulse pure-state calculation.
 """
 
 from __future__ import annotations
@@ -26,14 +28,14 @@ import numpy as np
 from .gaussian import ATOMIC, JY, JZ, M, CouplingParams, PulseSchedule, run_schedule, state_from_atomic_moments
 from .operators import angular_momentum_matrices, build_spin_operators, build_stokes_operators
 
-# No joint-space matrix is built.  A run holds the four Kraus stacks of n_ph + 1
-# atomic matrices (64 D dim_a bytes), their conjugated copies and the per-pulse
-# products: the traced peak of a decoupled(1) run is 125, 154, 205 and 481 MB at
-# (na, n_ph) = (200, 16), (300, 8), (500, 3) and (1000, 1), within 0.02% of at
-# most 192 D dim_a + 96 dim_a^2 bytes (136, 165, 217 and 481 MB).  So the cap
-# admits na = 818 spin-1 atoms at n_ph = 4 (D = 4095, about 0.71 GB) and
-# na = 2047 at n_ph = 1 (D = 4096, about 2.0 GB), but only na = 4 spin-2
-# atoms: at na = 5 (D = 15625) a run would need about 10 GB.
+# No joint-space matrix is built.  A run holds the Kraus stack E of n_ph + 1
+# atomic matrices (16 D dim_a bytes), the conjugates of E and of its Sy stack F,
+# and one more D x dim_a product at a time: the traced peak of a decoupled(1)
+# run is 49.8, 65.2, 100.4 and 272.6 MB at (na, n_ph) = (200, 16), (300, 8),
+# (500, 3) and (1000, 1), 64 D dim_a + 144 dim_a^2 bytes to within 0.1%.  So
+# the cap admits na = 818 spin-1 atoms at n_ph = 4 (D = 4095, about 0.31 GB) and
+# na = 2047 at n_ph = 1 (D = 4096, about 1.1 GB), but only na = 4 spin-2
+# atoms: at na = 5 (D = 15625) a run would need about 4.5 GB.
 DEFAULT_DIM_CAP = 4096
 # largest |tr rho - 1| a pulse may leave before the run is refused
 NORMALIZATION_TOL = 1e-10
@@ -77,29 +79,34 @@ def build_heff(na: int, f: float, n_ph: int, g1: float, g2: float) -> list:
     """Pulse-integrated coupling Hamiltonian g1 Sz Jz + g2 (Sx Jx + Sy Jy), block by block.
 
     H conserves Sz + Jz, diagonal in the joint basis a * (n_ph + 1) + s, so it
-    is one (a, s, h_b) per block of equal Sz + Jz, in ascending order: the
-    atomic and photon indices and the matrix.  Each entry is summed from
-    Kronecker entries jz[a_i, a_j] * sz[s_i, s_j] of the collective atomic and
-    Stokes factors, so blocks are exactly Hermitian and no joint-space matrix
-    exists.  The joint dimension is checked against the cap before anything is built.
+    is a set of blocks of equal Sz + Jz, returned as one (a, s, h) per distinct
+    block size L, in ascending L: the (B, L) atomic and photon indices of the B
+    blocks of that size and their (B, L, L) matrices.  Each entry is summed
+    from Kronecker entries jz[a_i, a_j] * sz[s_i, s_j] of the collective atomic
+    and Stokes factors, so blocks are exactly Hermitian and no joint-space
+    matrix exists.  The joint dimension is checked against the cap before anything is built.
     """
     _check_joint_dim(build_spin_operators(f).dim, na, n_ph)
     st = build_stokes_operators(n_ph)
     jx, jy, jz = _atomic_collective(na, int(round(2 * f))).values()
-    # the Sz + Jz values are exact dyadic rationals
-    _, block = np.unique(np.add.outer(jz.diagonal(), st.sz.diagonal()).real, return_inverse=True)
-    blocks = []
-    for b in range(block.max() + 1):
-        a, s = np.divmod(np.flatnonzero(block == b), n_ph + 1)
-        aa, ss = np.ix_(a, a), np.ix_(s, s)
-        blocks.append((a, s, g1 * (jz[aa] * st.sz[ss]) + g2 * (jx[aa] * st.sx[ss] + jy[aa] * st.sy[ss])))
-    return blocks
+    # the Sz + Jz values are exact dyadic rationals; one stable sort groups the
+    # joint indices block by block, each block's in ascending order
+    _, label, size = np.unique(np.add.outer(jz.diagonal(), st.sz.diagonal()).real,
+                               return_inverse=True, return_counts=True)
+    order = np.argsort(label.ravel(), kind="stable")
+    start = np.cumsum(size) - size
+    classes = []
+    for length in np.flatnonzero(np.bincount(size)):
+        a, s = np.divmod(order[start[size == length, None] + np.arange(length)], n_ph + 1)
+        aa, ss = (a[:, :, None], a[:, None, :]), (s[:, :, None], s[:, None, :])
+        classes.append((a, s, g1 * (jz[aa] * st.sz[ss]) + g2 * (jx[aa] * st.sx[ss] + jy[aa] * st.sy[ss])))
+    return classes
 
 
 def hermitian_unitary(h: np.ndarray) -> np.ndarray:
-    """exp(-i h) for Hermitian h via eigendecomposition (the oracle's H one block at a time)."""
+    """exp(-i h) for a Hermitian h, or each of a (..., L, L) stack of them, by one eigendecomposition."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    return (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def polarized_photon_state(n_ph: int, sign: int) -> np.ndarray:
@@ -157,13 +164,6 @@ class ExactState:
             psi = _kron_all([single] * na)
         return cls(na=na, f=float(f), n_ph=n_ph, rho=np.outer(psi, psi.conj()))
 
-    def check_normalization(self):
-        if not abs(np.trace(self.rho).real - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
-            raise ArithmeticError("atomic state lost normalization")
-
-    def expect(self, atomic_op: np.ndarray) -> float:
-        return float(np.einsum("ij,ji->", atomic_op, self.rho).real)
-
 
 def single_atom_css(f: float, tilt: float = 0.0, phase: float = 0.0) -> np.ndarray:
     """Single-atom x-polarized CSS, optionally tilted.
@@ -185,37 +185,29 @@ def single_atom_moments(single: np.ndarray, f: float) -> dict:
     """Means ("mean") and symmetrized covariances ("cov") of the engine's ``ATOMIC`` variables, plus <jx>."""
     ops = build_spin_operators(f)
     psi = np.asarray(single, dtype=complex)
-
-    def ev(op):
-        return float((psi.conj() @ (op @ psi)).real)
-
-    tracked = [getattr(ops, name) for name in ATOMIC]
-    means = np.array([ev(op) for op in tracked])
-    cov = np.zeros((len(tracked), len(tracked)))
-    for i, a in enumerate(tracked):
-        for j, b in enumerate(tracked):
-            sym = ev(a @ b + b @ a) / 2
-            cov[i, j] = sym - means[i] * means[j]
-    return {"mean": means, "cov": cov, "mean_jx": ev(ops.jx)}
+    op_psi = np.stack([getattr(ops, name) for name in (*ATOMIC, "jx")]) @ psi  # one row op|psi> per operator
+    means = (op_psi @ psi.conj()).real
+    # the operators are Hermitian, so <(ab + ba)/2> = Re <a psi|b psi>
+    sym = (op_psi[:-1].conj() @ op_psi[:-1].T).real
+    return {"mean": means[:-1], "cov": sym - np.outer(means[:-1], means[:-1]), "mean_jx": float(means[-1])}
 
 
-def _kraus_stacks(state: ExactState, g1: float, g2: float) -> dict:
-    """Per probe sign, the (a', l, a) stacks E[a', l, a] = <l|U|phi_sign>[a', a] and F_l = sum_m Sy[l, m] E_m.
+def _kraus_stacks(state: ExactState, g1: float, g2: float) -> tuple:
+    """The (a', l, a) stacks E[a', l, a] = <l|U|phi_+>[a', a] and F_l = sum_m Sy[l, m] E_m of the +45-degree probe.
 
-    U is never formed: each Sz + Jz block of H from ``build_heff`` is
-    exponentiated on its own and written straight into the stacks.  Given
+    U is never formed: the Sz + Jz blocks of H from ``build_heff`` are
+    exponentiated one block size at a time and written straight into E.  Given
     (a', l) and a, one photon state s puts (a, s) in the block of (a', l), so
-    E[a', l, a] = U_b[(a', l), (a, s)] phi[s] exactly.
+    E[a', l, a] = U_b[(a', l), (a, s)] phi[s] exactly.  The -45-degree probe
+    needs no stacks of its own: ``run_schedule_exact`` applies it as this
+    channel conjugated by exp(i pi Jz).
     """
     dim_a, dim_ph = state.rho.shape[0], state.n_ph + 1
-    phis = {sign: polarized_photon_state(state.n_ph, sign) for sign in (1, -1)}
-    stacks = {sign: np.zeros((dim_a, dim_ph, dim_a), dtype=complex) for sign in phis}
-    for a, s, h_b in build_heff(state.na, state.f, state.n_ph, g1, g2):
-        u_b = hermitian_unitary(h_b)
-        for sign, e in stacks.items():
-            e[a[:, None], s[:, None], a] = u_b * phis[sign][s]
-    sy = build_stokes_operators(state.n_ph).sy
-    return {sign: (e, sy @ e) for sign, e in stacks.items()}
+    phi = polarized_photon_state(state.n_ph, 1)
+    e = np.zeros((dim_a, dim_ph, dim_a), dtype=complex)
+    for a, s, h in build_heff(state.na, state.f, state.n_ph, g1, g2):
+        e[a[:, :, None], s[:, :, None], a[:, None, :]] = hermitian_unitary(h) * phi[s][:, None, :]
+    return e, build_stokes_operators(state.n_ph).sy @ e
 
 
 @dataclass(frozen=True)
@@ -235,59 +227,68 @@ def run_schedule_exact(
     """Evolve a pulse train, tracking the signed cumulative meter exactly.
 
     Pulse i is probed with the Sx = sign_i n_ph/2 state |phi_s> and the meter
-    is M = sum_i sign_i Sy_i.  Because the probe enters pure, a pulse acts on
-    the atoms as the Kraus channel rho -> sum_l E_l rho E_l^dag with
-    E_l = <l|U|phi_s>, and the outgoing Sy is read through
-    F_l = sum_m Sy[l, m] E_m: <Sy> = tr sum E rho F^dag and
-    <Sy^2> = tr sum F rho F^dag.  Both stacks are built once per sign and run,
-    so a pulse costs only products of atomic-sized matrices.
-    Cross-pulse covariances cov(Sy_i, Sy_j) survive the photon trace through
-    the correlation operator K = sum_i sign_i (sum E rho F^dag - <Sy_i> rho'),
-    which later pulses carry by the same channel as rho and read out as
-    tr sum E K F^dag; this reproduces the full multi-pulse calculation
-    without keeping every photon sector alive.  The stacks are built block by
-    block of the conserved Sz + Jz, so no joint-space unitary is formed.
+    is M = sum_i sign_i Sy_i.  Because the probe enters pure, a +45-degree
+    pulse acts on the atoms as the Kraus channel rho -> sum_l E_l rho E_l^dag
+    with E_l = <l|U|phi_+>, and the outgoing Sy is read through
+    F_l = sum_m Sy[l, m] E_m: <Sy> = tr sum E rho F^dag and <Sy^2> = tr(G rho),
+    G = sum F^dag F.  Cross-pulse covariances cov(Sy_i, Sy_j) survive the
+    photon trace through the correlation operator
+    K = sum_i sign_i (sum E rho F^dag - <Sy_i> rho'), which later pulses carry
+    by the same channel as rho and read out as tr(C K), C = sum F^dag E; this
+    reproduces the full multi-pulse calculation without keeping every photon
+    sector alive.  A -45-degree pulse is the +45-degree one seen by atoms
+    turned by pi about z: phi_- = exp(i pi Sz) phi_+ up to a phase, H conserves
+    Sz + Jz and exp(i pi Sz) flips Sy, so with Q = exp(i pi Jz),
+    E_-l = exp(i pi sz_l) Q E_l Q^dag and F_-l = -exp(i pi sz_l) Q F_l Q^dag.
+    Such a pulse takes rho and K to Q^dag rho Q and Q^dag K Q, applies the
+    +45-degree pulse with meter sign +1 there, and takes them back.
     """
-    state = initial
-    dim_a = state.rho.shape[0]
-    atomic = _atomic_collective(state.na, int(round(2 * state.f)))
-    # per sign, E and F as (a' l, a) matrices, each with its conjugate read as an (a', l b)
-    # matrix and transposed: for X = E @ rho read as (a', l b), sum_l X_l F_l^dag = X @ conj(F)^T
-    stacks = {sign: [(x.reshape(-1, dim_a), x.conj().reshape(dim_a, -1).T) for x in pair]
-              for sign, pair in _kraus_stacks(state, g1, g2).items()}
+    rho, dim_a = initial.rho, initial.rho.shape[0]
+    atomic = _atomic_collective(initial.na, int(round(2 * initial.f)))
+    jz, jy = atomic["jz"].diagonal().real, atomic["jy"]  # Jz is diagonal
+    q = np.exp(1j * math.pi * jz)
+    to_frame = np.outer(q.conj(), q)  # Q diagonal: Q^dag X Q = X * to_frame, Q X Q^dag = X / to_frame
+    e, sy_e = _kraus_stacks(initial, g1, g2)
+    # E and F conjugated, each read as an (a', l b) matrix and transposed: for X = E @ rho
+    # read as (a', l b), sum_l X_l F_l^dag = X @ conj(F)^T; read as (a' l, a) and
+    # transposed, they are the adjoints of E and F as (a' l, a) matrices
+    e_conj, f_conj = e.conj(), sy_e.conj()
+    e_adj, f_adj = (x.reshape(dim_a, -1).T for x in (e_conj, f_conj))
+    e, sy_e = e.reshape(-1, dim_a), sy_e.reshape(-1, dim_a)
+    g_sq = f_conj.reshape(-1, dim_a).T @ sy_e   # G, so <Sy^2> = vdot(G, rho) as G is Hermitian
+    c_adj = e_conj.reshape(-1, dim_a).T @ sy_e  # C^dag, so tr(C K) = vdot(C^dag, K)
+    del sy_e  # frees F; f_adj keeps its conjugate
 
-    k_corr = np.zeros_like(state.rho)
-    m_mean = 0.0
-    m_var = 0.0
+    k_corr = np.zeros_like(rho)
+    m_mean = m_var = 0.0
     rec_jz, rec_jy, rec_mm, rec_mv = [], [], [], []
 
     for sign in schedule.signs.tolist():
-        (e, e_adj), (sy_e, sy_e_adj) = stacks[sign]
-        e_rho = (e @ state.rho).reshape(dim_a, -1)
-        e_k = (e @ k_corr).reshape(dim_a, -1)
-        rho_out = e_rho @ e_adj
-        corr = e_rho @ sy_e_adj
-        sy_mean = float(np.trace(corr).real)
-        sy_var = float(np.vdot(sy_e, sy_e @ state.rho).real) - sy_mean ** 2
-
+        if sign < 0:
+            rho, k_corr = rho * to_frame, k_corr * to_frame
+        e_rho = (e @ rho).reshape(dim_a, -1)
+        rho_out, corr = e_rho @ e_adj, e_rho @ f_adj
+        sy_mean = float(corr.trace().real)
+        sy_var = float(np.vdot(g_sq, rho).real) - sy_mean ** 2
         # cross covariance of this pulse with all earlier ones
-        cross = float(np.vdot(sy_e, e_k).real)
-
-        m_mean += sign * sy_mean
-        m_var += sy_var + 2.0 * sign * cross
-
-        k_corr = e_k @ e_adj + sign * (corr - sy_mean * rho_out)
-
-        state = ExactState(na=state.na, f=state.f, n_ph=state.n_ph, rho=rho_out)
-        state.check_normalization()
-        rec_jz.append(state.expect(atomic["jz"]))
-        rec_jy.append(state.expect(atomic["jy"]))
+        cross = float(np.vdot(c_adj, k_corr).real)
+        m_mean += sy_mean
+        m_var += sy_var + 2.0 * cross
+        del e_rho  # so that E rho and E K, each D x dim_a, are never alive together
+        rho, k_corr = rho_out, (e @ k_corr).reshape(dim_a, -1) @ e_adj + (corr - sy_mean * rho_out)
+        if sign < 0:
+            rho, k_corr = rho / to_frame, k_corr / to_frame
+        populations = rho.diagonal().real
+        if not abs(populations.sum() - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
+            raise ArithmeticError("atomic state lost normalization")
+        rec_jz.append(float(jz @ populations))
+        rec_jy.append(float(np.vdot(jy, rho).real))  # Jy is Hermitian: vdot(Jy, rho) = tr(Jy rho)
         rec_mm.append(m_mean)
         rec_mv.append(m_var)
 
     return ExactRunRecord(
         jz_mean=rec_jz, jy_mean=rec_jy, meter_mean=rec_mm, meter_var=rec_mv,
-        final_state=state,
+        final_state=ExactState(na=initial.na, f=initial.f, n_ph=initial.n_ph, rho=rho),
     )
 
 

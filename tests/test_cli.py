@@ -96,6 +96,7 @@ def test_validation_failures_exit_2(tmp_path):
     ["sweep", "--pulses", "7"],
     ["impact", "--mode", "naive", "--p", "3", "--pulses", "4"],
     ["oracle-compare", "--n-ph", "-1"],              # no photons; n_ph + 1 = 0 passes the dimension cap
+    ["sweep", "--na-min", "1e5", "--na-max", "1e5"],  # an empty atom-number range
 ])
 def test_rejected_subcommand_input_exits_2_without_output(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
@@ -118,6 +119,15 @@ def test_oversized_input_refused_before_allocating(tmp_path, capsys, argv, reaso
         tracemalloc.stop()
     assert reason in capsys.readouterr().err
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("na_min,na_max", [("1e5", "1e5"), ("2e5", "1e5"), ("-1", "1e5")])
+def test_atom_number_range_refusal_names_the_flags(tmp_path, capsys, na_min, na_max):
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--na-min", na_min, "--na-max", na_max, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"--na-min must be positive and below --na-max, got {float(na_min):g} and {float(na_max):g}" in err
 
 
 def test_negative_seed_refused_before_the_run():

@@ -34,6 +34,8 @@ COMMANDS = {
     "oracle_compare": ["oracle-compare"],
     "oracle_compare_200_16": ["oracle-compare", "--g1", "1e-4", "--g2", "1e-4", "--p", "2",
                               "--n-ph", "16", "--oracle-na", "200"],
+    "oracle_compare_f15": ["oracle-compare", "--f", "1.5", "--oracle-na", "2", "--n-ph", "3", "--p", "2",
+                           "--g1", "1e-3", "--g2", "1e-3"],
     "algebra_check": ["algebra-check"],
     "montecarlo_dropped_p20": ["montecarlo", "--p", "20", "--trials", "20000", "--eps", "1e-3", "--dropped"],
     "montecarlo_dropped": ["montecarlo", "--trials", "20000", "--dropped"],
@@ -48,13 +50,17 @@ COMMANDS = {
 # (two spin-1 atoms, 4 photons per pulse, decoupled(5), g2 = 0) have
 # |<Jz>| = 0.72, |<Jy>| = 0.21, |<M>| <= 1.8e-6 and var(M) <= 10 through the
 # train; at (oracle-na, n-ph) = (200, 16) the oracle has |<Jz>| <= 71.7,
-# |<Jy>| <= 20.6, |<M>| <= 0.23 and var(M) <= 16.0; the operators
+# |<Jy>| <= 20.6, |<M>| <= 0.23 and var(M) <= 16.0; two spin-3/2 atoms (the
+# tensor space) at n-ph = 3, decoupled(2), g1 = g2 = 1e-3 have |<Jz>| <= 1.08,
+# |<Jy>| <= 3.3e-3, |<M>| <= 6.5e-3 and var(M) <= 3.0; the operators
 # algebra-check compares, and their products, have entries up to 4.5 (jxy at f = 2).
 SCALES = {
     "oracle_compare": {"d_jz_mean": 0.72, "d_jy_mean": 0.21, "d_meter_mean": 1.8e-6, "d_meter_var": 10.0,
                        "max_first_moment_deviation": 0.72},
     "oracle_compare_200_16": {"d_jz_mean": 71.7, "d_jy_mean": 20.6, "d_meter_mean": 0.23, "d_meter_var": 16.0,
                               "max_first_moment_deviation": 71.7},
+    "oracle_compare_f15": {"d_jz_mean": 1.08, "d_jy_mean": 3.3e-3, "d_meter_mean": 6.5e-3, "d_meter_var": 3.0,
+                           "max_first_moment_deviation": 1.08},
     "algebra_check": dict.fromkeys(["max_commutator_residual", "max_identity_residual",
                                     "max_hermiticity_residual", "max_residual"], 4.5),
 }

@@ -123,3 +123,16 @@ def test_commutator_rejects_mismatched_shapes():
         commutator(np.eye(2), np.eye(3))
     with pytest.raises(ValueError):
         commutator(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        commutator(np.ones((4, 2, 3)), np.ones((4, 2, 3)))
+    with pytest.raises(ValueError):
+        commutator(np.ones(3), np.ones(3))
+
+
+def test_commutator_of_stacks_is_the_commutator_of_each_pair():
+    ops = build_spin_operators(2.0)
+    left, right = np.stack([ops.jz, ops.jy, ops.fx]), np.stack([ops.jx, ops.jz, ops.fy])
+    stacked = commutator(left, right)
+    assert stacked.shape == (3, 5, 5)
+    for got, a, b in zip(stacked, left, right):
+        assert np.max(np.abs(got - commutator(a, b))) <= 1e-14

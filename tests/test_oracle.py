@@ -48,17 +48,21 @@ def check_bangbang_equivalence(na, f, n_ph, g1, g2):
     A pi rotation about the collective Jz leaves Jz untouched and inverts
     Jx, Jy, so U_b^dag U_H U_b must equal evolution under the Hamiltonian
     with Sx -> -Sx, Sy -> -Sy.  Both evolutions keep the Sz + Jz blocks, and
-    U_b = exp(i pi Jz) x 1 is diagonal, so the check runs block by block and
-    conjugating by U_b is one phase per row and one per column.
+    U_b = exp(i pi Jz) x 1 is diagonal, so the check runs one block size at a
+    time and conjugating by U_b is one phase per row and one per column.
     """
     m = _atomic_collective(na, int(round(2 * f)))["jz"].diagonal().real
     flipped = build_heff(na, f, n_ph, g1, -g2)
     deviation = 0.0
-    for (a, _, h_b), (_, _, h_flip) in zip(build_heff(na, f, n_ph, g1, g2), flipped):
-        p = np.exp(1j * math.pi * m[a])
-        diff = p.conj()[:, None] * hermitian_unitary(h_b) * p - hermitian_unitary(h_flip)
+    for (a, _, h), (_, _, h_flip) in zip(build_heff(na, f, n_ph, g1, g2), flipped):
+        p = np.exp(1j * math.pi * m[a])  # (B, L), one row per block
+        diff = p.conj()[:, :, None] * hermitian_unitary(h) * p[:, None, :] - hermitian_unitary(h_flip)
         deviation = max(deviation, float(np.max(np.abs(diff))))
     return deviation
+
+
+def expect(op, rho):
+    return float(np.einsum("ij,ji->", op, rho).real)
 
 
 def test_joint_dimension_two_atoms():
@@ -132,7 +136,7 @@ def test_heff_refused_before_any_operator_is_built():
 
 
 def test_exact_run_peaks_below_six_joint_matrices():
-    # H is built and exponentiated one Sz + Jz block at a time, so no joint-space
+    # H is built and exponentiated one Sz + Jz block size at a time, so no joint-space
     # matrix exists; four spin-1 atoms are one spin 2, so D = 5 * 5, far below the
     # bound of six complex D x D matrices at the tensor-space D = 81 * 5
     state = ExactState.from_product_state(single_atom_css(1.0), 4, 1.0, 4)
@@ -148,7 +152,7 @@ def test_exact_run_peaks_below_six_joint_matrices():
 
 def test_one_pulse_peaks_below_one_dense_joint_matrix():
     # D = 101 * 17 = 1717, so one complex D x D matrix takes 47.2 MB, while the
-    # four Kraus stacks of 17 atomic 101 x 101 matrices take 11 MB together
+    # one pair of Kraus stacks of 17 atomic 101 x 101 matrices takes 5.5 MB
     state = ExactState.from_product_state(single_atom_css(1.0), 100, 1.0, 16)
     _atomic_collective(100, 2)  # the cached atomic factors, built outside the traced window
     tracemalloc.start()
@@ -167,15 +171,22 @@ def test_heff_blocks_partition_the_joint_space_and_equal_the_dense_blocks(f):
     na, n_ph = 2, 3
     h = dense_heff(na, f, n_ph, 0.11, 0.07)
     z = np.diag(total_z(na, f, n_ph)).real
-    blocks = build_heff(na, f, n_ph, 0.11, 0.07)
-    assert isinstance(blocks, list)
-    joint = [a * (n_ph + 1) + s for a, s, _ in blocks]
-    assert np.array_equal(np.sort(np.concatenate(joint)), np.arange(h.shape[0]))
-    # one Sz + Jz value per block, ascending and distinct across blocks
-    assert [len(set(z[idx])) for idx in joint] == [1] * len(blocks)
-    assert np.all(np.diff([z[idx[0]] for idx in joint]) > 0)
-    for idx, (_, _, h_b) in zip(joint, blocks):
-        assert np.array_equal(h_b, h[np.ix_(idx, idx)])
+    classes = build_heff(na, f, n_ph, 0.11, 0.07)
+    assert isinstance(classes, list)
+    # one (a, s, h) per distinct block size, in ascending size
+    sizes = [h_c.shape[-1] for _, _, h_c in classes]
+    assert sizes == sorted(set(sizes))
+    joint = [a * (n_ph + 1) + s for a, s, _ in classes]  # (B, L): one row per block
+    assert np.array_equal(np.sort(np.concatenate([idx.ravel() for idx in joint])), np.arange(h.shape[0]))
+    values = []
+    for idx, (a, s, h_c) in zip(joint, classes):
+        assert a.shape == s.shape == h_c.shape[:2] == (len(h_c), h_c.shape[-1])
+        for row, h_b in zip(idx, h_c):
+            # one Sz + Jz value per block, its joint indices ascending
+            assert len(set(z[row])) == 1 and np.all(np.diff(row) > 0)
+            values.append(z[row[0]])
+            assert np.array_equal(h_b, h[np.ix_(row, row)])
+    assert len(set(values)) == len(values)  # distinct across blocks
 
 
 def test_heff_diagonal_when_g2_zero():
@@ -205,9 +216,53 @@ def test_block_kraus_stacks_match_dense_propagator(na, f, n_ph):
     state = ExactState.from_product_state(single_atom_css(f), na, f, n_ph)
     dim_a, dim_ph = state.rho.shape[0], n_ph + 1
     u = hermitian_unitary(dense_heff(na, f, n_ph, g1, g2)).reshape(dim_a, dim_ph, dim_a, dim_ph)
-    for sign, (e, _) in _kraus_stacks(state, g1, g2).items():
-        dense = u @ polarized_photon_state(n_ph, sign)  # (a', l, a), the stacks' layout
-        assert np.max(np.abs(e - dense)) < 1e-13
+    sy = build_stokes_operators(n_ph).sy
+    e, sy_e = _kraus_stacks(state, g1, g2)
+    dense = u @ polarized_photon_state(n_ph, 1)  # (a', l, a), the stacks' layout
+    assert np.max(np.abs(e - dense)) < 1e-13
+    assert np.max(np.abs(sy_e - sy @ dense)) < 1e-13
+    # the -45-degree stacks are the +45-degree ones conjugated by Q = exp(i pi Jz):
+    # phi_- = exp(-i pi n/2) exp(i pi Sz) phi_+, and exp(i pi sz_l) exp(-i pi n/2) = (-1)^l
+    q = np.exp(1j * math.pi * _atomic_collective(na, int(round(2 * f)))["jz"].diagonal().real)
+    parity = (-1.0) ** np.arange(dim_ph)[:, None]
+    dense = u @ polarized_photon_state(n_ph, -1)
+    assert np.max(np.abs(parity * q[:, None, None] * e * q.conj() - dense)) < 1e-13
+    assert np.max(np.abs(-parity * q[:, None, None] * sy_e * q.conj() - sy @ dense)) < 1e-13
+
+
+@pytest.mark.parametrize("na,f,n_ph", [(3, 1.0, 2), (2, 0.5, 3), (2, 1.5, 3), (1, 2.0, 3)])
+def test_minus_pulse_state_is_the_dense_minus_channel(na, f, n_ph):
+    # the final state, coherences the observables never read included, of a +45 then a
+    # -45-degree pulse, each applied as the channel of its own dense Kraus operators u @ phi
+    g1, g2 = 0.11, 0.07
+    state = ExactState.from_product_state(single_atom_css(f, 0.4, 0.3), na, f, n_ph)
+    dim_a, dim_ph = state.rho.shape[0], n_ph + 1
+    u = hermitian_unitary(dense_heff(na, f, n_ph, g1, g2)).reshape(dim_a, dim_ph, dim_a, dim_ph)
+    rho = state.rho
+    for sign in (1, -1):
+        e = u @ polarized_photon_state(n_ph, sign)
+        rho = np.einsum("ila,ab,jlb->ij", e, rho, e.conj())
+    rec = run_schedule_exact(state, PulseSchedule.decoupled(1), g1, g2)
+    assert np.max(np.abs(rec.final_state.rho - rho)) < 1e-13
+
+
+@pytest.mark.parametrize("na,n_ph,sizes", [(4, 4, 5), (200, 16, 17)])
+def test_kraus_stacks_exponentiate_once_per_block_size(monkeypatch, na, n_ph, sizes):
+    # na + n_ph + 1 blocks (9 and 217 here), but one eigh per distinct block size
+    state = ExactState.from_product_state(single_atom_css(1.0), na, 1.0, n_ph)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(h):
+        calls.append(h.shape)
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    e, sy_e = _kraus_stacks(state, 1e-3, 1e-3)
+    assert len(calls) == sizes
+    assert sorted(shape[-1] for shape in calls) == list(range(1, sizes + 1))
+    assert sum(shape[0] for shape in calls) == na + n_ph + 1
+    assert e.shape == sy_e.shape == (na + 1, n_ph + 1, na + 1)
 
 
 def test_heff_g2_irrelevant_for_spin_half():
@@ -293,9 +348,9 @@ def test_evolve_pulse_jz_drift_matches_linear_prediction():
     mom = single_atom_moments(single, 1.0)
     state = ExactState.from_product_state(single, na, 1.0, n_ph)
     atomic = _atomic_collective(na, 2)
-    jz_before = state.expect(atomic["jz"])
+    jz_before = expect(atomic["jz"], state.rho)
     rec = run_schedule_exact(state, PulseSchedule.naive(1), 0.0, g2)
-    drift = rec.final_state.expect(atomic["jz"]) - jz_before
+    drift = expect(atomic["jz"], rec.final_state.rho) - jz_before
     predicted = g2 * (n_ph / 2) * na * mom["mean"][JY]
     assert abs(drift - predicted) < (g2 * n_ph) ** 2
 
@@ -312,8 +367,9 @@ def test_evolve_pulse_norm_preserved_and_checked():
 
 def test_nan_density_matrix_fails_normalization():
     state = ExactState.from_product_state(single_atom_css(1.0), 2, 1.0, 3)
+    nan_state = ExactState(na=2, f=1.0, n_ph=3, rho=state.rho * np.nan)
     with pytest.raises(ArithmeticError, match="normalization"):
-        ExactState(na=2, f=1.0, n_ph=3, rho=state.rho * np.nan).check_normalization()
+        run_schedule_exact(nan_state, PulseSchedule.naive(1), 0.1, 0.1)
 
 
 def test_nan_single_atom_state_refused():
@@ -325,9 +381,9 @@ def test_spin_half_jz_exactly_conserved_despite_g2():
     single = single_atom_css(0.5, tilt=0.2)
     state = ExactState.from_product_state(single, 2, 0.5, 4)
     atomic = _atomic_collective(2, 1)
-    jz0 = state.expect(atomic["jz"])
+    jz0 = expect(atomic["jz"], state.rho)
     rec = run_schedule_exact(state, PulseSchedule.decoupled(2), 0.05, 0.5)  # signs +, -, +, -
-    assert abs(rec.final_state.expect(atomic["jz"]) - jz0) < 1e-12
+    assert abs(expect(atomic["jz"], rec.final_state.rho) - jz0) < 1e-12
 
 
 # ------------------------------------------------------------------- bang-bang
@@ -440,7 +496,7 @@ def test_decoupling_beats_naive_in_oracle():
     for name, sched in (("naive", PulseSchedule.naive(4)), ("decoupled", PulseSchedule.decoupled(2))):
         state = ExactState.from_product_state(single, 2, 1.0, n_ph)
         atomic = _atomic_collective(2, 2)
-        jz0 = state.expect(atomic["jz"])
+        jz0 = expect(atomic["jz"], state.rho)
         rec = run_schedule_exact(state, sched, 0.0, g2)
         drift[name] = abs(rec.jz_mean[-1] - jz0)
     assert drift["naive"] >= 10 * drift["decoupled"]
