@@ -44,16 +44,16 @@ def test_flag_overrides_file_value(tmp_path):
     assert config.p == 5
 
 
-def test_validation_failures_exit_2(tmp_path):
-    conf = tmp_path / "c.json"
+def test_validation_failures_exit_2(tmp_path, capsys):
+    conf, out = tmp_path / "c.json", tmp_path / "out.csv"
     conf.write_text(json.dumps({"na_min": -1.0}))
-    assert main(["sweep", "--config", str(conf)]) == 2
+    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 2
     conf.write_text("not json")
-    assert main(["sweep", "--config", str(conf)]) == 2
+    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 2
     conf.write_text(json.dumps({"f": 0.5}))  # the Gaussian subcommands model f = 1 only
-    assert main(["sweep", "--config", str(conf)]) == 2
+    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 2
     conf.write_text(json.dumps({"p": 2.0}))  # a pulse count must be an integer
-    assert main(["impact", "--config", str(conf)]) == 2
+    assert main(["impact", "--config", str(conf), "--out", str(out)]) == 2
     # every integer field refuses a JSON float instead of crashing or truncating
     for mode, key, value in (("sweep", "na_points", 20.0), ("montecarlo", "trials", 1e5),
                              ("montecarlo", "seed", 5.0), ("oracle-compare", "n_ph", 4.0),
@@ -68,7 +68,11 @@ def test_validation_failures_exit_2(tmp_path):
                              ("algebra-check", "f_values", [1.0, float("nan")]),
                              ("suppression", "p_values", []), ("algebra-check", "f_values", [])):
         conf.write_text(json.dumps({key: value}))
-        assert main([mode, "--config", str(conf)]) == 2
+        capsys.readouterr()
+        assert main([mode, "--config", str(conf), "--out", str(out)]) == 2, (mode, key, value)
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: ") and key in err, (mode, key, value, err)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
