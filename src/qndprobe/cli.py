@@ -2,7 +2,11 @@
 
 Six subcommands (algebra-check, oracle-compare, sweep, suppression, impact,
 montecarlo) share a --config JSON file whose keys are validated fail-closed;
-explicit flags override file values.  The Gaussian subcommands (sweep,
+explicit flags override file values.  A flag's value is converted and checked
+by its subcommand's argparse parser (``_FLAGS`` types and choices); then
+``RunConfig.validate`` checks every merged value, from a flag or the file,
+without coercion against its field's annotation (``_FIELD_CHECKS``, built at
+import) and for finiteness, and the ranges.  The Gaussian subcommands (sweep,
 suppression, impact, montecarlo) build every run with
 ``experiment.paper_scale_params`` and model f = 1 only, so they reject any
 other --f.  Every run writes a CSV with a header row and a '#'-prefixed
@@ -22,7 +26,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -46,18 +49,6 @@ DEFAULT_SEED = 20100401
 
 MODES = ("algebra-check", "oracle-compare", "sweep", "suppression", "impact", "montecarlo")
 GAUSSIAN_MODES = ("sweep", "suppression", "impact", "montecarlo")
-
-
-def _has_type(value, declared) -> bool:
-    """Whether a JSON config value has its field's declared type, without coercion."""
-    args = get_args(declared)
-    if get_origin(declared) is tuple:  # tuple[X, ...]: a JSON list of X
-        return type(value) is tuple and all(_has_type(x, args[0]) for x in value)
-    if args:  # X | None
-        return any(_has_type(value, arg) for arg in args)
-    if declared is float:  # an int too, but not a bool (a subclass of int)
-        return type(value) in (int, float)
-    return type(value) is declared  # so an int field refuses true and 20.0
 
 
 @dataclass
@@ -89,14 +80,13 @@ class RunConfig:
     def validate(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not _has_type(value, _FIELD_TYPES[field.name]):
-                raise ValueError(f"{field.name} must have type {field.type}, got {value!r}")
+        for name, declared, has_type in _FIELD_CHECKS:
+            value = getattr(self, name)
+            if not has_type(value):
+                raise ValueError(f"{name} must have type {declared}, got {value!r}")
             # JSON NaN and Infinity are floats, and so are the flag values nan and inf
-            items = value if type(value) is tuple else (value,)
-            if any(type(x) is float and not math.isfinite(x) for x in items):
-                raise ValueError(f"{field.name} must be finite, got {value!r}")
+            if any(type(x) is float and not math.isfinite(x) for x in (value if type(value) is tuple else (value,))):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.schedule not in ("naive", "decoupled"):
             raise ValueError(f"schedule must be 'naive' or 'decoupled', got {self.schedule!r}")
         if self.p < 1:
@@ -119,8 +109,21 @@ class RunConfig:
             raise ValueError(f"{self.mode} models f = 1 only, got f = {self.f}")
 
 
+def _type_check(declared):
+    """The predicate whether a JSON config value has the declared type, without coercion."""
+    if get_origin(declared) is tuple:  # tuple[X, ...]: a JSON list of X
+        item = _type_check(get_args(declared)[0])
+        return lambda value: type(value) is tuple and all(map(item, value))
+    # X | None takes either; a float takes an int too, but not a bool (a
+    # subclass of int), and an int field refuses true and 20.0
+    types = {t for arg in get_args(declared) or (declared,) for t in ((int, float) if arg is float else (arg,))}
+    return lambda value: type(value) in types
+
+
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"mode"}
 _FIELD_TYPES = get_type_hints(RunConfig)
+# (name, declared type, type predicate) of every field, built once
+_FIELD_CHECKS = tuple((f.name, f.type, _type_check(_FIELD_TYPES[f.name])) for f in fields(RunConfig))
 
 
 def _load_config_file(path: str) -> dict:
@@ -176,7 +179,8 @@ READS = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, for help and a missing or unknown subcommand, and each subcommand's own parser."""
     parser = argparse.ArgumentParser(
         prog="qndprobe",
         description="Pulsed QND probing of large-spin ensembles: checks and sweeps.",
@@ -184,15 +188,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode in MODES:
         s = sub.add_parser(mode)
+        s.set_defaults(mode=mode)
         s.add_argument("--config", type=str, default=None, help="JSON config file")
         for flag, dest, options in _FLAGS:
             s.add_argument(flag, dest=dest, default=None, **options)
-    return parser
+    return parser, sub.choices
 
 
 def parse_config(argv=None) -> RunConfig:
     """Merge defaults, config-file values and flags (flags win) into a RunConfig."""
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, subparsers = _build_parsers()
+    # help, or a missing or unknown subcommand, goes to the top-level parser, which prints it and exits
+    args = subparsers[argv[0]].parse_args(argv[1:]) if argv and argv[0] in subparsers else parser.parse_args(argv)
     flags = {dest: getattr(args, dest) for dest in _FLAG_OF if getattr(args, dest) is not None}
     unread = sorted(_FLAG_OF[dest] for dest in flags.keys() - READS[args.mode] - {"out"})
     if unread:
@@ -239,36 +247,34 @@ def _fmt(x) -> str:
 
 
 def _write_output(config: RunConfig, header: list, rows: list, footer: list):
-    out_path = Path(config.out)
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(c) for c in row) for row in rows]
-    lines += [f"# {line}" for line in footer]
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    manifest = [f"{f.name} = {getattr(config, f.name)}" for f in fields(RunConfig)]
-    manifest.append(f"version = {__version__}")
-    manifest.append(f"timestamp = {datetime.datetime.now(datetime.timezone.utc).isoformat()}")
-    Path(str(out_path) + ".manifest").write_text("\n".join(manifest) + "\n", encoding="utf-8")
+    # every cell is formatted, and a non-finite one refused, before anything is written
+    table = [",".join(header), *(",".join(map(_fmt, row)) for row in rows), *(f"# {line}" for line in footer)]
+    manifest = [f"{name} = {value}" for name, value in vars(config).items()]
+    manifest += [f"version = {__version__}", f"timestamp = {datetime.datetime.now(datetime.timezone.utc).isoformat()}"]
+    for path, lines in ((config.out, table), (f"{config.out}.manifest", manifest)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 def _run_algebra_check(config: RunConfig) -> tuple[list, list, list]:
     header = ["f", "max_commutator_residual", "max_identity_residual", "max_hermiticity_residual"]
-    rows = []
-    worst = 0.0
-    for f in config.f_values:
-        ops = build_spin_operators(f)
-        # [jz, jx] = i jy, [jy, jz] = i jx and [jx, jy] = i jxy as one stacked product
-        left, right = np.stack([ops.jz, ops.jy, ops.jx]), np.stack([ops.jx, ops.jz, ops.jy])
-        comm = np.max(np.abs(commutator(left, right) - 1j * np.stack([ops.jy, ops.jx, ops.jxy])))
-        f2 = f * (f + 1)
-        ident = np.max(np.abs(
-            ops.jxy - ops.fz @ (f2 * np.eye(ops.dim) - ops.fz @ ops.fz - 0.5 * np.eye(ops.dim))
-        ))
-        herm_ops = np.stack([ops.fx, ops.fy, ops.fz, ops.jx, ops.jy, ops.jz, ops.jxy])
-        herm = np.max(np.abs(herm_ops - herm_ops.conj().swapaxes(-1, -2)))
-        worst = max(worst, comm, ident, herm)
-        rows.append([f, float(comm), float(ident), float(herm)])
-    footer = [f"max_residual = {_fmt(float(worst))}", "tolerance = 1e-12"]
+    sets = [build_spin_operators(f) for f in config.f_values]
+    # one (spins, operators, d, d) stack, each spin's operators zero-padded to the
+    # largest dimension: a product, sum or adjoint of padded matrices is the
+    # padded result, so the padding adds only exact zeros to every residual
+    d = max(ops.dim for ops in sets)
+    stack = np.zeros((len(sets), 7, d, d), dtype=complex)
+    for spin, ops in zip(stack, sets):
+        spin[:, :ops.dim, :ops.dim] = [ops.jz, ops.jy, ops.jx, ops.jxy, ops.fz, ops.fx, ops.fy]
+    # [jz, jx] = i jy, [jy, jz] = i jx and [jx, jy] = i jxy as one stacked product
+    comm = commutator(stack[:, :3], stack[:, [2, 0, 1]]) - 1j * stack[:, 1:4]
+    f2, jxy, fz = np.array([f * (f + 1) for f in config.f_values])[:, None, None], stack[:, 3], stack[:, 4]
+    ident = jxy - fz @ (f2 * np.eye(d) - fz @ fz - 0.5 * np.eye(d))
+    herm = stack - stack.conj().swapaxes(-1, -2)
+    residuals = np.stack([np.abs(x).reshape(len(sets), -1).max(axis=1) for x in (comm, ident, herm)], axis=1)
+    rows = [[f, *r] for f, r in zip(config.f_values, residuals.tolist())]
+    worst = float(residuals.max())
+    footer = [f"max_residual = {_fmt(worst)}", "tolerance = 1e-12"]
     if worst >= 1e-12:
         raise ArithmeticError(f"operator algebra residual {worst:.3e} exceeds 1e-12")
     return header, rows, footer
@@ -282,10 +288,7 @@ def _run_oracle_compare(config: RunConfig) -> tuple[list, list, list]:
         schedule=schedule, tilt=config.tilt, phase=config.tilt_phase,
     )
     header = ["pulse", "d_jz_mean", "d_jy_mean", "d_meter_mean", "d_meter_var"]
-    rows = [
-        [i + 1, report.d_jz[i], report.d_jy[i], report.d_meter_mean[i], report.d_meter_var[i]]
-        for i in range(len(report.d_jz))
-    ]
+    rows = [[i, *r] for i, r in enumerate(zip(report.d_jz, report.d_jy, report.d_meter_mean, report.d_meter_var), 1)]
     footer = [f"max_first_moment_deviation = {_fmt(report.max_first_moment_deviation)}", f"g2 = {_fmt(g2)}"]
     return header, rows, footer
 
@@ -296,10 +299,9 @@ def _run_sweep(config: RunConfig) -> tuple[list, list, list]:
     sweep = sweep_atom_number(params, na_values, schedule)
     header = ["na", "mode", "p", "normalized_meter_var", "projection_line"]
     p = schedule.p if schedule.p is not None else 0
-    rows = [
-        [na, schedule.mode, p, var, projection_noise_line(params.g1, config.nl_total, na)]
-        for na, var in zip(sweep.na.tolist(), sweep.normalized_meter_var.tolist())
-    ]
+    line = projection_noise_line(params.g1, config.nl_total, sweep.na)
+    rows = [[na, schedule.mode, p, var, proj] for na, var, proj in
+            zip(sweep.na.tolist(), sweep.normalized_meter_var.tolist(), line.tolist())]
     footer = [f"c0 = {_fmt(sweep.c0)}", f"c1 = {_fmt(sweep.c1)}", f"c2 = {_fmt(sweep.c2)}"]
     return header, rows, footer
 

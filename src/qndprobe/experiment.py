@@ -10,6 +10,7 @@ and a seeded Monte Carlo cross-check of the analytic meter variance.
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -17,20 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gaussian import (
-    ATOMIC,
-    DIM,
-    JY,
-    JZ,
-    M,
-    CouplingParams,
-    PulseSchedule,
-    css_meter_variance,
-    css_root,
-    init_css,
-    pulse_channel,
-    run_schedule,
-)
+from .gaussian import (ATOMIC, DIM, JY, JZ, M, MEMORY_CAP_BYTES, TRAIN_BYTES_PER_PULSE, CouplingParams, PulseSchedule,
+                       css_meter_variance, css_root, init_css, pulse_channel, run_schedule)
 
 # Reference values used for "paper-scale" runs: the independently measured
 # interaction strength, the probe photon budget, and the detuning-independent
@@ -45,8 +34,6 @@ NA_REFERENCE = 1.0e6
 
 DEFAULT_NA_GRID = tuple(np.geomspace(1.0e4, 2.0e6, 20))
 
-# pulses whose steps the dropped-term Monte Carlo builds at once
-MC_BLOCK = 1024
 # trials per slice, each with its own stream and its own running totals: the
 # linear path draws a slice's meters into one reused 64 KiB row, and with the
 # dropped terms on a slice's state, draws and step result (2 DIM + 2 +
@@ -67,9 +54,10 @@ def projection_noise_line(g1: float, nl_total: float, na: float) -> float:
     """Ideal-QND normalized meter variance 1 + g1^2 NL var(Jz).
 
     var(Jz) = Jx/2 = na/4 for the x-polarized CSS; this is the black
-    projection-noise line the decoupled measurement should approach.
+    projection-noise line the decoupled measurement should approach, at one
+    atom number or at each of an array of them.
     """
-    if nl_total <= 0 or na < 0:
+    if nl_total <= 0 or np.min(na) < 0:
         raise ValueError("photon number must be positive and atom number non-negative")
     return 1.0 + g1 * g1 * nl_total * (na / 4.0)
 
@@ -204,30 +192,34 @@ class MonteCarloResult:
     analytic_meter_variance: float
 
 
-def _monte_carlo_maps(params: CouplingParams, schedule: PulseSchedule):
-    """The lists of (q, [W | R]) steps that draw the CSS start from x = 0 and move it through the train.
+def _monte_carlo_maps(params: CouplingParams, schedule: PulseSchedule) -> tuple:
+    """The [W | R] that draws the CSS start from x = 0, then each pulse's q and [W | R], as read-only arrays.
 
     Used where the meter-product loading q is nonzero (the dropped terms
     on): the meter product q Jy Sz_in is not Gaussian, so the start (R =
-    sqrt(NA) ``css_root``) and every pulse are steps, one list per
-    ``MC_BLOCK`` pulses.  A pulse's step is ``pulse_channel``'s: W = D A,
+    sqrt(NA) ``css_root``) and every pulse are steps, built once per run and
+    read by every slice.  A pulse's step is ``pulse_channel``'s: W = D A,
     and R holds the shot-noise root sqrt(shot) D B(jx) at the pre-pulse jx
     (Sy_in and Sz_in, the first two draws), then sqrt(NA depol) on each
     ``ATOMIC`` row in ``STATE`` order, no columns at eps = 0.
     """
     channel = pulse_channel(params)
     draws = len(ATOMIC) if params.scattering_eps > 0.0 else 0
+    # the steps, q and [W | R] per pulse, live next to the train's own arrays
+    need = len(schedule) * (TRAIN_BYTES_PER_PULSE + 8 * (1 + DIM * (DIM + 2 + draws)))
+    if need > MEMORY_CAP_BYTES:
+        raise ValueError(f"the Monte Carlo steps of {len(schedule)} pulses need about {need / 1e9:.3g} GB, "
+                         f"above the {MEMORY_CAP_BYTES / 1e9:.3g} GB train cap")
     depol = np.diag(np.sqrt(params.atom_number * channel.depol))[:, :draws]
-    jx = init_css(params).jx_mean
-    start = math.sqrt(params.atom_number) * css_root()
-    head = [(0.0, np.pad(start, ((0, 0), (DIM, 0))))]  # from x = 0: W = 0
-    for first in range(0, len(schedule), MC_BLOCK):
-        ks = schedule.kinds(first, min(first + MC_BLOCK, len(schedule)))
-        jxs = jx * channel.jx_decay ** np.arange(first, first + len(ks))
-        db = channel.db0[ks] + jxs[:, None, None] * channel.db1[ks]
-        maps = np.concatenate([channel.da[ks], db, np.repeat(depol[None], len(ks), axis=0)], axis=2)
-        yield head + list(zip(channel.q[ks].tolist(), maps))
-        head = []
+    ks = schedule.kinds(0, len(schedule))
+    jxs = init_css(params).jx_mean * channel.jx_decay ** np.arange(len(ks))
+    db = channel.db0[ks] + jxs[:, None, None] * channel.db1[ks]
+    maps = np.concatenate([channel.da[ks], db, np.broadcast_to(depol, (len(ks), *depol.shape))], axis=2)
+    start = np.pad(math.sqrt(params.atom_number) * css_root(), ((0, 0), (DIM, 0)))  # from x = 0: W = 0
+    q = channel.q[ks]
+    for a in (start, q, maps):
+        a.setflags(write=False)
+    return start, q, maps
 
 
 def _usable_cpus() -> int:
@@ -270,21 +262,21 @@ def _in_order(pool, task, items, ahead: int):
         yield future.result()
 
 
-def _dropped_slice(params: CouplingParams, schedule: PulseSchedule, rng, trials: int):
-    """``_moments`` of the meters of ``trials`` samples moved from x = 0 through every step of ``_monte_carlo_maps``."""
+def _dropped_slice(steps: tuple, rng, trials: int):
+    """``_moments`` of the meters of ``trials`` samples moved from x = 0 through the ``_monte_carlo_maps`` steps."""
+    start, q, maps = steps
     x = np.zeros((DIM + 2 + len(ATOMIC), trials))  # the state, then Sy_in, Sz_in and the depolarization draws
     moved = np.empty((DIM, trials))
-    for block in _monte_carlo_maps(params, schedule):
-        for q_k, w in block:
-            width = w.shape[1]
-            rng.standard_normal(out=x[DIM:width])
-            np.matmul(w, x[:width], out=moved)
-            if q_k:
-                sz_in = x[DIM + 1]  # Sz_in / sqrt(shot), overwritten with the meter product
-                sz_in *= q_k
-                sz_in *= x[JY]
-                moved[M] += sz_in
-            x[:DIM] = moved
+    for q_k, w in itertools.chain([(0.0, start)], zip(q.tolist(), maps)):
+        width = w.shape[1]
+        rng.standard_normal(out=x[DIM:width])
+        np.matmul(w, x[:width], out=moved)
+        if q_k:
+            sz_in = x[DIM + 1]  # Sz_in / sqrt(shot), overwritten with the meter product
+            sz_in *= q_k
+            sz_in *= x[JY]
+            moved[M] += sz_in
+        x[:DIM] = moved
     return _moments(x[M])
 
 
@@ -333,8 +325,10 @@ def monte_carlo_sample(
         return min(MC_SLICE, trials - i * MC_SLICE)
 
     if pulse_channel(params).q.any():
+        steps = _monte_carlo_maps(params, schedule)  # shared, read-only, by every slice
+
         def sample(i):
-            return _dropped_slice(params, schedule, _stream(seed, i), size(i))
+            return _dropped_slice(steps, _stream(seed, i), size(i))
 
         workers = min(len(slices), _usable_cpus())
         with ThreadPoolExecutor(workers) as pool:

@@ -75,7 +75,7 @@ def _atomic_collective(na: int, two_f: int) -> dict:
     return dict(zip(("jx", "jy", "jz"), mats))
 
 
-def build_heff(na: int, f: float, n_ph: int, g1: float, g2: float) -> list:
+def build_heff(na: int, f: float, n_ph: int, g1: float, g2: float, stokes=None) -> list:
     """Pulse-integrated coupling Hamiltonian g1 Sz Jz + g2 (Sx Jx + Sy Jy), block by block.
 
     H conserves Sz + Jz, diagonal in the joint basis a * (n_ph + 1) + s, so it
@@ -84,10 +84,11 @@ def build_heff(na: int, f: float, n_ph: int, g1: float, g2: float) -> list:
     blocks of that size and their (B, L, L) matrices.  Each entry is summed
     from Kronecker entries jz[a_i, a_j] * sz[s_i, s_j] of the collective atomic
     and Stokes factors, so blocks are exactly Hermitian and no joint-space
-    matrix exists.  The joint dimension is checked against the cap before anything is built.
+    matrix exists.  The joint dimension is checked against the cap before anything is built,
+    and the Stokes factors are ``stokes``, or ``build_stokes_operators(n_ph)`` if it is None.
     """
     _check_joint_dim(build_spin_operators(f).dim, na, n_ph)
-    st = build_stokes_operators(n_ph)
+    st = build_stokes_operators(n_ph) if stokes is None else stokes
     jx, jy, jz = _atomic_collective(na, int(round(2 * f))).values()
     # the Sz + Jz values are exact dyadic rationals; one stable sort groups the
     # joint indices block by block, each block's in ascending order
@@ -204,10 +205,11 @@ def _kraus_stacks(state: ExactState, g1: float, g2: float) -> tuple:
     """
     dim_a, dim_ph = state.rho.shape[0], state.n_ph + 1
     phi = polarized_photon_state(state.n_ph, 1)
+    st = build_stokes_operators(state.n_ph)
     e = np.zeros((dim_a, dim_ph, dim_a), dtype=complex)
-    for a, s, h in build_heff(state.na, state.f, state.n_ph, g1, g2):
+    for a, s, h in build_heff(state.na, state.f, state.n_ph, g1, g2, stokes=st):
         e[a[:, :, None], s[:, :, None], a[:, None, :]] = hermitian_unitary(h) * phi[s][:, None, :]
-    return e, build_stokes_operators(state.n_ph).sy @ e
+    return e, st.sy @ e
 
 
 @dataclass(frozen=True)
@@ -263,7 +265,7 @@ def run_schedule_exact(
     m_mean = m_var = 0.0
     rec_jz, rec_jy, rec_mm, rec_mv = [], [], [], []
 
-    for sign in schedule.signs.tolist():
+    for i, sign in enumerate(schedule.signs.tolist()):
         if sign < 0:
             rho, k_corr = rho * to_frame, k_corr * to_frame
         e_rho = (e @ rho).reshape(dim_a, -1)
@@ -275,7 +277,9 @@ def run_schedule_exact(
         m_mean += sy_mean
         m_var += sy_var + 2.0 * cross
         del e_rho  # so that E rho and E K, each D x dim_a, are never alive together
-        rho, k_corr = rho_out, (e @ k_corr).reshape(dim_a, -1) @ e_adj + (corr - sy_mean * rho_out)
+        # K is zero before the first pulse, so its propagation E K E^dag starts at the second
+        carried = (e @ k_corr).reshape(dim_a, -1) @ e_adj if i else 0.0
+        rho, k_corr = rho_out, carried + (corr - sy_mean * rho_out)
         if sign < 0:
             rho, k_corr = rho / to_frame, k_corr / to_frame
         populations = rho.diagonal().real
@@ -303,11 +307,7 @@ class ComparisonReport:
 
     @property
     def max_first_moment_deviation(self) -> float:
-        return max(
-            max(abs(x) for x in self.d_jz),
-            max(abs(x) for x in self.d_jy),
-            max(abs(x) for x in self.d_meter_mean),
-        )
+        return max(map(abs, self.d_jz + self.d_jy + self.d_meter_mean))
 
 
 def oracle_vs_gaussian(

@@ -9,7 +9,6 @@ import pytest
 
 from qndprobe.experiment import (
     DEFAULT_NA_GRID,
-    MC_BLOCK,
     MC_SLICE,
     G1_REFERENCE,
     G2_IMPACT_REFERENCE,
@@ -22,8 +21,9 @@ from qndprobe.experiment import (
     quadratic_suppression_curve,
     sweep_atom_number,
 )
-from qndprobe.experiment import _moments, _monte_carlo_maps, _pooled_squares, _stream
-from qndprobe.gaussian import ATOMIC, DIM, MIXED_VARIANCE, css_root, init_css, pulse_map, run_schedule
+from qndprobe.experiment import _dropped_slice, _moments, _monte_carlo_maps, _pooled_squares, _stream
+from qndprobe.gaussian import (ATOMIC, DIM, MEMORY_CAP_BYTES, MIXED_VARIANCE, PulseSchedule, css_root, init_css,
+                               pulse_map, run_schedule)
 
 
 # ------------------------------------------------------------------ calibration
@@ -230,8 +230,6 @@ def test_monte_carlo_with_tensor_terms_and_dropped_terms(eps):
 @pytest.mark.parametrize("dropped", [False, True])
 @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.2])
 def test_monte_carlo_keeps_the_kernel_noise(eps, dropped, monkeypatch):
-    import qndprobe.experiment as experiment
-    monkeypatch.setattr(experiment, "MC_BLOCK", 3)  # blocks of 3 and 1 pulses
     params, sched = paper_scale_params(mode="decoupled", p=2, na=3e5, scattering_eps=eps,
                                        include_dropped_terms=dropped)
     if not dropped:  # the meter alone, drawn from the kernel's final var(M)
@@ -242,7 +240,7 @@ def test_monte_carlo_keeps_the_kernel_noise(eps, dropped, monkeypatch):
         return
     css = init_css(params).cov
     jx = params.atom_number / 2
-    blocks = list(_monte_carlo_maps(params, sched))
+    start, qs, ws = _monte_carlo_maps(params, sched)
     shot = params.photons_per_pulse / 4
     d = np.array([1 - eps, 1 - eps, 1 - eps, 1.0])
     depol = np.diag([eps * params.atom_number * MIXED_VARIANCE] * 3 + [0.0])
@@ -251,13 +249,11 @@ def test_monte_carlo_keeps_the_kernel_noise(eps, dropped, monkeypatch):
     for k, sign in enumerate(signs):
         a, b = pulse_map(sign, params, jx * (1 - eps) ** k)
         pulses.append((d[:, None] * a, shot * (d[:, None] * b) @ (d[:, None] * b).T + depol))
-    assert [len(block) for block in blocks] == [1 + 3, 1]
-    (q_0, start), *maps = [step for block in blocks for step in block]
+    assert len(qs) == len(ws) == len(signs)
     root = start[:, 4:]
-    assert q_0 == 0.0  # the first step draws the CSS start
-    assert not start[:, :4].any()
+    assert not start[:, :4].any()  # the first step draws the CSS start
     assert np.abs(root @ root.T - css).max() <= 1e-12 * np.abs(css).max()
-    for k, (sign, (q_k, w), (da, noise)) in enumerate(zip(signs, maps, pulses)):
+    for k, (sign, q_k, w, (da, noise)) in enumerate(zip(signs, qs, ws, pulses)):
         b = pulse_map(sign, params, jx * (1 - eps) ** k)[1]
         root = w[:, 4:]
         sampled = root @ root.T
@@ -274,11 +270,11 @@ def test_monte_carlo_noise_roots_are_exact(eps):
     # sqrt(NA depol) on each ATOMIC row in STATE order, with no columns at eps = 0
     params, sched = paper_scale_params(mode="decoupled", p=1, na=3e5, scattering_eps=eps,
                                        include_dropped_terms=True)
-    (_, start), *pulses = next(_monte_carlo_maps(params, sched))
+    start, _, pulses = _monte_carlo_maps(params, sched)
     assert np.array_equal(start[:, DIM:], np.sqrt(params.atom_number) * css_root())
     depol = np.zeros((DIM, len(ATOMIC) if eps else 0))
     depol[range(depol.shape[1]), range(depol.shape[1])] = np.sqrt(eps * params.atom_number * MIXED_VARIANCE)
-    for _, w in pulses:
+    for w in pulses:
         assert np.array_equal(w[:, DIM + 2:], depol)
 
 
@@ -335,18 +331,28 @@ def test_monte_carlo_draws_the_same_normals_for_any_train_length(monkeypatch):
     assert count_normals(monkeypatch, params, sched, 1_000) == 1 * 1_000
 
 
-# 10 pulses, and 2000 in two blocks of 1024 (fewer trials: every pulse is a step)
-@pytest.mark.parametrize("p,eps,trials", [(5, 0.2, 20_000), (1000, 1e-6, 1_000)])
-def test_monte_carlo_blocks_do_not_change_the_dropped_term_samples(p, eps, trials, monkeypatch):
-    # MC_BLOCK only bounds memory: every slice takes the same steps in the same order
+# 10 pulses in 3 slices, and 2000 in 2 (fewer trials: every pulse is a step)
+@pytest.mark.parametrize("p,eps,trials", [(5, 0.2, 20_000), (1000, 1e-6, 10_000)])
+def test_dropped_monte_carlo_builds_its_steps_once(p, eps, trials, monkeypatch):
+    # every slice reads the one read-only set of steps and samples as if it had built its own
     import qndprobe.experiment as experiment
     params, sched = paper_scale_params(mode="decoupled", p=p, scattering_eps=eps, include_dropped_terms=True)
-    results = []
-    for block in (1, 3, 1024):
-        monkeypatch.setattr(experiment, "MC_BLOCK", block)
-        mc = monte_carlo_sample(params, sched, trials=trials, seed=2024)
-        results.append((mc.meter_variance, mc.stderr))
-    assert results[0] == results[1] == results[2]
+    builds = []
+    monkeypatch.setattr(experiment, "_monte_carlo_maps", lambda *a: builds.append(_monte_carlo_maps(*a)) or builds[-1])
+    mc = monte_carlo_sample(params, sched, trials=trials, seed=2024)
+    assert len(builds) == 1
+    assert not any(a.flags.writeable for a in builds[0])
+    sizes = [min(MC_SLICE, trials - i) for i in range(0, trials, MC_SLICE)]
+    own = [_dropped_slice(_monte_carlo_maps(params, sched), _stream(2024, i), n) for i, n in enumerate(sizes)]
+    assert mc.meter_variance == _pooled_squares(own) / (trials - 1)
+
+
+def test_dropped_monte_carlo_steps_are_refused_above_the_cap(monkeypatch):
+    # the steps (q and a DIM x (DIM + 2 + len(ATOMIC)) map per pulse) live next to the train's arrays
+    params, _ = paper_scale_params(include_dropped_terms=True, scattering_eps=1e-3)
+    sched = PulseSchedule.naive(MEMORY_CAP_BYTES // (8 * (1 + DIM * (DIM + 2 + len(ATOMIC)))))
+    with pytest.raises(ValueError, match=f"Monte Carlo steps of {len(sched)} pulses need about"):
+        _monte_carlo_maps(params, sched)
 
 
 @pytest.mark.parametrize("dropped", [False, True])
@@ -442,7 +448,8 @@ def test_linear_monte_carlo_memory_does_not_grow_with_trials():
 
 def test_dropped_monte_carlo_memory_does_not_grow_with_trials(monkeypatch):
     # at most one slice per worker runs, each holding its state, its draws
-    # and its step result, 2 DIM + 2 + len(ATOMIC) rows of MC_SLICE, and one block of maps
+    # and its step result, 2 DIM + 2 + len(ATOMIC) rows of MC_SLICE; the run holds
+    # one shared set of steps and, for the kernel's run and the pool, one more row
     cpus = 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     params, sched = paper_scale_params(mode="decoupled", p=5, scattering_eps=1e-3, include_dropped_terms=True)
@@ -456,8 +463,8 @@ def test_dropped_monte_carlo_memory_does_not_grow_with_trials(monkeypatch):
         finally:
             tracemalloc.stop()
     rows = 2 * DIM + 2 + len(ATOMIC)
-    maps = MC_BLOCK * DIM * (DIM + 2 + len(ATOMIC))
-    assert max(peaks) < cpus * 8 * (rows * MC_SLICE + maps), peaks
+    steps = len(sched) * (1 + DIM * (DIM + 2 + len(ATOMIC)))
+    assert max(peaks) < cpus * 8 * rows * MC_SLICE + 8 * (steps + MC_SLICE), peaks
 
 
 def test_slice_streams_are_the_seed_sequence_children():
