@@ -268,7 +268,8 @@ def _run_algebra_check(config: RunConfig) -> tuple[list, list, list]:
         spin[:, :ops.dim, :ops.dim] = [ops.jz, ops.jy, ops.jx, ops.jxy, ops.fz, ops.fx, ops.fy]
     # [jz, jx] = i jy, [jy, jz] = i jx and [jx, jy] = i jxy as one stacked product
     comm = commutator(stack[:, :3], stack[:, [2, 0, 1]]) - 1j * stack[:, 1:4]
-    f2, jxy, fz = np.array([f * (f + 1) for f in config.f_values])[:, None, None], stack[:, 3], stack[:, 4]
+    jxy, fz = stack[:, 3], stack[:, 4]
+    f2 = np.array([f * (f + 1) for f in config.f_values])[:, None, None]
     ident = jxy - fz @ (f2 * np.eye(d) - fz @ fz - 0.5 * np.eye(d))
     herm = stack - stack.conj().swapaxes(-1, -2)
     residuals = np.stack([np.abs(x).reshape(len(sets), -1).max(axis=1) for x in (comm, ident, herm)], axis=1)

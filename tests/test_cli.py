@@ -109,6 +109,31 @@ def test_rejected_subcommand_input_exits_2_without_output(tmp_path, capsys, argv
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,error", [
+    ([], "qndprobe: error: the following arguments are required: mode"),
+    (["nosuchmode"], "qndprobe: error: argument mode: invalid choice: 'nosuchmode'"),
+    # an error in a subcommand's flags comes from that subcommand's parser
+    (["sweep", "--bogus", "1"], "qndprobe sweep: error: unrecognized arguments: --bogus 1"),
+    (["sweep", "--p", "x"], "qndprobe sweep: error: argument --p: invalid int value: 'x'"),
+])
+def test_parser_errors_exit_2_without_output(tmp_path, monkeypatch, capsys, argv, error):
+    monkeypatch.chdir(tmp_path)  # where the default --out would be written
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qndprobe") and err.splitlines()[-1].startswith(error)
+    assert not any(tmp_path.iterdir())
+
+
+def test_help_exits_0_and_names_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: qndprobe") and all(mode in out for mode in cli.MODES)
+
+
 @pytest.mark.parametrize("argv,reason", [
     (["impact", "--p", "100000000"], "train cap"),
     (["sweep", "--na-points", "1000000000"], "one sweep evaluates"),
@@ -207,6 +232,30 @@ def test_algebra_check_reports_tiny_residuals(tmp_path):
     assert [row[0] for row in body] == ["0.5", "1", "1.5", "2"]
     for row in body:
         assert all(float(x) < 1e-12 for x in row[1:])
+
+
+@pytest.mark.parametrize("perturbed", [0.5, 1.0, 1.5, 2.0])
+def test_algebra_check_keeps_each_spins_residuals_apart(tmp_path, monkeypatch, perturbed):
+    # every spin is zero-padded into one stack; a residual below the tolerance
+    # in one spin's jxy must move that spin's row and no other
+    assert main(["algebra-check", "--out", str(tmp_path / "base.csv")]) == 0
+    build = cli.build_spin_operators
+
+    def perturbed_build(f):
+        ops = build(f)
+        if f != perturbed:
+            return ops
+        jxy = ops.jxy.copy()
+        jxy[0, -1] += 3e-13  # jxy is diagonal, so its Hermiticity residual becomes 3e-13
+        return replace(ops, jxy=jxy)
+
+    monkeypatch.setattr(cli, "build_spin_operators", perturbed_build)
+    assert main(["algebra-check", "--out", str(tmp_path / "moved.csv")]) == 0
+    _, base, _ = read_csv_rows(tmp_path / "base.csv")
+    _, moved, footer = read_csv_rows(tmp_path / "moved.csv")
+    assert [row[0] for row, old in zip(moved, base) if row != old] == [f"{perturbed:g}"]
+    assert [float(row[3]) for row in moved if row[0] == f"{perturbed:g}"] == [3e-13]
+    assert footer[0] == f"# max_residual = {max(float(x) for row in moved for x in row[1:]):.17g}"
 
 
 def test_oracle_compare_runs(tmp_path):
