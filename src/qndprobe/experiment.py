@@ -205,8 +205,9 @@ def _monte_carlo_maps(params: CouplingParams, schedule: PulseSchedule) -> tuple:
     """
     channel = pulse_channel(params)
     draws = len(ATOMIC) if params.scattering_eps > 0.0 else 0
-    # the steps, q and [W | R] per pulse, live next to the train's own arrays
-    need = len(schedule) * (TRAIN_BYTES_PER_PULSE + 8 * (1 + DIM * (DIM + 2 + draws)))
+    # the steps, q and [W | R] per pulse, live next to the train's own arrays, and
+    # np.concatenate holds its inputs next to the maps, so the build takes about twice the maps
+    need = len(schedule) * (TRAIN_BYTES_PER_PULSE + 8 * (1 + 2 * DIM * (DIM + 2 + draws)))
     if need > MEMORY_CAP_BYTES:
         raise ValueError(f"the Monte Carlo steps of {len(schedule)} pulses need about {need / 1e9:.3g} GB, "
                          f"above the {MEMORY_CAP_BYTES / 1e9:.3g} GB train cap")
@@ -310,7 +311,8 @@ def monte_carlo_sample(
     thread into one reused buffer.  The dropped-term slices run on a thread
     pool, one worker per CPU the process may use (at most one per slice),
     since numpy's normals, matmul and large in-place ufuncs release the
-    interpreter lock; a slice holds its samples only while it runs, and at
+    interpreter lock; they read one set of steps, built before the first
+    slice, and a slice holds its samples only while it runs, and at
     most two slices per worker are submitted ahead (``_in_order``).  Either
     way a run holds one slice per worker whatever its trial count, and
     because streams belong to slices, not threads, a fixed seed gives

@@ -348,7 +348,8 @@ def test_dropped_monte_carlo_builds_its_steps_once(p, eps, trials, monkeypatch):
 
 
 def test_dropped_monte_carlo_steps_are_refused_above_the_cap(monkeypatch):
-    # the steps (q and a DIM x (DIM + 2 + len(ATOMIC)) map per pulse) live next to the train's arrays
+    # the steps (q and a DIM x (DIM + 2 + len(ATOMIC)) map per pulse) live next to the train's
+    # arrays, so a train of as many pulses as the steps alone would fill the cap is refused
     params, _ = paper_scale_params(include_dropped_terms=True, scattering_eps=1e-3)
     sched = PulseSchedule.naive(MEMORY_CAP_BYTES // (8 * (1 + DIM * (DIM + 2 + len(ATOMIC)))))
     with pytest.raises(ValueError, match=f"Monte Carlo steps of {len(sched)} pulses need about"):
