@@ -338,7 +338,12 @@ def test_dropped_monte_carlo_builds_its_steps_once(p, eps, trials, monkeypatch):
     import qndprobe.experiment as experiment
     params, sched = paper_scale_params(mode="decoupled", p=p, scattering_eps=eps, include_dropped_terms=True)
     builds = []
-    monkeypatch.setattr(experiment, "_monte_carlo_maps", lambda *a: builds.append(_monte_carlo_maps(*a)) or builds[-1])
+
+    def counted(*args):
+        builds.append(_monte_carlo_maps(*args))
+        return builds[-1]
+
+    monkeypatch.setattr(experiment, "_monte_carlo_maps", counted)
     mc = monte_carlo_sample(params, sched, trials=trials, seed=2024)
     assert len(builds) == 1
     assert not any(a.flags.writeable for a in builds[0])
@@ -347,7 +352,7 @@ def test_dropped_monte_carlo_builds_its_steps_once(p, eps, trials, monkeypatch):
     assert mc.meter_variance == _pooled_squares(own) / (trials - 1)
 
 
-def test_dropped_monte_carlo_steps_are_refused_above_the_cap(monkeypatch):
+def test_dropped_monte_carlo_steps_are_refused_above_the_cap():
     # the steps (q and a DIM x (DIM + 2 + len(ATOMIC)) map per pulse) live next to the train's
     # arrays, so a train of as many pulses as the steps alone would fill the cap is refused
     params, _ = paper_scale_params(include_dropped_terms=True, scattering_eps=1e-3)
