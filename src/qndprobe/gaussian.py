@@ -19,7 +19,9 @@ polynomial taken at 1), each as its DIM(DIM+1)/2 distinct entries.  It
 cuts a train of n pulses into about sqrt(n) chunks of about sqrt(n) pulses
 and steps all chunks at once, carrying the state across chunk boundaries
 one step per chunk, so a train takes O(sqrt(n)) Python steps.  Its pulses,
-like the Monte Carlo's, are ``pulse_channel``'s.  ``run_schedule``
+like the Monte Carlo's, are ``pulse_channel``'s; a pulse's noise depends on
+jx alone (weights 1, jx and jx^2), not on the means, so ``run_schedule``
+refuses the dropped terms from a start with non-zero means.  ``run_schedule``
 evaluates it at its atom number; ``css_meter_variance`` evaluates one train
 at every atom number of a sweep and returns the final var(M) coefficients
 too.  Each block of pulses is evaluated at its atom numbers straight into
@@ -50,13 +52,14 @@ MIXED_VARIANCE = 1.0 / 6.0
 # a covariance is PSD when no eigenvalue lies below -PSD_TOL * max(1, trace)
 PSD_TOL = 1e-9
 
-# Memory a run may hold, shared with the Monte Carlo.  A run holds 8-byte
-# arrays of one value per pulse (the signs and the recorded var(M)), of DIM
-# (the recorded means) and of six (the weights of the pulse's noise terms);
-# the chunked scan holds a few states per chunk.  The traced peak of a tilted
-# run with the dropped terms grows by about 90 B per pulse (2e5 to 8e5 pulses).
+# Memory a run may hold, shared with the Monte Carlo.  Per pulse a run holds
+# the recorded means and var(M) and the three weights of its noise terms; the
+# chunked scan holds a few states per chunk.  The traced peak of run_schedule
+# grows by 66.8 B per pulse from 2e5 to 8e5 pulses at eps = 1e-6 (29.0 to
+# 69.0 MB for a CSS start with the dropped terms, 29.0 to 69.1 MB for a tilted
+# start without them), and the cap charges that, rounded up.
 MEMORY_CAP_BYTES = 2 * 1024 ** 3
-TRAIN_BYTES_PER_PULSE = 8 * (1 + 1 + DIM + 6)
+TRAIN_BYTES_PER_PULSE = 72
 
 
 @dataclass(frozen=True)
@@ -248,12 +251,14 @@ def pulse_channel(params: CouplingParams) -> PulseChannel:
         jx <- (1 - eps) jx
 
     where D, 1 - eps on every ``ATOMIC`` variable and 1 on M, is the
-    depolarization contraction, q = -s g2 sqrt(shot) loads the dropped-term meter product
-    -s g2 Sz_in Jy (q = 0 with the dropped terms off) and w is independent
-    noise of variance NA * depol: eps times ``MIXED_VARIANCE`` on every
-    atomic variable and 0 on M, so eps = 1 gives every atomic variable its
-    fully depolarized variance but zeroes cov(Jz, Jxy), which is NA/6 there
-    for f = 1 (jxy = jz).  Everything is evaluated with pre-pulse values.
+    depolarization contraction, q = -s g2 sqrt(shot) loads the dropped-term
+    meter product -s g2 Sz_in Jy (q = 0 with the dropped terms off) and w is
+    independent noise of variance NA * depol: eps times ``MIXED_VARIANCE`` on
+    every atomic variable and 0 on M, so eps = 1 gives every atomic variable
+    its fully depolarized variance but zeroes cov(Jz, Jxy), which is NA/6
+    there for f = 1 (jxy = jz).  Everything is evaluated with pre-pulse
+    values.  The kernel takes the meter product's variance q^2 var(Jy)
+    alone, which is all it adds to the covariance while <Jy> = 0.
     """
     eps = params.scattering_eps
     d = np.array([1.0 - eps] * len(ATOMIC) + [1.0])[:, None]
@@ -448,71 +453,49 @@ def _blocks(states, length: int, n: int, block: int):
             yield pulses[first:first + block], held[first:first + block]
 
 
-def _train(params: CouplingParams, schedule: PulseSchedule, unit: GaussianState, nu: float, block: int):
-    """Moments of the state lambda * ``unit`` after every pulse, as polynomials in lambda.
+def _train(channel: PulseChannel, schedule: PulseSchedule, unit: GaussianState, nu: float, block: int):
+    """Covariance of the state lambda * ``unit`` after every pulse, as a polynomial in lambda.
 
-    The state has jx = lambda * unit.jx_mean, means lambda * unit.mean and
-    covariance lambda * unit.cov, and carries nu * lambda atoms (nu = 1 for a
-    CSS of lambda = NA atoms).  Each pulse is ``pulse_channel``'s.  Since
-    D A does not depend on lambda and D B(jx) is affine in it, the
-    covariance after every pulse is exactly C0 + lambda C1 + lambda^2 C2.
-    A covariance is carried as its K = DIM(DIM+1)/2 distinct entries
-    (``_ENTRY``), and each pulse sign becomes one K x K operator on them:
-    the restriction of (D A) (x) (D A) to those entries, plus the meter
-    product's q^2 var(Jy) -> var(M).  The pulse's noise (the channel's shot
-    noise, with the meter product's mean loading y = q <Jy> of Sz_in into M,
-    and its depolarization noise for nu lambda atoms) is a sum of per-sign
-    constant outer products of D B0, D B1 and the loading, weighted by 1,
-    jx, jx^2, y, jx y and y^2, taken at the distinct entries.  The means
-    (with D A) and the coefficients (3 rows of K entries) are both
-    propagated by ``_scan`` over the chunks of ``_chunking``, so a train of
-    n pulses takes O(sqrt(n)) Python steps.
+    The state has jx = lambda * unit.jx_mean and covariance lambda *
+    unit.cov, and carries nu * lambda atoms (nu = 1 for a CSS of lambda = NA
+    atoms).  Each pulse is ``channel``'s.  Since D A does not depend on
+    lambda and D B(jx) is affine in it, the covariance after every pulse is
+    exactly C0 + lambda C1 + lambda^2 C2.  A covariance is carried as its
+    K = DIM(DIM+1)/2 distinct entries (``_ENTRY``), and each pulse sign
+    becomes one K x K operator on them: the restriction of (D A) (x) (D A)
+    to those entries, plus the meter product's q^2 var(Jy) -> var(M).  The
+    pulse's shot noise has the one root D B0 + jx D B1, so it is a sum of
+    per-sign constant outer products weighted by 1, jx and jx^2, taken at
+    the distinct entries; its depolarization noise for nu lambda atoms joins
+    the lambda^1 row.  The noise does not read the means: the meter
+    product's mean loading q <Jy> of Sz_in into M is left out, which is
+    exact while <Jy> = 0 (see ``run_schedule``).  The coefficients (3 rows
+    of K entries) are propagated by ``_scan`` over the chunks of
+    ``_chunking``, so a train of n pulses takes O(sqrt(n)) Python steps.
 
-    Returns the means per unit lambda after every pulse (n, DIM), the jx per
-    unit lambda after the train, and a generator of (pulses, coefficients)
-    blocks of at most ``block`` pulses (see ``_blocks``), with coefficients
-    (pulses, 3, K).
+    Returns a generator of (pulses, coefficients) blocks of at most
+    ``block`` pulses (see ``_blocks``), with coefficients (pulses, 3, K).
     """
     n = len(schedule)
     length, chunks = _chunking(n)
-    da, db0, db1, q, depol, jx_decay = pulse_channel(params)
+    da, db0, db1, q, depol, jx_decay = channel
     kind = schedule.kinds(0, length)  # operator index at each chunk position, the same in every chunk
 
-    means = np.zeros((n, DIM))
-    if unit.mean.any():
-        grid = np.empty((chunks, length, DIM))
-        for t, state in enumerate(_scan(da[kind].swapaxes(1, 2), unit.mean[None], chunks)):
-            grid[:, t] = state[:, 0]
-        means = grid.reshape(-1, DIM)[:n]
-
-    # per pulse, the weights 1, jx, jx^2, y, jx y and y^2 of the noise terms
-    weights = np.zeros((chunks * length, 6))
-    by_position = weights.reshape(chunks, length, 6)
-    weights[:, 0] = 1.0
+    # per pulse, the weights 1, jx and jx^2 of the noise terms
+    weights = np.ones((chunks, length, 3))
     np.multiply.outer(unit.jx_mean * jx_decay ** (length * np.arange(chunks)), jx_decay ** np.arange(length),
-                      out=by_position[..., 1])
-    np.square(weights[:, 1], out=weights[:, 2])
-    weights[0, 3] = unit.mean[JY]
-    weights[1:n, 3] = means[:-1, JY]
-    by_position[..., 3] *= q[kind]
-    np.multiply(weights[:, 1], weights[:, 3], out=weights[:, 4])
-    np.square(weights[:, 3], out=weights[:, 5])
+                      out=weights[..., 1])
+    np.square(weights[..., 1], out=weights[..., 2])
 
-    # the noise root is db0 + lambda (jx db1 + y load), where y loads Sz_in into M;
-    # the outer products of its parts, per sign, weighted as above
-    load = np.zeros_like(db0)
-    load[:, M, 1] = 1.0
-    parts = np.stack([db0, db1, load], axis=1)
+    # the outer products of the noise root's parts D B0 and D B1, per sign, weighted as above
+    parts = np.stack([db0, db1], axis=1)
     outer = (parts[:, :, None] @ parts[:, None].swapaxes(-1, -2))[..., _ROWS, _COLS]
-    terms = np.zeros((2, 6, 3, len(_ROWS)))
+    terms = np.zeros((2, 3, 3, len(_ROWS)))
     terms[:, 0, 0] = outer[:, 0, 0]
     terms[:, 0, 1, _ENTRY.diagonal()] = nu * depol
     terms[:, 1, 1] = outer[:, 0, 1] + outer[:, 1, 0]
     terms[:, 2, 2] = outer[:, 1, 1]
-    terms[:, 3, 1] = outer[:, 0, 2] + outer[:, 2, 0]
-    terms[:, 4, 2] = outer[:, 1, 2] + outer[:, 2, 1]
-    terms[:, 5, 2] = outer[:, 2, 2]
-    terms = terms.reshape(2, 6, 3 * len(_ROWS))
+    terms = terms.reshape(2, 3, 3 * len(_ROWS))
 
     # per sign, row (i, j) of (D A) (x) (D A), its columns (k, l) and (l, k) summed
     # into their one entry; transposed to act on the rows of the coefficient stack
@@ -521,8 +504,8 @@ def _train(params: CouplingParams, schedule: PulseSchedule, unit: GaussianState,
     ops[:, _ENTRY[M, M], _ENTRY[JY, JY]] += q * q
     start = np.zeros((3, len(_ROWS)))
     start[1] = (unit.cov + unit.cov.T)[_ROWS, _COLS] / 2
-    states = _scan(ops.swapaxes(1, 2)[kind], start, chunks, by_position, terms[kind])
-    return means, unit.jx_mean * jx_decay ** n, _blocks(states, length, n, block)
+    states = _scan(ops.swapaxes(1, 2)[kind], start, chunks, weights, terms[kind])
+    return _blocks(states, length, n, block)
 
 
 def _checked(blocks, evaluate, name):
@@ -580,23 +563,34 @@ def run_schedule(
 
     Each pulse is ``pulse_channel``'s, applied to the means and
     covariances, which follow the affine-Gaussian transport exactly; the
-    dropped-term meter product enters through its mean (the Sz_in loading
-    q <Jy> of M) and its Gaussian-factorized variance q^2 var(Jy).  One run
-    of the chunked kernel; every pulse's covariance is PSD-checked by
-    ``_check_entries`` (ArithmeticError naming the earliest failing pulse).
+    dropped-term meter product enters through its variance q^2 var(Jy)
+    alone, so a start with non-zero means is refused with the dropped terms
+    on (ValueError, before any work).  One run of the chunked kernel; every
+    pulse's covariance is PSD-checked by ``_check_entries`` (ArithmeticError
+    naming the earliest failing pulse).
     """
     unit, nu, lam = _start(params, initial)
+    if params.include_dropped_terms and unit.mean.any():
+        raise ValueError("the dropped terms are modelled only from a start with zero means")
     n = len(schedule)
-    means, jx, blocks = _train(params, schedule, unit, nu, EVAL_BATCH)
+    channel = pulse_channel(params)
+    means = np.zeros((n, DIM))
+    if unit.mean.any():
+        length, chunks = _chunking(n)
+        ops = channel.da[schedule.kinds(0, length)].swapaxes(1, 2)
+        grid = np.empty((chunks, length, DIM))
+        for t, state in enumerate(_scan(ops, unit.mean[None], chunks)):
+            grid[:, t] = state[:, 0]
+        means = grid.reshape(-1, DIM)[:n]
     meter_var = np.empty(n)
-    checked = _checked(blocks, lambda coeffs: _entries(coeffs, lam),
+    checked = _checked(_train(channel, schedule, unit, nu, EVAL_BATCH), lambda coeffs: _entries(coeffs, lam),
                        lambda pulse, i: f"pulse {pulse} (atom number {params.atom_number:.6g})")
     for pulses, _, entries in checked:
         meter_var[pulses] = entries[_ENTRY[M, M]]
         if pulses[-1] == n - 1:
             cov = entries[_ENTRY, -1]
     means *= lam
-    final = GaussianState(mean=means[-1].copy(), cov=cov, jx_mean=lam * jx)
+    final = GaussianState(mean=means[-1].copy(), cov=cov, jx_mean=lam * (unit.jx_mean * channel.jx_decay ** n))
     return ScheduleResult(
         meter_mean=float(final.mean[M]),
         meter_var=float(final.cov[M, M]),
@@ -623,7 +617,7 @@ def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_num
     if not np.all(np.isfinite(lam) & (lam > 0)):
         raise ValueError("atom numbers must be positive and finite")
     unit, nu, _ = _start(params, None)
-    _, _, blocks = _train(params, schedule, unit, nu, EVAL_BATCH // len(lam))
+    blocks = _train(pulse_channel(params), schedule, unit, nu, EVAL_BATCH // len(lam))
     checked = _checked(blocks, lambda coeffs: _entries(coeffs, lam),
                        lambda pulse, i: f"pulse {pulse}, atom number {lam[i[1]]:.6g} (index {i[1]})")
     for pulses, coeffs, entries in checked:

@@ -439,8 +439,6 @@ def reference_fold(params, signs, state):
     means, meter_var = [], []
     for sign in signs:
         a, b = pulse_map(sign, params, jx)
-        if params.include_dropped_terms:
-            b[M, 1] = -sign * g2 * mean[JY]
         new = a @ cov @ a.T + shot * (b @ b.T)
         if params.include_dropped_terms:
             new[M, M] += g2 * g2 * shot * cov[JY, JY]
@@ -481,15 +479,18 @@ def tilted_state(na):
 
 
 # naive(10), decoupled(5), decoupled(50), decoupled(1000) and an odd naive(37), each
-# plain and with eps = 1e-3 plus the dropped terms; an id names a train by its order p
-# (2p pulses).  The kernel's sqrt(n) chunks then run several and can end on a ragged
-# one (37 = 4 x 8 + 5, 2000 = 43 x 46 + 22).
+# plain, with eps = 1e-3, and with eps = 1e-3 plus the dropped terms; an id names a
+# train by its order p (2p pulses).  The kernel's sqrt(n) chunks then run several and
+# can end on a ragged one (37 = 4 x 8 + 5, 2000 = 43 x 46 + 22).
 KERNEL_CASES = [
     pytest.param(mode, n, eps, dropped, id=f"{mode}-{name}-{eps}-{dropped}")
     for mode, n, name in [("naive", 10, "5"), ("decoupled", 10, "5"), ("decoupled", 100, "50"),
                           ("decoupled", 2000, "1000"), ("naive", 37, "37pulses")]
-    for eps, dropped in [(0.0, False), (1e-3, True)]
+    for eps, dropped in [(0.0, False), (1e-3, False), (1e-3, True)]
 ]
+
+# run_schedule's refusal of the dropped terms from a start with non-zero means
+NON_ZERO_MEANS = "dropped terms are modelled only from a start with zero means"
 
 
 @pytest.mark.parametrize("start", ["css", "tilted"])
@@ -499,6 +500,10 @@ def test_run_schedule_matches_per_pulse_fold(mode, n, eps, dropped, start):
                                  scattering_eps=eps, include_dropped_terms=dropped)
     assert len(sched) == n
     initial = None if start == "css" else tilted_state(params.atom_number)
+    if initial is not None and dropped:
+        with pytest.raises(ValueError, match=NON_ZERO_MEANS):
+            run_schedule(params, sched, initial=initial)
+        return
     result = run_schedule(params, sched, initial=initial)
     mean, cov, jx, means, meter_var = reference_fold(
         params, sched.signs.tolist(), init_css(params) if initial is None else initial
@@ -508,8 +513,25 @@ def test_run_schedule_matches_per_pulse_fold(mode, n, eps, dropped, start):
     np.testing.assert_allclose(result.pulse_means, means, rtol=1e-12, atol=1e-12 * np.abs(means).max())
     np.testing.assert_allclose(result.final_state.mean, mean, rtol=1e-12, atol=1e-12 * np.abs(means).max())
     assert result.final_state.jx_mean == pytest.approx(jx, rel=1e-12)
-    if start == "tilted" and dropped:
-        assert np.abs(means[:, JY]).max() > 0  # the mean loading is exercised
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_dropped_terms_from_a_start_with_non_zero_means_are_refused(eps, monkeypatch):
+    # the kernel leaves out the meter product's mean loading q <Jy> of Sz_in into M, which
+    # such a start would need; it is refused before the pulse channel is built
+    import qndprobe.gaussian as gaussian
+    params, sched = paper_params("decoupled", p=5, scattering_eps=eps, include_dropped_terms=True)
+    initial = tilted_state(params.atom_number)
+    with monkeypatch.context() as patch:
+        patch.setattr(gaussian, "pulse_channel", None)
+        with pytest.raises(ValueError, match=NON_ZERO_MEANS):
+            run_schedule(params, sched, initial=initial)
+    params = replace(params, include_dropped_terms=False)
+    result = run_schedule(params, sched, initial=initial)
+    mean, cov, jx, means, meter_var = reference_fold(params, sched.signs.tolist(), initial)
+    assert_cov_close(result.final_state.cov, cov)
+    np.testing.assert_allclose(result.pulse_meter_var, meter_var, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(result.pulse_means, means, rtol=1e-12, atol=1e-12 * np.abs(means).max())
 
 
 @pytest.mark.parametrize("mode,dropped", [("naive", False), ("decoupled", True)])
@@ -569,17 +591,19 @@ def test_every_pulse_checked_at_every_point(monkeypatch, batch):
 @pytest.mark.parametrize("batch", [2, 8, 26, 1 << 20])
 def test_results_do_not_depend_on_the_evaluation_block(monkeypatch, batch):
     # the 37-pulse train is scanned as 5 chunks of 8 pulses whatever EVAL_BATCH is;
-    # blocks of 1, 2, 4, 5, 8, 13 and 26 pulses cut through them
+    # blocks of 1, 2, 4, 5, 8, 13 and 26 pulses cut through them.  The sweep runs with
+    # the dropped terms, the tilted run (non-zero means) without them
     import qndprobe.gaussian as gaussian
     params, sched = paper_params("naive", num_pulses=37, scattering_eps=1e-3, include_dropped_terms=True)
     grid = [1e4, 2e6]
+    linear = replace(params, include_dropped_terms=False)
     initial = tilted_state(params.atom_number)
     whole_sweep = css_meter_variance(params, sched, grid)
-    whole_run = run_schedule(params, sched, initial=initial)
+    whole_run = run_schedule(linear, sched, initial=initial)
     monkeypatch.setattr(gaussian, "EVAL_BATCH", batch)
     for got, want in zip(css_meter_variance(params, sched, grid), whole_sweep):
         assert np.array_equal(got, want)
-    run = run_schedule(params, sched, initial=initial)
+    run = run_schedule(linear, sched, initial=initial)
     for got, want in [(run.pulse_means, whole_run.pulse_means), (run.pulse_meter_var, whole_run.pulse_meter_var),
                       (run.final_state.cov, whole_run.final_state.cov)]:
         assert np.array_equal(got, want)
@@ -592,8 +616,12 @@ def test_final_covariance_is_bitwise_symmetric(dropped, tilted):
     import qndprobe.gaussian as gaussian
     params, sched = paper_params("decoupled", p=5, scattering_eps=1e-3, include_dropped_terms=dropped)
     initial = tilted_state(params.atom_number) if tilted else None
-    cov = run_schedule(params, sched, initial=initial).final_state.cov
-    assert np.array_equal(cov, cov.T)
+    if dropped and tilted:
+        with pytest.raises(ValueError, match=NON_ZERO_MEANS):
+            run_schedule(params, sched, initial=initial)
+    else:
+        cov = run_schedule(params, sched, initial=initial).final_state.cov
+        assert np.array_equal(cov, cov.T)
     assert np.unique(gaussian._ENTRY).size == len(STATE) * (len(STATE) + 1) // 2
     assert np.array_equal(gaussian._ENTRY, gaussian._ENTRY.T)
 
@@ -723,7 +751,8 @@ def earliest_refusal(params, sched, grid):
     """(pulse, index into grid) of the first kernel covariance, in pulse order, that is non-finite or not PSD."""
     from qndprobe.gaussian import _ENTRY, _entries, _train
     coeffs = np.empty((len(sched), 3, len(STATE) * (len(STATE) + 1) // 2))
-    for pulses, block in _train(params, sched, init_css(replace(params, atom_number=1.0)), 1.0, len(sched))[2]:
+    unit = init_css(replace(params, atom_number=1.0))
+    for pulses, block in _train(pulse_channel(params), sched, unit, 1.0, len(sched)):
         coeffs[pulses] = block
     for pulse in range(len(sched)):
         covs = np.moveaxis(_entries(coeffs[pulse, None], grid)[_ENTRY, 0], -1, 0)
