@@ -15,20 +15,22 @@ One kernel propagates every train.  Because A does not depend on the atom
 number and B is affine in jx, the covariance after each pulse is exactly
 C0 + NA C1 + NA^2 C2 for a CSS start, so the kernel carries the three
 coefficient matrices through the train (a given initial state is the same
-polynomial taken at 1), each as its DIM(DIM+1)/2 distinct entries.  It
-cuts a train of n pulses into about sqrt(n) chunks of about sqrt(n) pulses
-and steps all chunks at once, carrying the state across chunk boundaries
-one step per chunk, so a train takes O(sqrt(n)) Python steps.  Its pulses,
-like the Monte Carlo's, are ``pulse_channel``'s; a pulse's noise depends on
-jx alone (weights 1, jx and jx^2), not on the means, so ``run_schedule``
-refuses the dropped terms from a start with non-zero means.  ``run_schedule``
-evaluates it at its atom number; ``css_meter_variance`` evaluates one train
-at every atom number of a sweep and returns the final var(M) coefficients
-too.  Each block of pulses is evaluated at its atom numbers straight into
-one row per distinct entry, and every pulse's covariance is PSD-checked
-there, in a sweep at every atom number, by ``_check_entries``: one LDL^T
-elimination run across the whole stack at once, with eigenvalues computed
-only to word a refusal, which names the earliest failing pulse.
+polynomial taken at 1), each as its DIM(DIM+1)/2 distinct entries.  A
+pulse's noise depends on jx alone (weights 1, jx and jx^2), not on the
+means, so ``run_schedule`` refuses the dropped terms from a start with
+non-zero means, and the weights ride along as four extra entries of the
+carried rows: every pulse is one homogeneous step x <- x @ G_s, G_s one
+operator per sign.  The kernel is a product scan over about sqrt(n)
+chunks of about sqrt(n) pulses, so a train takes O(sqrt(n)) Python steps
+and yields its states in blocks of ascending pulses.  Its pulses, like the
+Monte Carlo's, are ``pulse_channel``'s.  ``run_schedule`` evaluates it at
+its atom number; ``css_meter_variance`` evaluates one train at every atom
+number of a sweep and returns the final var(M) coefficients too.  Each
+block is evaluated at its atom numbers straight into one row per distinct
+entry, and every pulse's covariance is PSD-checked there, in a sweep at
+every atom number, by ``_check_entries``: one LDL^T elimination run
+across the whole stack at once, with eigenvalues computed only to word a
+refusal, which names the earliest failing pulse.
 """
 
 from __future__ import annotations
@@ -53,13 +55,13 @@ MIXED_VARIANCE = 1.0 / 6.0
 PSD_TOL = 1e-9
 
 # Memory a run may hold, shared with the Monte Carlo.  Per pulse a run holds
-# the recorded means and var(M) and the three weights of its noise terms; the
-# chunked scan holds a few states per chunk.  The traced peak of run_schedule
-# grows by 66.8 B per pulse from 2e5 to 8e5 pulses at eps = 1e-6 (29.0 to
-# 69.0 MB for a CSS start with the dropped terms, 29.0 to 69.1 MB for a tilted
-# start without them), and the cap charges that, rounded up.
+# the recorded means and var(M), 40 B; the scan holds a few states per chunk
+# and one block of states.  The traced peak of run_schedule grows by 42.6 B
+# per pulse from 2e5 to 8e5 pulses at eps = 1e-6 for a CSS start with the
+# dropped terms (27.2 to 52.8 MB) and by 42.8 B for a tilted start without
+# them (27.5 to 53.1 MB), and the cap charges that, rounded up.
 MEMORY_CAP_BYTES = 2 * 1024 ** 3
-TRAIN_BYTES_PER_PULSE = 72
+TRAIN_BYTES_PER_PULSE = 48
 
 
 @dataclass(frozen=True)
@@ -377,80 +379,45 @@ def _entries(coeffs: np.ndarray, lam) -> np.ndarray:
     return entries.reshape(coeffs.shape[2], len(coeffs), *lam.shape)
 
 
-def _chunking(n: int) -> tuple[int, int]:
-    """(length, count) of the chunks an n-pulse train is scanned in.
+def _scan(ops: np.ndarray, start: np.ndarray, schedule: PulseSchedule, block: int):
+    """The states of x <- x @ ops[sign index] after every pulse of ``schedule`` from ``start`` (r, d), in pulse order.
 
-    The length is the smallest even number not below sqrt(n), so that the
-    period-2 sign pattern of a decoupled train (and the constant one of a
-    naive train) is the same in every chunk.  The last chunk may run past
-    the end of the train.
+    The train is cut into chunks of the smallest even number of pulses not
+    below sqrt(n), so that the period-2 sign pattern of a decoupled train
+    (and the constant one of a naive train) is the same in every chunk; the
+    last chunk may run past the end of the train.  The prefix products P[t]
+    = op(0) @ ... @ op(t) of one chunk map the state entering any chunk to
+    its state after position t, and one step per chunk carries the entering
+    states along the train by the whole-chunk product P[-1].  A block's
+    states are then one product of its chunks' entering states with the
+    prefixes laid side by side: whole chunks when ``block`` holds one, else
+    ``block`` positions of one chunk, so a chunk may end on a partial block.
+    The product is stacked, one (r, d) matrix per chunk, so a state is
+    rounded the same whatever block holds it (BLAS rounds a one-row product
+    apart from a many-row one).  Yields (pulses, states), states (pulses,
+    r, d); a train takes O(sqrt(n) + n / block) Python steps and holds a few
+    states per chunk.
     """
+    n = len(schedule)
     length = 2 * math.ceil(math.sqrt(n) / 2)
-    return length, -(-n // length)
-
-
-def _scan(ops: np.ndarray, start: np.ndarray, chunks: int, weights=None, terms=None):
-    """Every state of the recurrence x <- x @ ops[t] + drive along ``chunks`` equal chunks.
-
-    Position t of every chunk applies the (d, d) operator ops[t] and then
-    adds chunk j's drive weights[j, t] @ terms[t], read as an (r, d) term:
-    ``weights`` is (chunks, len(ops), w) and ``terms`` (len(ops), w, r d),
-    and there is no drive when ``weights`` is None; ``start`` (r, d) is the
-    state before the first pulse.  Every chunk maps the state entering it
-    to the state leaving it as x @ W + end[j], W the product of ``ops`` and
-    end[j] the chunk's own state when entered at zero.  With after[t] the
-    product of the operators after position t, end[j] is the sum over t of
-    chunk j's drive at t times after[t], so all of ``end`` is one product
-    of the weights with the terms carried by after[t].  One step per chunk
-    then carries the entering states along the train, and a pass over the
-    positions, started from them, yields after each position t the (chunks,
-    r, d) states of every chunk, stepping all chunks at once as one
-    (chunks * r, d) @ (d, d) product.  A train takes 2 len(ops) + chunks
-    Python steps and holds a few states per chunk.
-    """
+    ops = ops[schedule.kinds(0, length)]
     r, d = start.shape
-    after = np.empty_like(ops)
-    after[-1] = np.eye(d)
-    for t in range(len(ops) - 1, 0, -1):
-        after[t - 1] = ops[t] @ after[t]
-    whole, end = ops[0] @ after[0], np.zeros((chunks, r, d))
-    if weights is not None:
-        carried = terms.reshape(len(ops), -1, d) @ after
-        end = (weights.reshape(chunks, -1) @ carried.reshape(-1, r * d)).reshape(chunks, r, d)
-    entry = np.empty((chunks, r, d))
+    prefix = np.empty((d, length, d))  # prefix[:, t] is P[t], so the prefixes lie side by side
+    prefix[:, 0] = ops[0]
+    for t in range(1, length):
+        prefix[:, t] = prefix[:, t - 1] @ ops[t]
+    entry = np.empty((-(-n // length), r, d))
     entry[0] = start
-    for j in range(1, chunks):
-        entry[j] = entry[j - 1] @ whole + end[j - 1]
-    state = entry.reshape(chunks * r, d)
-    for t, op in enumerate(ops):
-        state = state @ op
-        if weights is not None:
-            state += (weights[:, t] @ terms[t]).reshape(chunks * r, d)
-        yield state.reshape(chunks, r, d)
-
-
-def _blocks(states, length: int, n: int, block: int):
-    """Regroup ``_scan``'s per-position states into (pulses, states) blocks in pulse order.
-
-    Pulse j * length + t is position t of chunk j.  Each block holds at most
-    ``block`` pulses of the train, with their ascending indices; positions
-    past the end of the train are dropped, so the block that holds the last
-    pulse ends with it.
-    """
-    chunks = -(-n // length)
-    positions = max(1, block // chunks)  # held at a time, each of every chunk
-    for t, state in enumerate(states):
-        i = t % positions
-        if i == 0:
-            held = np.empty((chunks, min(positions, length - t), *state.shape[1:]))
-        held[:, i] = state
-        if i < held.shape[1] - 1:
-            continue
-        pulses = (length * np.arange(chunks)[:, None] + np.arange(t - i, t + 1)).ravel()
-        inside = np.count_nonzero(pulses < n)  # the pulses ascend, so those inside are a prefix
-        pulses, held = pulses[:inside], held.reshape(-1, *state.shape[1:])[:inside]
-        for first in range(0, len(pulses), block):
-            yield pulses[first:first + block], held[first:first + block]
+    for j in range(1, len(entry)):
+        entry[j] = entry[j - 1] @ prefix[:, -1]
+    side = prefix.reshape(d, length * d)
+    chunks, width = max(1, block // length), min(block, length)
+    for j in range(0, len(entry), chunks):
+        for t in range(0, min(length, n - j * length), width):
+            first = j * length + t
+            states = entry[j:j + chunks] @ side[:, t * d:(t + width) * d]
+            states = states.reshape(len(states), r, -1, d).swapaxes(1, 2).reshape(-1, r, d)[:n - first]
+            yield np.arange(first, first + len(states)), states
 
 
 def _train(channel: PulseChannel, schedule: PulseSchedule, unit: GaussianState, nu: float, block: int):
@@ -460,75 +427,58 @@ def _train(channel: PulseChannel, schedule: PulseSchedule, unit: GaussianState, 
     unit.cov, and carries nu * lambda atoms (nu = 1 for a CSS of lambda = NA
     atoms).  Each pulse is ``channel``'s.  Since D A does not depend on
     lambda and D B(jx) is affine in it, the covariance after every pulse is
-    exactly C0 + lambda C1 + lambda^2 C2.  A covariance is carried as its
-    K = DIM(DIM+1)/2 distinct entries (``_ENTRY``), and each pulse sign
-    becomes one K x K operator on them: the restriction of (D A) (x) (D A)
-    to those entries, plus the meter product's q^2 var(Jy) -> var(M).  The
-    pulse's shot noise has the one root D B0 + jx D B1, so it is a sum of
-    per-sign constant outer products weighted by 1, jx and jx^2, taken at
-    the distinct entries; its depolarization noise for nu lambda atoms joins
-    the lambda^1 row.  The noise does not read the means: the meter
-    product's mean loading q <Jy> of Sz_in into M is left out, which is
-    exact while <Jy> = 0 (see ``run_schedule``).  The coefficients (3 rows
-    of K entries) are propagated by ``_scan`` over the chunks of
-    ``_chunking``, so a train of n pulses takes O(sqrt(n)) Python steps.
+    exactly C0 + lambda C1 + lambda^2 C2: three rows of the K =
+    DIM(DIM+1)/2 distinct entries (``_ENTRY``).  Each row is extended by
+    four noise seeds, 1 (row 0), 1 and jx (row 1) and jx^2 (row 2), so each
+    pulse sign is one homogeneous (K + 4) x (K + 4) operator: the
+    restriction of (D A) (x) (D A) to the distinct entries plus the meter
+    product's q^2 var(Jy) -> var(M), then the noise rows, which the seeds
+    weight into the entries, and the seeds' own decay 1, 1, 1 - eps and
+    (1 - eps)^2.  The noise rows are the pulse's shot noise, whose root D
+    B0 + jx D B1 makes it the outer products D B0 D B0^T, the cross term
+    and D B1 D B1^T, and its depolarization noise nu depol in the lambda^1
+    row.  The noise does not read the means: the meter product's mean
+    loading q <Jy> of Sz_in into M is left out, which is exact while <Jy> =
+    0 (see ``run_schedule``).  ``_scan`` runs the operators over chunks of
+    about sqrt(n) pulses.
 
     Returns a generator of (pulses, coefficients) blocks of at most
-    ``block`` pulses (see ``_blocks``), with coefficients (pulses, 3, K).
+    ``block`` pulses in ascending pulse order, coefficients (pulses, 3, K).
     """
-    n = len(schedule)
-    length, chunks = _chunking(n)
+    k = len(_ROWS)
     da, db0, db1, q, depol, jx_decay = channel
-    kind = schedule.kinds(0, length)  # operator index at each chunk position, the same in every chunk
-
-    # per pulse, the weights 1, jx and jx^2 of the noise terms
-    weights = np.ones((chunks, length, 3))
-    np.multiply.outer(unit.jx_mean * jx_decay ** (length * np.arange(chunks)), jx_decay ** np.arange(length),
-                      out=weights[..., 1])
-    np.square(weights[..., 1], out=weights[..., 2])
-
-    # the outer products of the noise root's parts D B0 and D B1, per sign, weighted as above
-    parts = np.stack([db0, db1], axis=1)
-    outer = (parts[:, :, None] @ parts[:, None].swapaxes(-1, -2))[..., _ROWS, _COLS]
-    terms = np.zeros((2, 3, 3, len(_ROWS)))
-    terms[:, 0, 0] = outer[:, 0, 0]
-    terms[:, 0, 1, _ENTRY.diagonal()] = nu * depol
-    terms[:, 1, 1] = outer[:, 0, 1] + outer[:, 1, 0]
-    terms[:, 2, 2] = outer[:, 1, 1]
-    terms = terms.reshape(2, 3, 3 * len(_ROWS))
-
-    # per sign, row (i, j) of (D A) (x) (D A), its columns (k, l) and (l, k) summed
+    ops = np.zeros((2, k + 4, k + 4))
+    # per sign, row (i, j) of (D A) (x) (D A), its columns (a, b) and (b, a) summed
     # into their one entry; transposed to act on the rows of the coefficient stack
     kron = (da[:, :, None, :, None] * da[:, None, :, None, :]).reshape(2, DIM, DIM, DIM * DIM)
-    ops = kron[:, _ROWS, _COLS] @ np.eye(len(_ROWS))[_ENTRY.ravel()]
-    ops[:, _ENTRY[M, M], _ENTRY[JY, JY]] += q * q
-    start = np.zeros((3, len(_ROWS)))
-    start[1] = (unit.cov + unit.cov.T)[_ROWS, _COLS] / 2
-    states = _scan(ops.swapaxes(1, 2)[kind], start, chunks, weights, terms[kind])
-    return _blocks(states, length, n, block)
+    ops[:, :k, :k] = (kron[:, _ROWS, _COLS] @ np.eye(k)[_ENTRY.ravel()]).swapaxes(1, 2)
+    ops[:, _ENTRY[JY, JY], _ENTRY[M, M]] += q * q
+    # the noise rows: the outer products of the noise root's parts D B0 and D B1, and depolarization
+    parts = np.stack([db0, db1], axis=1)
+    outer = (parts[:, :, None] @ parts[:, None].swapaxes(-1, -2))[..., _ROWS, _COLS]
+    ops[:, k, :k] = outer[:, 0, 0]
+    ops[:, k + 1, _ENTRY.diagonal()] = nu * depol
+    ops[:, k + 2, :k] = outer[:, 0, 1] + outer[:, 1, 0]
+    ops[:, k + 3, :k] = outer[:, 1, 1]
+    seeds = np.arange(k, k + 4)
+    ops[:, seeds, seeds] = 1.0, 1.0, jx_decay, jx_decay ** 2
+    start = np.zeros((3, k + 4))
+    start[1, :k] = (unit.cov + unit.cov.T)[_ROWS, _COLS] / 2
+    start[[0, 1, 1, 2], seeds] = 1.0, 1.0, unit.jx_mean, unit.jx_mean ** 2
+    for pulses, states in _scan(ops, start, schedule, block):
+        yield pulses, states[..., :k]
 
 
-def _checked(blocks, evaluate, name):
-    """(pulses, coefficients, entries) of ``_blocks``' blocks, each ``evaluate(coefficients)`` passing ``_check_entries``.
+def _checked(blocks, lam, name):
+    """(pulses, coefficients, entries) of ``_train``'s blocks, the entries at ``lam`` passing ``_check_entries``.
 
-    Blocks hold chunk positions, not consecutive pulses, so a later block can
-    hold a pulse before a refused one.  After a refusal nothing is yielded,
-    the later blocks' earlier pulses are still checked, and the refusal of
-    the smallest failing pulse is raised, its index worded ``name(pulse, index)``.
+    A refusal's index is worded ``name(pulse, index)``; since the blocks
+    come in pulse order, it names the earliest failing pulse.
     """
-    refusal = None
     for pulses, coeffs in blocks:
-        if refusal is not None:
-            pulses, coeffs = pulses[pulses < first], coeffs[pulses < first]
-        entries = evaluate(coeffs)
-        try:
-            _check_entries(entries, lambda i: name(pulses[i[0]], i))
-        except ArithmeticError as exc:
-            refusal, first = exc, pulses[exc.index[0]]
-        if refusal is None:
-            yield pulses, coeffs, entries
-    if refusal is not None:
-        raise refusal
+        entries = _entries(coeffs, lam)
+        _check_entries(entries, lambda i: name(pulses[i[0]], i))
+        yield pulses, coeffs, entries
 
 
 def _start(params: CouplingParams, initial: GaussianState | None) -> tuple[GaussianState, float, float]:
@@ -565,9 +515,10 @@ def run_schedule(
     covariances, which follow the affine-Gaussian transport exactly; the
     dropped-term meter product enters through its variance q^2 var(Jy)
     alone, so a start with non-zero means is refused with the dropped terms
-    on (ValueError, before any work).  One run of the chunked kernel; every
-    pulse's covariance is PSD-checked by ``_check_entries`` (ArithmeticError
-    naming the earliest failing pulse).
+    on (ValueError, before any work).  The means are ``_scan``'s with the
+    operators (D A)^T, the covariances ``_train``'s, both in blocks of
+    ``EVAL_BATCH`` pulses; every pulse's covariance is PSD-checked by
+    ``_check_entries`` (ArithmeticError naming the earliest failing pulse).
     """
     unit, nu, lam = _start(params, initial)
     if params.include_dropped_terms and unit.mean.any():
@@ -576,19 +527,14 @@ def run_schedule(
     channel = pulse_channel(params)
     means = np.zeros((n, DIM))
     if unit.mean.any():
-        length, chunks = _chunking(n)
-        ops = channel.da[schedule.kinds(0, length)].swapaxes(1, 2)
-        grid = np.empty((chunks, length, DIM))
-        for t, state in enumerate(_scan(ops, unit.mean[None], chunks)):
-            grid[:, t] = state[:, 0]
-        means = grid.reshape(-1, DIM)[:n]
+        for pulses, states in _scan(channel.da.swapaxes(1, 2), unit.mean[None], schedule, EVAL_BATCH):
+            means[pulses] = states[:, 0]
     meter_var = np.empty(n)
-    checked = _checked(_train(channel, schedule, unit, nu, EVAL_BATCH), lambda coeffs: _entries(coeffs, lam),
+    checked = _checked(_train(channel, schedule, unit, nu, EVAL_BATCH), lam,
                        lambda pulse, i: f"pulse {pulse} (atom number {params.atom_number:.6g})")
     for pulses, _, entries in checked:
         meter_var[pulses] = entries[_ENTRY[M, M]]
-        if pulses[-1] == n - 1:
-            cov = entries[_ENTRY, -1]
+    cov = entries[_ENTRY, -1]  # the last block ends with the last pulse
     means *= lam
     final = GaussianState(mean=means[-1].copy(), cov=cov, jx_mean=lam * (unit.jx_mean * channel.jx_decay ** n))
     return ScheduleResult(
@@ -618,9 +564,7 @@ def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_num
         raise ValueError("atom numbers must be positive and finite")
     unit, nu, _ = _start(params, None)
     blocks = _train(pulse_channel(params), schedule, unit, nu, EVAL_BATCH // len(lam))
-    checked = _checked(blocks, lambda coeffs: _entries(coeffs, lam),
-                       lambda pulse, i: f"pulse {pulse}, atom number {lam[i[1]]:.6g} (index {i[1]})")
-    for pulses, coeffs, entries in checked:
-        if pulses[-1] == len(schedule) - 1:
-            final = entries[_ENTRY[M, M], -1], coeffs[-1, :, _ENTRY[M, M]]
-    return final
+    checked = _checked(blocks, lam, lambda pulse, i: f"pulse {pulse}, atom number {lam[i[1]]:.6g} (index {i[1]})")
+    for _, coeffs, entries in checked:
+        pass  # every block is checked; the last ends with the last pulse
+    return entries[_ENTRY[M, M], -1], coeffs[-1, :, _ENTRY[M, M]]

@@ -86,7 +86,7 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     ["oracle-compare", "--dropped"],                 # flags the subcommand does not read
     ["sweep", "--trials", "5"],
     ["suppression", "--pulses", "3"],
-    ["impact", "--p", "100000000"],                  # about 14 GB of per-pulse arrays, above the cap
+    ["impact", "--p", "100000000"],                  # about 9.6 GB of per-pulse arrays, above the cap
     ["sweep", "--na-points", "1000000000"],          # more atom numbers than one sweep evaluates
     ["oracle-compare", "--oracle-na", "0"],          # no atoms
     ["oracle-compare", "--oracle-na", "-1"],

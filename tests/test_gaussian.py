@@ -121,7 +121,7 @@ def test_schedule_holds_no_per_pulse_objects():
 
 
 def test_train_memory_cap_refuses_before_allocating():
-    # admits the 2e7-pulse trains that fit in the cap, refuses 2e8 pulses (about 14 GB)
+    # admits the 2e7-pulse trains that fit in the cap, refuses 2e8 pulses (about 9.6 GB)
     assert 2 * 10 ** 7 * TRAIN_BYTES_PER_PULSE <= MEMORY_CAP_BYTES < 2 * 10 ** 8 * TRAIN_BYTES_PER_PULSE
     tracemalloc.start()
     try:
@@ -133,6 +133,24 @@ def test_train_memory_cap_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_train_cap_charges_the_traced_cost_per_pulse():
+    # run_schedule's traced peak grows by at most TRAIN_BYTES_PER_PULSE per pulse, for a CSS
+    # start with the dropped terms and for a tilted start (non-zero means) without them
+    for tilted in (False, True):
+        peaks = []
+        for n in (50_000, 200_000):
+            params, sched = paper_params("naive", num_pulses=n, scattering_eps=1e-6, include_dropped_terms=not tilted)
+            initial = tilted_state(params.atom_number) if tilted else None
+            tracemalloc.start()
+            try:
+                run_schedule(params, sched, initial=initial)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        slope = (peaks[1] - peaks[0]) / 150_000
+        assert TRAIN_BYTES_PER_PULSE / 2 < slope <= TRAIN_BYTES_PER_PULSE
 
 
 def test_sweep_refuses_more_atom_numbers_than_one_block():
@@ -588,11 +606,13 @@ def test_every_pulse_checked_at_every_point(monkeypatch, batch):
     assert np.array_equal(css_meter_variance(params, sched, grid)[0], whole_sweep)
 
 
-@pytest.mark.parametrize("batch", [2, 8, 26, 1 << 20])
+@pytest.mark.parametrize("batch", [2, 6, 8, 26, 1 << 20])
 def test_results_do_not_depend_on_the_evaluation_block(monkeypatch, batch):
-    # the 37-pulse train is scanned as 5 chunks of 8 pulses whatever EVAL_BATCH is;
-    # blocks of 1, 2, 4, 5, 8, 13 and 26 pulses cut through them.  The sweep runs with
-    # the dropped terms, the tilted run (non-zero means) without them
+    # the 37-pulse train is scanned as 5 chunks of 8 pulses whatever EVAL_BATCH is; the
+    # run's blocks of batch pulses and the sweep's of batch / 2 cut a chunk (1, 2, 3, 4
+    # and 6 pulses, where 3 and 6 end it on a partial block) or hold whole chunks (8, 13
+    # and 26 pulses: one, one and three).  The sweep runs with the dropped terms, the
+    # tilted run (non-zero means) without them
     import qndprobe.gaussian as gaussian
     params, sched = paper_params("naive", num_pulses=37, scattering_eps=1e-3, include_dropped_terms=True)
     grid = [1e4, 2e6]
@@ -608,6 +628,10 @@ def test_results_do_not_depend_on_the_evaluation_block(monkeypatch, batch):
                       (run.final_state.cov, whole_run.final_state.cov)]:
         assert np.array_equal(got, want)
     assert run.final_state.jx_mean == whole_run.final_state.jx_mean
+    unit = init_css(replace(params, atom_number=1.0))
+    for block in (batch, batch // len(grid)):  # the run's blocks and the sweep's
+        blocks = gaussian._train(pulse_channel(params), sched, unit, 1.0, block)
+        assert np.array_equal(np.concatenate([pulses for pulses, _ in blocks]), np.arange(len(sched)))
 
 
 @pytest.mark.parametrize("dropped,tilted", [(False, False), (True, False), (False, True), (True, True)])
@@ -771,9 +795,9 @@ def earliest_refusal(params, sched, grid):
 @pytest.mark.parametrize("batch,points", [(16, 4), (400, 4), (EVAL_BATCH, 1000)],
                          ids=["16", "400", "1000-points"])
 def test_refusal_names_the_failing_pulse_and_atom_number(monkeypatch, batch, points):
-    # a naive train whose covariance overflows late; blocks of a few chunk
-    # positions (of one, with 1000 points) list the pulses chunk-major, so a
-    # block index is not a pulse, and a later block can hold an earlier pulse
+    # a naive train whose covariance overflows late, scanned in 46-pulse chunks; the
+    # sweep's blocks of 4 and 16 pulses cut a chunk and its blocks of 100 hold two, so
+    # an index into a block is not a pulse
     import qndprobe.gaussian as gaussian
     monkeypatch.setattr(gaussian, "EVAL_BATCH", batch)
     params, sched = paper_params("naive", num_pulses=2000, g1=1e-3, g2=1e71, nl_total=2e6, na=900.0)
