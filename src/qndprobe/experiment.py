@@ -212,7 +212,7 @@ def _monte_carlo_maps(params: CouplingParams, schedule: PulseSchedule) -> tuple:
         raise ValueError(f"the Monte Carlo steps of {len(schedule)} pulses need about {need / 1e9:.3g} GB, "
                          f"above the {MEMORY_CAP_BYTES / 1e9:.3g} GB train cap")
     depol = np.diag(np.sqrt(params.atom_number * channel.depol))[:, :draws]
-    ks = schedule.kinds(0, len(schedule))
+    ks = schedule.kinds(len(schedule))
     jxs = init_css(params).jx_mean * channel.jx_decay ** np.arange(len(ks))
     db = channel.db0[ks] + jxs[:, None, None] * channel.db1[ks]
     maps = np.concatenate([channel.da[ks], db, np.broadcast_to(depol, (len(ks), *depol.shape))], axis=2)

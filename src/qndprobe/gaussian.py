@@ -11,26 +11,23 @@ values on all right-hand sides.  Jxy carries no input-output relation of
 its own and stays frozen at its initial statistics.  A pulse is one sign s:
 the probe has Sx = s n_L/2 and its polarimeter output enters the meter as s Sy.
 
-One kernel propagates every train.  Because A does not depend on the atom
-number and B is affine in jx, the covariance after each pulse is exactly
-C0 + NA C1 + NA^2 C2 for a CSS start, so the kernel carries the three
-coefficient matrices through the train (a given initial state is the same
-polynomial taken at 1), each as its DIM(DIM+1)/2 distinct entries.  A
-pulse's noise depends on jx alone (weights 1, jx and jx^2), not on the
+One kernel propagates every train.  It carries rows, each one state's
+DIM(DIM+1)/2 distinct covariance entries and four noise seeds: 1, the atom
+number, jx and jx^2.  A pulse's noise depends on these alone, not on the
 means, so ``run_schedule`` refuses the dropped terms from a start with
-non-zero means, and the weights ride along as four extra entries of the
-carried rows: every pulse is one homogeneous step x <- x @ G_s, G_s one
-operator per sign.  The kernel is a product scan over about sqrt(n)
+non-zero means, and every pulse is one homogeneous step x <- x @ G_s, G_s
+one operator per sign, read off ``pulse_channel`` alone, as the Monte
+Carlo's pulses are.  The kernel is a product scan over about sqrt(n)
 chunks of about sqrt(n) pulses, so a train takes O(sqrt(n)) Python steps
-and yields its states in blocks of ascending pulses.  Its pulses, like the
-Monte Carlo's, are ``pulse_channel``'s.  ``run_schedule`` evaluates it at
-its atom number; ``css_meter_variance`` evaluates one train at every atom
-number of a sweep and returns the final var(M) coefficients too.  Each
-block is evaluated at its atom numbers straight into one row per distinct
-entry, and every pulse's covariance is PSD-checked there, in a sweep at
-every atom number, by ``_check_entries``: one LDL^T elimination run
-across the whole stack at once, with eigenvalues computed only to word a
-refusal, which names the earliest failing pulse.
+and yields its states in entry-major blocks of ascending pulses.  Each
+caller scans the rows it reads: ``run_schedule`` its start's one row, and
+``css_meter_variance`` one CSS row per atom number of a sweep plus the
+three coefficient rows of the CSS row in NA, which carry the final var(M)'s
+exact coefficients c0, c1 and c2 (A does not depend on NA and B is affine
+in jx).  Every pulse's covariance is PSD-checked, in a sweep at every atom
+number, by ``_check_entries``: one LDL^T elimination run across the whole
+stack at once, with eigenvalues computed only to word a refusal, which
+names the earliest failing pulse, then its first failing atom number.
 """
 
 from __future__ import annotations
@@ -56,10 +53,10 @@ PSD_TOL = 1e-9
 
 # Memory a run may hold, shared with the Monte Carlo.  Per pulse a run holds
 # the recorded means and var(M), 40 B; the scan holds a few states per chunk
-# and one block of states.  The traced peak of run_schedule grows by 42.6 B
+# and one block of states.  The traced peak of run_schedule grows by 42.4 B
 # per pulse from 2e5 to 8e5 pulses at eps = 1e-6 for a CSS start with the
-# dropped terms (27.2 to 52.8 MB) and by 42.8 B for a tilted start without
-# them (27.5 to 53.1 MB), and the cap charges that, rounded up.
+# dropped terms (13.4 to 38.8 MB) and by 42.6 B for a tilted start without
+# them (13.6 to 39.1 MB), and the cap charges that, rounded up.
 MEMORY_CAP_BYTES = 2 * 1024 ** 3
 TRAIN_BYTES_PER_PULSE = 48
 
@@ -130,13 +127,13 @@ class PulseSchedule:
     @property
     def signs(self) -> np.ndarray:
         """Read-only +1/-1 integer array, one sign per pulse."""
-        signs = 1 - 2 * self.kinds(0, self.num_pulses)
+        signs = 1 - 2 * self.kinds(self.num_pulses)
         signs.setflags(write=False)
         return signs
 
-    def kinds(self, start: int, stop: int) -> np.ndarray:
-        """``pulse_channel``'s sign index (0 for +1, 1 for -1) of pulses start..stop-1, continued past the end."""
-        return np.arange(start, stop) & (self.mode == "decoupled")
+    def kinds(self, stop: int) -> np.ndarray:
+        """``pulse_channel``'s sign index (0 for +1, 1 for -1) of pulses 0..stop-1, continued past the end."""
+        return np.arange(stop) & (self.mode == "decoupled")
 
     @classmethod
     def naive(cls, num_pulses: int) -> "PulseSchedule":
@@ -295,9 +292,9 @@ def _packing(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # the kernel carries each covariance as its distinct entries: cov[i, j] = entries[_ENTRY[i, j]]
 _ROWS, _COLS, _ENTRY = _packing(DIM)
-# covariances evaluated per block of the kernel (1.3 MB of distinct entries at
-# DIM = 4, and the elimination's 0.8 MB of trailing rows), so also the most
-# atom numbers one sweep evaluates
+# carried rows per block of the kernel (1.8 MB of states at DIM = 4, and the
+# elimination's 0.8 MB of trailing rows), so also the most atom numbers one
+# sweep evaluates
 EVAL_BATCH = 1 << 14
 
 
@@ -310,7 +307,7 @@ def _check_entries(entries: np.ndarray, name=lambda index: f"index {index}") -> 
     finite and its smallest eigenvalue lies at or above -PSD_TOL * max(1,
     trace).  The passing path is an LDL^T elimination without pivoting of
     C + PSD_TOL * max(1, tr C) I, run on the whole stack at once on the rows
-    of ``entries``, which it leaves unchanged.  Its pivots, the squared
+    of ``entries``, which it leaves unchanged and may take as a strided view.  Its pivots, the squared
     diagonal of the Cholesky factor, are all > 0 exactly when the matrix
     passes, up to rounding (about 1e-16 |C|); a non-finite entry (i, j)
     makes pivot j -inf or NaN, unless the trace is non-finite too.  Only a
@@ -320,17 +317,16 @@ def _check_entries(entries: np.ndarray, name=lambda index: f"index {index}") -> 
     ``name(index)`` and kept as its ``index``, and the smallest eigenvalue
     of a finite matrix.
     """
-    stack = entries.reshape(len(entries), -1)
     d = (math.isqrt(8 * len(entries) + 1) - 1) // 2
     _, _, index = _packing(d)
-    floor = PSD_TOL * np.maximum(1.0, stack[index.diagonal()].sum(axis=0))
-    block = stack  # the first step writes a new array, later steps update it in place
+    floor = PSD_TOL * np.maximum(1.0, entries[index.diagonal()].sum(axis=0))
+    block = entries  # the first step writes a new array, later steps update it in place
     for width in range(d, 0, -1):
         pivot = block[0] + floor
         if not (pivot > 0).all():
             break
         ratio = block[1:width] / pivot
-        rest = np.empty_like(block[width:]) if block is stack else block[width:]
+        rest = np.empty_like(block[width:]) if block is entries else block[width:]
         start = 0
         for i in range(1, width):  # row i of the trailing block: entries (i, i..width-1)
             row = slice(start, start + width - i)
@@ -340,10 +336,8 @@ def _check_entries(entries: np.ndarray, name=lambda index: f"index {index}") -> 
     else:
         if np.isfinite(floor).all():  # so every pivot was finite too
             return
-    batch = entries.shape[1:]
-    finite = np.isfinite(stack).all(axis=0)
-    sym = np.moveaxis(np.where(finite, stack, 0.0)[index], (0, 1), (-2, -1)).reshape(*batch, d, d)
-    finite = finite.reshape(batch)
+    finite = np.isfinite(entries).all(axis=0)
+    sym = np.moveaxis(np.where(finite, entries, 0.0)[index], (0, 1), (-2, -1))
     low = np.linalg.eigvalsh(sym)[..., 0]
     floor = PSD_TOL * np.maximum(1.0, np.trace(sym, axis1=-2, axis2=-1))
     finite &= np.isfinite(floor)  # a trace that overflows leaves no floor
@@ -371,16 +365,8 @@ def _check_psd(covs: np.ndarray, name=lambda index: f"index {index}") -> None:
     _check_entries(half[rows, columns] + half[columns, rows], name)
 
 
-def _entries(coeffs: np.ndarray, lam) -> np.ndarray:
-    """(n, 3, K) coefficients of lambda^0..2 -> (K, n, *lam.shape) distinct entries of the covariances at lam."""
-    lam = np.asarray(lam, dtype=float)
-    powers = lam[..., None] ** np.arange(3)
-    entries = coeffs.transpose(2, 0, 1).reshape(-1, 3) @ powers.T
-    return entries.reshape(coeffs.shape[2], len(coeffs), *lam.shape)
-
-
-def _scan(ops: np.ndarray, start: np.ndarray, schedule: PulseSchedule, block: int):
-    """The states of x <- x @ ops[sign index] after every pulse of ``schedule`` from ``start`` (r, d), in pulse order.
+def _scan(ops: np.ndarray, start: np.ndarray, schedule: PulseSchedule, block: int, keep: int):
+    """The first ``keep`` entries of x <- x @ ops[sign index] after every pulse of ``schedule`` from ``start`` (r, d).
 
     The train is cut into chunks of the smallest even number of pulses not
     below sqrt(n), so that the period-2 sign pattern of a decoupled train
@@ -394,13 +380,14 @@ def _scan(ops: np.ndarray, start: np.ndarray, schedule: PulseSchedule, block: in
     ``block`` positions of one chunk, so a chunk may end on a partial block.
     The product is stacked, one (r, d) matrix per chunk, so a state is
     rounded the same whatever block holds it (BLAS rounds a one-row product
-    apart from a many-row one).  Yields (pulses, states), states (pulses,
-    r, d); a train takes O(sqrt(n) + n / block) Python steps and holds a few
-    states per chunk.
+    apart from a many-row one); it forms only the kept entries and is
+    copied once, entry-major.  Yields (pulses, states) in pulse order,
+    states (keep, pulses, r); a train takes O(sqrt(n) + n / block) Python
+    steps and holds a few states per chunk.
     """
     n = len(schedule)
     length = 2 * math.ceil(math.sqrt(n) / 2)
-    ops = ops[schedule.kinds(0, length)]
+    ops = ops[schedule.kinds(length)]
     r, d = start.shape
     prefix = np.empty((d, length, d))  # prefix[:, t] is P[t], so the prefixes lie side by side
     prefix[:, 0] = ops[0]
@@ -410,46 +397,49 @@ def _scan(ops: np.ndarray, start: np.ndarray, schedule: PulseSchedule, block: in
     entry[0] = start
     for j in range(1, len(entry)):
         entry[j] = entry[j - 1] @ prefix[:, -1]
-    side = prefix.reshape(d, length * d)
+    side = np.ascontiguousarray(prefix[..., :keep]).reshape(d, length * keep)
     chunks, width = max(1, block // length), min(block, length)
     for j in range(0, len(entry), chunks):
         for t in range(0, min(length, n - j * length), width):
             first = j * length + t
-            states = entry[j:j + chunks] @ side[:, t * d:(t + width) * d]
-            states = states.reshape(len(states), r, -1, d).swapaxes(1, 2).reshape(-1, r, d)[:n - first]
-            yield np.arange(first, first + len(states)), states
+            states = entry[j:j + chunks] @ side[:, t * keep:(t + width) * keep]
+            states = states.reshape(len(states), r, -1, keep).transpose(3, 0, 2, 1)
+            states = states.reshape(keep, -1, r)[:, :n - first]
+            yield np.arange(first, first + states.shape[1]), states
 
 
-def _train(channel: PulseChannel, schedule: PulseSchedule, unit: GaussianState, nu: float, block: int):
-    """Covariance of the state lambda * ``unit`` after every pulse, as a polynomial in lambda.
+def _row(state: GaussianState, atoms: float) -> np.ndarray:
+    """``state``'s carried row at ``atoms`` atoms: its distinct covariance entries, then the seeds (1, atoms, jx, jx^2)."""
+    jx = np.float64(state.jx_mean)  # jx^2 overflows to inf, which the PSD check refuses
+    return np.concatenate([(state.cov + state.cov.T)[_ROWS, _COLS] / 2, [1.0, atoms, jx, jx * jx]])
 
-    The state has jx = lambda * unit.jx_mean and covariance lambda *
-    unit.cov, and carries nu * lambda atoms (nu = 1 for a CSS of lambda = NA
-    atoms).  Each pulse is ``channel``'s.  Since D A does not depend on
-    lambda and D B(jx) is affine in it, the covariance after every pulse is
-    exactly C0 + lambda C1 + lambda^2 C2: three rows of the K =
-    DIM(DIM+1)/2 distinct entries (``_ENTRY``).  Each row is extended by
-    four noise seeds, 1 (row 0), 1 and jx (row 1) and jx^2 (row 2), so each
-    pulse sign is one homogeneous (K + 4) x (K + 4) operator: the
-    restriction of (D A) (x) (D A) to the distinct entries plus the meter
-    product's q^2 var(Jy) -> var(M), then the noise rows, which the seeds
-    weight into the entries, and the seeds' own decay 1, 1, 1 - eps and
-    (1 - eps)^2.  The noise rows are the pulse's shot noise, whose root D
-    B0 + jx D B1 makes it the outer products D B0 D B0^T, the cross term
-    and D B1 D B1^T, and its depolarization noise nu depol in the lambda^1
-    row.  The noise does not read the means: the meter product's mean
-    loading q <Jy> of Sz_in into M is left out, which is exact while <Jy> =
-    0 (see ``run_schedule``).  ``_scan`` runs the operators over chunks of
-    about sqrt(n) pulses.
 
-    Returns a generator of (pulses, coefficients) blocks of at most
-    ``block`` pulses in ascending pulse order, coefficients (pulses, 3, K).
+def _train(channel: PulseChannel, schedule: PulseSchedule, rows: np.ndarray, block: int):
+    """The covariance of every carried row (``_row``) of ``rows`` after every pulse of ``channel``.
+
+    A row holds the K = DIM(DIM+1)/2 distinct entries of a covariance
+    (``_ENTRY``) and four noise seeds, 1, the atom number, jx and jx^2, so
+    each pulse sign is one homogeneous (K + 4) x (K + 4) operator that reads
+    ``channel`` alone: the restriction of (D A) (x) (D A) to the distinct
+    entries plus the meter product's q^2 var(Jy) -> var(M), then the noise
+    rows, which the seeds weight into the entries, and the seeds' own decay
+    1, 1, 1 - eps and (1 - eps)^2.  The noise rows are the pulse's shot
+    noise, whose root D B0 + jx D B1 makes it the outer products D B0 D
+    B0^T, the cross term and D B1 D B1^T, and its depolarization noise,
+    depol per atom.  The map is linear in the row, so a sum of rows is
+    carried as the sum of their covariances.  The noise does not read the
+    means: the meter product's mean loading q <Jy> of Sz_in into M is left
+    out, which is exact while <Jy> = 0 (see ``run_schedule``).  ``_scan``
+    runs the operators over chunks of about sqrt(n) pulses.
+
+    Returns a generator of (pulses, entries) blocks of at most ``block``
+    pulses in ascending pulse order, entries (K, pulses, rows).
     """
     k = len(_ROWS)
     da, db0, db1, q, depol, jx_decay = channel
     ops = np.zeros((2, k + 4, k + 4))
     # per sign, row (i, j) of (D A) (x) (D A), its columns (a, b) and (b, a) summed
-    # into their one entry; transposed to act on the rows of the coefficient stack
+    # into their one entry; transposed to act on the carried rows
     kron = (da[:, :, None, :, None] * da[:, None, :, None, :]).reshape(2, DIM, DIM, DIM * DIM)
     ops[:, :k, :k] = (kron[:, _ROWS, _COLS] @ np.eye(k)[_ENTRY.ravel()]).swapaxes(1, 2)
     ops[:, _ENTRY[JY, JY], _ENTRY[M, M]] += q * q
@@ -457,35 +447,12 @@ def _train(channel: PulseChannel, schedule: PulseSchedule, unit: GaussianState, 
     parts = np.stack([db0, db1], axis=1)
     outer = (parts[:, :, None] @ parts[:, None].swapaxes(-1, -2))[..., _ROWS, _COLS]
     ops[:, k, :k] = outer[:, 0, 0]
-    ops[:, k + 1, _ENTRY.diagonal()] = nu * depol
+    ops[:, k + 1, _ENTRY.diagonal()] = depol
     ops[:, k + 2, :k] = outer[:, 0, 1] + outer[:, 1, 0]
     ops[:, k + 3, :k] = outer[:, 1, 1]
     seeds = np.arange(k, k + 4)
     ops[:, seeds, seeds] = 1.0, 1.0, jx_decay, jx_decay ** 2
-    start = np.zeros((3, k + 4))
-    start[1, :k] = (unit.cov + unit.cov.T)[_ROWS, _COLS] / 2
-    start[[0, 1, 1, 2], seeds] = 1.0, 1.0, unit.jx_mean, unit.jx_mean ** 2
-    for pulses, states in _scan(ops, start, schedule, block):
-        yield pulses, states[..., :k]
-
-
-def _checked(blocks, lam, name):
-    """(pulses, coefficients, entries) of ``_train``'s blocks, the entries at ``lam`` passing ``_check_entries``.
-
-    A refusal's index is worded ``name(pulse, index)``; since the blocks
-    come in pulse order, it names the earliest failing pulse.
-    """
-    for pulses, coeffs in blocks:
-        entries = _entries(coeffs, lam)
-        _check_entries(entries, lambda i: name(pulses[i[0]], i))
-        yield pulses, coeffs, entries
-
-
-def _start(params: CouplingParams, initial: GaussianState | None) -> tuple[GaussianState, float, float]:
-    """(unit, nu, lambda): a CSS start scales with lambda = NA, a given state is taken at lambda = 1."""
-    if initial is None:
-        return init_css(replace(params, atom_number=1.0)), 1.0, params.atom_number
-    return initial, params.atom_number, 1.0
+    return _scan(ops, rows, schedule, block, k)
 
 
 @dataclass(frozen=True)
@@ -516,27 +483,26 @@ def run_schedule(
     dropped-term meter product enters through its variance q^2 var(Jy)
     alone, so a start with non-zero means is refused with the dropped terms
     on (ValueError, before any work).  The means are ``_scan``'s with the
-    operators (D A)^T, the covariances ``_train``'s, both in blocks of
-    ``EVAL_BATCH`` pulses; every pulse's covariance is PSD-checked by
-    ``_check_entries`` (ArithmeticError naming the earliest failing pulse).
+    operators (D A)^T, the covariances ``_train``'s on the start's one row
+    at ``params.atom_number`` atoms, both in blocks of ``EVAL_BATCH``
+    pulses; every pulse's covariance is PSD-checked by ``_check_entries``
+    (ArithmeticError naming the earliest failing pulse).
     """
-    unit, nu, lam = _start(params, initial)
-    if params.include_dropped_terms and unit.mean.any():
+    state = init_css(params) if initial is None else initial
+    if params.include_dropped_terms and state.mean.any():
         raise ValueError("the dropped terms are modelled only from a start with zero means")
     n = len(schedule)
     channel = pulse_channel(params)
     means = np.zeros((n, DIM))
-    if unit.mean.any():
-        for pulses, states in _scan(channel.da.swapaxes(1, 2), unit.mean[None], schedule, EVAL_BATCH):
-            means[pulses] = states[:, 0]
+    if state.mean.any():
+        for pulses, states in _scan(channel.da.swapaxes(1, 2), state.mean[None], schedule, EVAL_BATCH, DIM):
+            means[pulses] = states[..., 0].T
     meter_var = np.empty(n)
-    checked = _checked(_train(channel, schedule, unit, nu, EVAL_BATCH), lam,
-                       lambda pulse, i: f"pulse {pulse} (atom number {params.atom_number:.6g})")
-    for pulses, _, entries in checked:
-        meter_var[pulses] = entries[_ENTRY[M, M]]
-    cov = entries[_ENTRY, -1]  # the last block ends with the last pulse
-    means *= lam
-    final = GaussianState(mean=means[-1].copy(), cov=cov, jx_mean=lam * (unit.jx_mean * channel.jx_decay ** n))
+    for pulses, entries in _train(channel, schedule, _row(state, params.atom_number)[None], EVAL_BATCH):
+        _check_entries(entries, lambda i: f"pulse {pulses[i[0]]} (atom number {params.atom_number:.6g})")
+        meter_var[pulses] = entries[_ENTRY[M, M], :, 0]
+    cov = entries[_ENTRY, -1, 0]  # the last block ends with the last pulse
+    final = GaussianState(mean=means[-1].copy(), cov=cov, jx_mean=state.jx_mean * channel.jx_decay ** n)
     return ScheduleResult(
         meter_mean=float(final.mean[M]),
         meter_var=float(final.cov[M, M]),
@@ -550,21 +516,28 @@ def run_schedule(
 def css_meter_variance(params: CouplingParams, schedule: PulseSchedule, atom_numbers) -> tuple:
     """Final var(M) of the x-polarized CSS at each atom number, and its c0, c1, c2 in NA.
 
-    The covariance is exactly quadratic in NA, so the train is propagated once
-    and evaluated at every atom number; ``params.atom_number`` is not used.
-    Every pulse is PSD-checked at every atom number by ``_check_entries``; a
-    refusal names the earliest failing pulse and its first failing atom
+    Every entry of a CSS row (``_row``) is a power of NA: the covariance
+    and the seeds atoms and jx are linear in it, jx^2 quadratic and the
+    first seed constant.  The row is therefore c0 + NA c1 + NA^2 c2, three
+    coefficient rows, and since ``_train`` is linear in the row, so is the
+    covariance after every pulse.  One train carries the three coefficient
+    rows, whose final var(M) entries are c0, c1 and c2, and one row per
+    atom number, formed from them; ``params.atom_number`` is not used.
+    Every pulse is PSD-checked at every atom number by ``_check_entries``;
+    a refusal names the earliest failing pulse and its first failing atom
     number.  From 1 to ``EVAL_BATCH`` atom numbers are accepted, so one
     block holds at least one pulse.
     """
-    lam = np.asarray(atom_numbers, dtype=float)
-    if not 0 < len(lam) <= EVAL_BATCH:
-        raise ValueError(f"a sweep evaluates 1 to {EVAL_BATCH} atom numbers, got {len(lam)}")
-    if not np.all(np.isfinite(lam) & (lam > 0)):
+    na = np.asarray(atom_numbers, dtype=float)
+    if not 0 < len(na) <= EVAL_BATCH:
+        raise ValueError(f"a sweep evaluates 1 to {EVAL_BATCH} atom numbers, got {len(na)}")
+    if not np.all(np.isfinite(na) & (na > 0)):
         raise ValueError("atom numbers must be positive and finite")
-    unit, nu, _ = _start(params, None)
-    blocks = _train(pulse_channel(params), schedule, unit, nu, EVAL_BATCH // len(lam))
-    checked = _checked(blocks, lam, lambda pulse, i: f"pulse {pulse}, atom number {lam[i[1]]:.6g} (index {i[1]})")
-    for _, coeffs, entries in checked:
-        pass  # every block is checked; the last ends with the last pulse
-    return entries[_ENTRY[M, M], -1], coeffs[-1, :, _ENTRY[M, M]]
+    row = _row(init_css(replace(params, atom_number=1.0)), 1.0)
+    power = np.array([1] * len(_ROWS) + [0, 1, 1, 2])  # of NA, in each entry of a CSS row
+    coeffs = np.where(power == np.arange(3)[:, None], row, 0.0)
+    rows = np.concatenate([coeffs, na[:, None] ** np.arange(3) @ coeffs])
+    for pulses, entries in _train(pulse_channel(params), schedule, rows, EVAL_BATCH // len(na)):
+        _check_entries(entries[..., 3:], lambda i: f"pulse {pulses[i[0]]}, atom number {na[i[1]]:.6g} (index {i[1]})")
+    final = entries[_ENTRY[M, M], -1]  # the last block ends with the last pulse
+    return final[3:], final[:3]

@@ -369,6 +369,12 @@ def test_refused_run_prints_only_its_refusal_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "numerical failure: non-finite covariance at pulse 1, atom number 10000 (index 0)\n"
+    # a CSS whose jx^2 overflows is refused by the kernel's own check at its first pulse
+    assert main(["impact", "--na", "1e160", "--out", str(out)]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: non-finite covariance at pulse 0 (atom number 1e+160)\n"
 
 
 def test_unwritable_output_path(tmp_path):

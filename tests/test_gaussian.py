@@ -92,7 +92,7 @@ def test_signs_follow_the_explicit_pattern(n):
         assert np.issubdtype(signs.dtype, np.integer)
         assert not signs.flags.writeable
         # pulse_channel's index of each sign, continued past the train's end
-        assert sched.kinds(1, n + 3).tolist() == [k % 2 * (sched.mode == "decoupled") for k in range(1, n + 3)]
+        assert sched.kinds(n + 3)[1:].tolist() == [k % 2 * (sched.mode == "decoupled") for k in range(1, n + 3)]
 
 
 def test_schedule_rejects_inconsistent_entries():
@@ -137,7 +137,8 @@ def test_train_memory_cap_refuses_before_allocating():
 
 def test_train_cap_charges_the_traced_cost_per_pulse():
     # run_schedule's traced peak grows by at most TRAIN_BYTES_PER_PULSE per pulse, for a CSS
-    # start with the dropped terms and for a tilted start (non-zero means) without them
+    # start with the dropped terms and for a tilted start (non-zero means) without them, and
+    # its fixed part, the scan's blocks and chunks, stays below 8 MB (about 4.4 MB)
     for tilted in (False, True):
         peaks = []
         for n in (50_000, 200_000):
@@ -151,6 +152,7 @@ def test_train_cap_charges_the_traced_cost_per_pulse():
                 tracemalloc.stop()
         slope = (peaks[1] - peaks[0]) / 150_000
         assert TRAIN_BYTES_PER_PULSE / 2 < slope <= TRAIN_BYTES_PER_PULSE
+        assert peaks[0] - 50_000 * slope < 8e6
 
 
 def test_sweep_refuses_more_atom_numbers_than_one_block():
@@ -588,7 +590,7 @@ def test_every_pulse_checked_at_every_point(monkeypatch, batch):
     assert sum(n for n, _ in checked) == len(sched) and {k for _, k in checked} == {6}
     checked.clear()
     result = run_schedule(params, sched)
-    assert sum(n for n, in checked) == len(sched)  # one (pulses,) stack per block
+    assert sum(n for n, _ in checked) == len(sched) and {k for _, k in checked} == {1}  # the run's one row
     assert np.array_equal(result.pulse_meter_var, whole_run.pulse_meter_var)
     assert np.array_equal(result.final_state.cov, whole_run.final_state.cov)
 
@@ -628,9 +630,9 @@ def test_results_do_not_depend_on_the_evaluation_block(monkeypatch, batch):
                       (run.final_state.cov, whole_run.final_state.cov)]:
         assert np.array_equal(got, want)
     assert run.final_state.jx_mean == whole_run.final_state.jx_mean
-    unit = init_css(replace(params, atom_number=1.0))
+    row = gaussian._row(init_css(params), params.atom_number)[None]
     for block in (batch, batch // len(grid)):  # the run's blocks and the sweep's
-        blocks = gaussian._train(pulse_channel(params), sched, unit, 1.0, block)
+        blocks = gaussian._train(pulse_channel(params), sched, row, block)
         assert np.array_equal(np.concatenate([pulses for pulses, _ in blocks]), np.arange(len(sched)))
 
 
@@ -773,13 +775,19 @@ def test_psd_check_refuses_a_covariance_whose_trace_overflows(diagonal):
 
 def earliest_refusal(params, sched, grid):
     """(pulse, index into grid) of the first kernel covariance, in pulse order, that is non-finite or not PSD."""
-    from qndprobe.gaussian import _ENTRY, _entries, _train
-    coeffs = np.empty((len(sched), 3, len(STATE) * (len(STATE) + 1) // 2))
+    from qndprobe.gaussian import _COLS, _ENTRY, _ROWS, _train
+    # the kernel's coefficient rows of NA^0, NA^1 and NA^2 for the CSS, evaluated here at every grid point
+    k = len(_ROWS)
     unit = init_css(replace(params, atom_number=1.0))
-    for pulses, block in _train(pulse_channel(params), sched, unit, 1.0, len(sched)):
-        coeffs[pulses] = block
+    rows = np.zeros((3, k + 4))
+    rows[1, :k] = unit.cov[_ROWS, _COLS]
+    rows[[0, 1, 1, 2], [k, k + 1, k + 2, k + 3]] = 1.0, 1.0, unit.jx_mean, unit.jx_mean ** 2  # seeds 1, NA, jx, jx^2
+    coeffs = np.empty((k, len(sched), 3))
+    for pulses, block in _train(pulse_channel(params), sched, rows, len(sched)):
+        coeffs[:, pulses] = block
+    powers = np.asarray(grid, dtype=float)[:, None] ** np.arange(3)
     for pulse in range(len(sched)):
-        covs = np.moveaxis(_entries(coeffs[pulse, None], grid)[_ENTRY, 0], -1, 0)
+        covs = np.moveaxis((coeffs[:, pulse] @ powers.T)[_ENTRY], -1, 0)
         finite = np.isfinite(covs).all(axis=(1, 2))
         sym = np.where(finite[:, None, None], covs, 0.0) / 2
         sym += sym.swapaxes(1, 2)
@@ -824,3 +832,7 @@ def test_overflowing_run_is_a_numerical_failure():
     params, sched = paper_params("decoupled", p=2, g1=1e200, g2=1e-3)
     with pytest.raises(ArithmeticError, match="non-finite"):
         run_schedule(params, sched)
+    # a start whose jx^2 noise seed overflows is refused at pulse 0, not by Python's OverflowError
+    initial = state_from_atomic_moments(np.zeros(3), np.eye(3), 1e200)
+    with pytest.raises(ArithmeticError, match="non-finite covariance at pulse 0 "):
+        run_schedule(params, PulseSchedule.naive(4), initial=initial)
